@@ -11,7 +11,8 @@ from jrlab.hermitian import (HermitianForm, HermitianPair,
                              unitary_act)
 from jrlab.orbital import (Lattice, admissible_lattices_gl, fl_check,
                            gl_representative_of_point, hermite_normalize,
-                           intermediate_lattices, is_instable, orbital_gl,
+                           intermediate_lattices, intermediate_lattices_ext,
+                           is_instable, orbital_gl,
                            orbital_u, selfdual_admissible_lattices,
                            toy_gl_orbital, toy_transfer_check, toy_u_orbital)
 
@@ -56,6 +57,32 @@ def test_sandwich_example():
     # unit determinant: a single lattice
     r = orbital_gl(Triple([[F(1)]], [F(1)], [F(2)]), CTX)
     assert r.lattice_count == 1 and r.value == 1
+
+
+# Submodules of O/p^a + O/p^b (a >= b) over a residue field with q elements,
+# counted by order: the lattices between O^2 and diag(p^a, p^b) O^2.
+SUBMODULES = {(1, 0): lambda q: 2, (2, 0): lambda q: 3, (1, 1): lambda q: q + 3,
+              (2, 1): lambda q: 2 * q + 4, (2, 2): lambda q: q * q + 3 * q + 5}
+
+
+def _check_submodule_count(enumerate_, ctx, scalar, a, b, q):
+    M = [[scalar(F(ctx.p) ** a), scalar(0)], [scalar(0), scalar(F(ctx.p) ** b)]]
+    found = enumerate_(M, ctx)
+    assert len(found) == SUBMODULES[(a, b)](q), (ctx.p, a, b)
+    assert len({tuple(map(tuple, H)) for H in found}) == len(found)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_intermediate_lattices_count_submodules(p):
+    ctx = PLocalContext(p)
+    for a, b in SUBMODULES:
+        _check_submodule_count(intermediate_lattices, ctx, F, a, b, p)
+
+
+def test_intermediate_lattices_ext_count_submodules():
+    ctx = PLocalContext(3)
+    for a, b in ((1, 0), (2, 0), (1, 1), (2, 1)):
+        _check_submodule_count(intermediate_lattices_ext, ctx, ctx.embed, a, b, 9)
 
 
 def test_sandwich_index_is_exact():
