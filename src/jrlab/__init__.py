@@ -16,8 +16,7 @@ from .hermitian import (CayleyParams, HermitianForm, HermitianPair,
                         orbit_inventory, u_d_r, u_invariants,
                         u_is_semisimple, u_jordan, u_pairing, u_stratum)
 from .cones import (DescentDatum, DescentEngine, GTilde, ParabolicSubspace,
-                    enumerate_parabolic_subspaces, parabolic_minus, pi_sets,
-                    projections)
+                    enumerate_parabolic_subspaces, parabolic_minus, projections)
 from .chambers import (Chamber, all_chambers, distance, h_plus, is_convex,
                        langlands_type_rep, minimal_galleries, psi_analytic,
                        psi_geometric, random_orthogonal_positive, sigma_set)

@@ -57,10 +57,6 @@ def distance(P2: Chamber, P1: Chamber) -> int:
     return len(sigma_set(P2, P1))
 
 
-def adjacent(P1: Chamber, P2: Chamber) -> bool:
-    return distance(P1, P2) == 1
-
-
 def neighbours(P: Chamber):
     out = []
     for i in range(P.m - 1):
@@ -98,7 +94,12 @@ def gallery_walls(gallery):
     return walls
 
 
-def is_convex(S, guard: int = 4) -> bool:
+# Largest rank at which convexity is enumerated (all minimal galleries
+# between all pairs of members).
+CONVEXITY_MAX_RANK = 4
+
+
+def is_convex(S, guard: int = CONVEXITY_MAX_RANK) -> bool:
     """Every minimal gallery between members stays inside."""
     S = list(S)
     if S and S[0].m > guard:
@@ -209,20 +210,6 @@ def weight_covectors(blocks, m: int):
         v = [Fraction(1) if i + 1 in prefix else Fraction(0) for i in range(m)]
         f = Fraction(len(prefix), m)
         out.append([a - f for a in v])
-    return out
-
-
-def root_covectors_rel(blocks, m: int):
-    """Delta of an ordered set partition: centroid differences of adjacent
-    blocks."""
-    out = []
-    for b1, b2 in zip(blocks, blocks[1:]):
-        v = [Fraction(0)] * m
-        for x in b1:
-            v[x - 1] += Fraction(1, len(b1))
-        for x in b2:
-            v[x - 1] -= Fraction(1, len(b2))
-        out.append(v)
     return out
 
 

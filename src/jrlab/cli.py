@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
+from .chambers import CONVEXITY_MAX_RANK
 from .fields import PLocalContext, InfiniteValuation
 from .gltilde import (Triple, d_r, invariants, jordan, stratum)
 from .hermitian import (cayley_gl, cayley_inverse, extend_form,
@@ -27,8 +27,8 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
-BUDGETS = {"fl_n": 2, "fl_valuation": 8, "cones_n": 3, "chambers_m": 5,
-           "descent_n": 3}
+BUDGETS = {"fl_n": 2, "fl_valuation": 8, "cones_n": 3,
+           "chambers_m": CONVEXITY_MAX_RANK, "descent_n": 3}
 
 
 def _emit(args, records, summary):
@@ -49,25 +49,6 @@ def _load_json(path):
     except (OSError, json.JSONDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("JRLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Order-independent dispatch of suite instances; results are reassembled
-    by index so reports are byte-identical for any worker count."""
-    items = list(items)
-    w = _threads()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    import multiprocessing
-    with multiprocessing.Pool(min(w, len(items))) as pool:
-        return pool.map(fn, items)
 
 
 def cmd_invariants(args):

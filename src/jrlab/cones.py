@@ -156,20 +156,6 @@ def enumerate_parabolic_subspaces(n: int, levi_blocks=None, guard: int = 4,
     return out
 
 
-def pi_sets(P: ParabolicSubspace, Q: ParabolicSubspace | None = None,
-            raw: bool = False):
-    """The weight sets of a parabolic subspace (or the relative sets of a
-    nested pair): restricted-root representatives and flag-weight
-    representatives inside the relative center space, or the raw
-    flag-indicator covectors."""
-    g = GTilde(P.n)
-    if raw:
-        return g.pi_hat_raw(P)
-    if Q is None:
-        Q = full_group(P.n)
-    return g.pi(P, Q), g.pi_hat(P, Q)
-
-
 def between(P: ParabolicSubspace, Q: ParabolicSubspace):
     """All S with P contained in S contained in Q (as groups)."""
     if not P.le(Q):
@@ -268,24 +254,8 @@ class GTilde:
     def z_basis(self, P: ParabolicSubspace):
         return [_indicator(b, self.N) for b in P.mblocks()]
 
-    def a_gp_basis(self, P: ParabolicSubspace):
-        return [_indicator(P.e0_block(), self.N)]
-
     def a_basis(self, P: ParabolicSubspace):
         return [_indicator(b, self.N) for b in P.blocks()]
-
-    def a0_perp_basis(self, P: ParabolicSubspace):
-        """Complement of the block-constant space: per block, differences to
-        the first block element."""
-        out = []
-        for b in P.blocks():
-            bs = sorted(b, key=lambda l: (l == E0, l))
-            base = bs[0]
-            for other in bs[1:]:
-                v = _indicator([other], self.N)
-                w = _indicator([base], self.N)
-                out.append([a - c for a, c in zip(v, w)])
-        return out
 
     def z_rel_basis(self, P: ParabolicSubspace, Q: ParabolicSubspace):
         """Basis of the complement of z_Q inside z_P cut out by the raw
@@ -577,31 +547,6 @@ class GTilde:
         small = two_rho(vblocks, self.N)
         return [a - b for a, b in zip(big, small)]
 
-    def project_z(self, P: ParabolicSubspace, v):
-        """Orthogonal projection of a covector onto the center space."""
-        zb = self.z_basis(P)
-        if not zb:
-            return [Fraction(0)] * self.N
-        Gm = [[la.dot(a, b) for b in zb] for a in zb]
-        rhs = [la.dot(a, list(map(Fraction, v))) for a in zb]
-        t = la.solve(Gm, rhs)
-        out = [Fraction(0)] * self.N
-        for c, z in zip(t, zb):
-            out = [a + c * b for a, b in zip(out, z)]
-        return out
-
-    def project_a(self, P: ParabolicSubspace, v):
-        """Orthogonal projection onto the block-constant space (blockwise
-        averages)."""
-        out = [Fraction(0)] * self.N
-        v = [Fraction(x) for x in v]
-        for b in P.blocks():
-            idxs = [self.N - 1 if l == E0 else l - 1 for l in b]
-            avg = sum(v[i] for i in idxs) / len(idxs)
-            for i in idxs:
-                out[i] = avg
-        return out
-
 
 # ---------------------------------------------------------------------------
 # descent data and the product side
@@ -889,12 +834,6 @@ class DescentEngine:
         if not A:
             return True
         return la.rank(A) == la.rank(A + B) == la.rank(B)
-
-    def z_points(self, basis, coeffs):
-        v = [Fraction(0)] * len(self.minus)
-        for c, b in zip(coeffs, basis):
-            v = [a + Fraction(c) * x for a, x in zip(v, b)]
-        return v
 
     # -- families ------------------------------------------------------------------
 

@@ -98,11 +98,6 @@ def valuation(x, ctx: PLocalContext) -> int:
     return v
 
 
-def unit_part(x, ctx: PLocalContext) -> Fraction:
-    """x / p^v(x); a p-adic unit."""
-    return Fraction(x) / Fraction(ctx.p) ** valuation(x, ctx)
-
-
 def residue(x, ctx: PLocalContext, k: int = 1) -> int:
     """Canonical representative of a p-integral rational mod p^k, in [0, p^k)."""
     x = Fraction(x)
@@ -281,6 +276,25 @@ class EScalar:
         if self.ctx.kind == INERT:
             return f"({self.x}+{self.y}*sqrt({self.ctx.eps}))"
         return f"({self.x},{self.y})"
+
+
+# The scalar domain: int or Fraction entries live in Q, EScalar entries in
+# their context's extension; `not x` tests zero in both.
+
+
+def one_like(x):
+    """1 in the scalar domain of x."""
+    return x.ctx.embed(1) if isinstance(x, EScalar) else Fraction(1)
+
+
+def zero_like(x):
+    """0 in the scalar domain of x."""
+    return x.ctx.embed(0) if isinstance(x, EScalar) else Fraction(0)
+
+
+def scalar_inverse(x):
+    """1 / x in the scalar domain of x."""
+    return x.inverse() if isinstance(x, EScalar) else Fraction(1) / Fraction(x)
 
 
 def norm_trace(z: EScalar) -> tuple[Fraction, Fraction]:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .fields import PLocalContext, eta
-from .poly import Polynomial, gcd, squarefree_part, monic_coeffs
+from .fields import PLocalContext, eta, one_like, zero_like
+from .poly import squarefree_part, monic_coeffs
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,7 @@ def act(g, X: Triple) -> Triple:
 
 def moments(X: Triple, count: int) -> list:
     """[c b, c A b, ..., c A^{count-1} b]."""
-    out = []
-    v = list(X.b)
-    for _ in range(count):
-        out.append(la.dot(X.c, v))
-        v = la.mat_vec(X.A, v)
-    return out
+    return [la.dot(X.c, v) for v in krylov_columns(X, count)]
 
 
 def invariants(X: Triple) -> InvariantPoint:
@@ -108,30 +103,29 @@ def invariants(X: Triple) -> InvariantPoint:
     return InvariantPoint(tuple(monic_coeffs(chi)), tuple(moments(X, X.n)))
 
 
-def d_r(X: Triple, r: int):
-    """Determinant of the r x r moment matrix (c A^{i+j} b); d_0 = 1, and 0
+def hankel_d(moments_of, n: int, r: int):
+    """Determinant of the r x r Hankel matrix (m_{i+j}) of a moment sequence
+    in dimension n, where moments_of(k) lists m_0..m_{k-1}; d_0 = 1, and 0
     for r > n."""
     if r < 0:
         raise ValueError("d_r needs r >= 0")
     if r == 0:
         return Fraction(1)
-    if r > X.n:
+    if r > n:
         return Fraction(0)
-    ms = moments(X, 2 * r - 1)
+    ms = moments_of(2 * r - 1)
     return la.det([[ms[i + j] for j in range(r)] for i in range(r)])
+
+
+def d_r(X: Triple, r: int):
+    """Determinant of the r x r moment matrix (c A^{i+j} b)."""
+    return hankel_d(lambda k: moments(X, k), X.n, r)
 
 
 def d_r_of_point(a: InvariantPoint, r: int):
     """d_r read off an invariant point (Hankel determinant of the moment
     sequence extended through the characteristic-polynomial recursion)."""
-    if r < 0:
-        raise ValueError("d_r needs r >= 0")
-    if r == 0:
-        return Fraction(1)
-    if r > a.n:
-        return Fraction(0)
-    ms = extend_moments(a, 2 * r - 1)
-    return la.det([[ms[i + j] for j in range(r)] for i in range(r)])
+    return hankel_d(lambda k: extend_moments(a, k), a.n, r)
 
 
 def extend_moments(a: InvariantPoint, count: int) -> list:
@@ -147,40 +141,34 @@ def extend_moments(a: InvariantPoint, count: int) -> list:
     return ms
 
 
+def _top_stratum(d, n: int) -> int:
+    """The largest r in 1..n with d(r) != 0, else 0."""
+    return next((r for r in range(n, 0, -1) if d(r)), 0)
+
+
 def stratum(X: Triple) -> int:
     """The unique r with d_r != 0 and d_i = 0 for all i > r."""
-    for r in range(X.n, 0, -1):
-        if d_r(X, r) != 0:
-            return r
-    return 0
+    return _top_stratum(lambda r: d_r(X, r), X.n)
+
+
+def stratum_of_point(a: InvariantPoint) -> int:
+    return _top_stratum(lambda r: d_r_of_point(a, r), a.n)
 
 
 def krylov_columns(X: Triple, r: int) -> list:
     """Columns b, Ab, ..., A^{r-1}b."""
-    cols = []
-    v = list(X.b)
-    for _ in range(r):
-        cols.append(v)
-        v = la.mat_vec(X.A, v)
-    return cols
+    return la.krylov(X.A, X.b, r)
 
 
 def dual_krylov_rows(X: Triple, r: int) -> list:
     """Rows c, cA, ..., cA^{r-1}."""
-    rows = []
-    w = list(X.c)
-    for _ in range(r):
-        rows.append(w)
-        w = la.vec_mat(w, X.A)
-    return rows
+    return la.krylov(list(zip(*X.A)), X.c, r)
 
 
 def canonical_decomposition(X: Triple) -> Decomposition:
     r = stratum(X)
     plus = krylov_columns(X, r)
-    minus = la.nullspace(dual_krylov_rows(X, r)) if r else la.nullspace([[Fraction(0)] * X.n])
-    if r == 0:
-        minus = [[Fraction(1) if i == j else Fraction(0) for j in range(X.n)] for i in range(X.n)]
+    minus = la.nullspace(dual_krylov_rows(X, r)) if r else la.identity(X.n, one_like(X.A[0][0]))
     T = [list(col) for col in zip(*(plus + minus))]
     if len(plus) + len(minus) != X.n or la.det(T) == 0:
         raise AssertionError("canonical summands do not give a direct sum")
@@ -196,18 +184,15 @@ def iota(Xp: Triple | None, Y: Triple) -> Triple:
     r = Xp.n
     if stratum(Xp) != r:
         raise ValueError("plus component must be regular on its space")
-    K = [list(row) for row in zip(*krylov_columns(Xp, r))]   # columns = Krylov
-    L = dual_krylov_rows(Xp, r)
+    zero, one = zero_like(Xp.A[0][0]), one_like(Xp.A[0][0])
     # c' A^i b = delta_{i,r-1}  and  c A^i b' = delta_{i,r-1}
-    e_last = [Fraction(0)] * (r - 1) + [Fraction(1)]
-    c_prime = la.solve([list(col) for col in zip(*K)], e_last)       # K^T x = e_r
-    b_prime = la.solve(L, e_last)
+    e_last = [zero] * (r - 1) + [one]
+    c_prime = la.solve(krylov_columns(Xp, r), e_last)       # K^T x = e_r
+    b_prime = la.solve(dual_krylov_rows(Xp, r), e_last)
     m = Y.n
     top = [list(Xp.A[i]) + [b_prime[i] * Y.c[j] for j in range(m)] for i in range(r)]
     bot = [[Y.b[i] * c_prime[j] for j in range(r)] + list(Y.A[i]) for i in range(m)]
-    b = list(Xp.b) + [Fraction(0)] * m
-    c = list(Xp.c) + [Fraction(0)] * m
-    return Triple(top + bot, b, c)
+    return Triple(top + bot, list(Xp.b) + [zero] * m, list(Xp.c) + [zero] * m)
 
 
 def in_slice(X: Triple, r: int) -> bool:
@@ -218,31 +203,28 @@ def in_slice(X: Triple, r: int) -> bool:
     if r == 0:
         return True
     cols = krylov_columns(X, r)
-    if any(v[i] != 0 for v in cols for i in range(r, n)):
-        if la.rank([list(c) for c in zip(*cols)]) != r:
-            return False
     # span(b..A^{r-1}b) = first r coordinates
     top = [[v[i] for v in cols] for i in range(r)]
     if la.det(top) == 0:
         return False
-    if any(v[i] != 0 for v in cols for i in range(r, n)):
+    if any(v[i] for v in cols for i in range(r, n)):
         return False
     rows = dual_krylov_rows(X, r)
-    if any(w[i] != 0 for w in rows for i in range(r, n)):
+    if any(w[i] for w in rows for i in range(r, n)):
         return False
     if la.det([w[:r] for w in rows]) == 0:
         return False
     return True
 
 
-def iota_inverse(X: Triple, r: int) -> tuple[Triple, Triple]:
-    """Invert the slice map for the standard split; returns (plus, minus)."""
+def iota_inverse(X: Triple, r: int) -> tuple[Triple | None, Triple]:
+    """Invert the slice map for the standard split; returns (plus, minus),
+    with no plus component at r = 0."""
     if r == 0:
-        return Triple([[Fraction(0)] * 0], [], []), X
+        return None, X
     if not in_slice(X, r):
         raise ValueError("triple does not lie in the slice for this split")
     n = X.n
-    m = n - r
     Ap = [list(X.A[i][:r]) for i in range(r)]
     Lp = [list(X.A[i][r:]) for i in range(r)]          # r x m
     Lm = [list(X.A[i][:r]) for i in range(r, n)]       # m x r
@@ -250,15 +232,8 @@ def iota_inverse(X: Triple, r: int) -> tuple[Triple, Triple]:
     bp = list(X.b[:r])
     cp = list(X.c[:r])
     Xp = Triple(Ap, bp, cp)
-    Ar_b = la.mat_pow_apply(Ap, bp, r - 1)
-    v = la.mat_vec(Lm, Ar_b)
-    w_row = la.vec_mat(cp, Ap) if r > 1 else list(cp)
-    for _ in range(r - 2):
-        w_row = la.vec_mat(w_row, Ap)
-    w = la.vec_mat(w_row if r > 1 else cp, Lp)
-    if r == 1:
-        w = la.vec_mat(cp, Lp)
-        v = la.mat_vec(Lm, bp)
+    v = la.mat_vec(Lm, krylov_columns(Xp, r)[-1])
+    w = la.vec_mat(dual_krylov_rows(Xp, r)[-1], Lp)
     return Xp, Triple(Am, v, w)
 
 
@@ -307,17 +282,16 @@ def is_semisimple(X: Triple) -> bool:
     minus = [list(v) for v in dec.basis_minus]
     r = dec.r
     n = X.n
-    for v in minus:
-        if la.dot(X.c, v) != 0:
-            return False
+    if any(la.dot(X.c, v) for v in minus):
+        return False
     T = [list(col) for col in zip(*(plus + minus))]
     Ti = la.inverse(T)
-    if any(x != 0 for x in la.mat_vec(Ti, list(X.b))[r:]):
+    if any(la.mat_vec(Ti, list(X.b))[r:]):
         return False
     Astd = la.mat_mul(Ti, la.mat_mul(X.A, T))
     for i in range(n):
         for j in range(n):
-            if (i < r) != (j < r) and Astd[i][j] != 0:
+            if (i < r) != (j < r) and Astd[i][j]:
                 return False
     if not minus:
         return True
@@ -331,7 +305,7 @@ def pairing(X: Triple, Y: Triple):
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     P = la.mat_mul(X.A, Y.A)
-    tr = sum((P[i][i] for i in range(X.n)), Fraction(0))
+    tr = sum((P[i][i] for i in range(1, X.n)), P[0][0])
     return tr + la.dot(X.c, Y.b) + la.dot(Y.c, X.b)
 
 
@@ -352,19 +326,8 @@ def transfer_factor_eta(X: Triple, ctx: PLocalContext) -> int:
 def direct_sum(parts: list[Triple]) -> Triple:
     """Block-diagonal assembly of triples (the transverse-section embedding
     for identical base fields)."""
-    n = sum(p.n for p in parts)
-    A = la.zeros(n, n)
-    b = [Fraction(0)] * n
-    c = [Fraction(0)] * n
-    off = 0
-    for p in parts:
-        for i in range(p.n):
-            b[off + i] = p.b[i]
-            c[off + i] = p.c[i]
-            for j in range(p.n):
-                A[off + i][off + j] = p.A[i][j]
-        off += p.n
-    return Triple(A, b, c)
+    return Triple(la.block_diag([p.A for p in parts], zero_like(parts[0].A[0][0])),
+                  [x for p in parts for x in p.b], [x for p in parts for x in p.c])
 
 
 def slice_compatibility_check(parts: list[Triple]) -> dict:

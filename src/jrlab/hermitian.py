@@ -8,13 +8,17 @@ Forms are sigma-linear in the first variable: Phi(v, w) = sigma(v)^T Gram w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg as la
 from .fields import EScalar, PLocalContext, INERT, eta, eta_ext, is_norm, valuation
-from .gltilde import InvariantPoint, Triple, extend_moments, d_r_of_point
-from .poly import Polynomial, gcd, discriminant, monic_coeffs, squarefree_part
+from .gltilde import (InvariantPoint, Triple, d_r_of_point, extend_moments,
+                      hankel_d, invariants, is_semisimple, jordan, moments,
+                      pairing, stratum, stratum_of_point)
+from .poly import Polynomial, gcd, discriminant, monic_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +57,9 @@ class HermitianForm:
 
 @dataclass(frozen=True)
 class HermitianPair:
-    """(A, b) with A self-adjoint for the carried form."""
+    """(A, b) with A self-adjoint for the carried form.  Its invariant theory
+    is that of the linear triple (A, b, sigma(b)^T Gram) over the extension:
+    the moments Phi(b, A^k b) are c A^k b for that covector c."""
 
     A: tuple
     b: tuple
@@ -70,6 +76,11 @@ class HermitianPair:
     @property
     def n(self) -> int:
         return len(self.b)
+
+    @cached_property
+    def triple(self) -> Triple:
+        G = [list(r) for r in self.form.gram]
+        return Triple(self.A, self.b, la.vec_mat([x.conj() for x in self.b], G))
 
 
 def is_selfadjoint(A, form: HermitianForm) -> bool:
@@ -121,152 +132,45 @@ def random_unitary(form: HermitianForm, rng, bound: int = 2):
 # invariants, stratification, Jordan
 
 
-def u_moments(X: HermitianPair, count: int) -> list:
+def _in_base_field(values, what) -> tuple:
+    """The F-coordinates of E-values that must lie in the base field."""
     out = []
-    v = list(X.b)
-    for _ in range(count):
-        m = X.form.apply(X.b, v)
-        out.append(m)
-        v = la.mat_vec([list(r) for r in X.A], v)
-    return out
+    for z in values:
+        if not z.is_rational():
+            raise ValueError(f"{what} left the base field")
+        out.append(z.as_fraction())
+    return tuple(out)
 
 
 def u_invariants(X: HermitianPair) -> InvariantPoint:
-    chi = la.charpoly([list(r) for r in X.A])
-    a = []
-    for c in monic_coeffs(chi):
-        if not c.is_rational():
-            raise ValueError("characteristic polynomial left the base field")
-        a.append(c.as_fraction())
-    b = []
-    for m in u_moments(X, X.n):
-        if not m.is_rational():
-            raise ValueError("moment left the base field")
-        b.append(m.as_fraction())
-    return InvariantPoint(tuple(a), tuple(b))
+    a = invariants(X.triple)
+    return InvariantPoint(_in_base_field(a.a, "characteristic polynomial"),
+                          _in_base_field(a.b, "moment"))
 
 
 def u_d_r(X: HermitianPair, r: int):
-    if r < 0:
-        raise ValueError("d_r needs r >= 0")
-    if r == 0:
-        return Fraction(1)
-    if r > X.n:
-        return Fraction(0)
-    ms = u_moments(X, 2 * r - 1)
-    vals = []
-    for m in ms:
-        if not m.is_rational():
-            raise ValueError("moment left the base field")
-        vals.append(m.as_fraction())
-    return la.det([[vals[i + j] for j in range(r)] for i in range(r)])
+    """The Hankel determinant d_r of the moments Phi(b, A^k b), over F."""
+    return hankel_d(lambda k: _in_base_field(moments(X.triple, k), "moment"), X.n, r)
 
 
 def u_stratum(X: HermitianPair) -> int:
-    for r in range(X.n, 0, -1):
-        if u_d_r(X, r) != 0:
-            return r
-    return 0
-
-
-def _u_krylov(X: HermitianPair, r: int) -> list:
-    cols = []
-    v = list(X.b)
-    for _ in range(r):
-        cols.append(v)
-        v = la.mat_vec([list(row) for row in X.A], v)
-    return cols
-
-
-def _orthogonal_complement(vectors, form: HermitianForm) -> list:
-    """Vectors w with Phi(v, w) = 0 for every listed v (kernel of the rows
-    sigma(v)^T Gram)."""
-    G = [list(r) for r in form.gram]
-    rows = [la.vec_mat([x.conj() for x in v], G) for v in vectors]
-    if not rows:
-        one = form.ctx.embed(1)
-        return [[one if i == j else one * 0 for j in range(form.n)] for i in range(form.n)]
-    return la.nullspace(rows)
-
-
-def u_canonical_decomposition(X: HermitianPair):
-    r = u_stratum(X)
-    plus = _u_krylov(X, r)
-    minus = _orthogonal_complement(plus, X.form)
-    T = [list(col) for col in zip(*(plus + minus))]
-    if len(plus) + len(minus) != X.n or not la.det(T):
-        raise AssertionError("canonical summands do not give a direct sum")
-    return plus, minus
+    return stratum(X.triple)
 
 
 def u_jordan(X: HermitianPair) -> tuple[HermitianPair, HermitianPair]:
     """X = X_s + X_n on the hermitian side; the sum is taken componentwise
     on (A, b), the form being common."""
-    n = X.n
-    r = u_stratum(X)
-    ctx = X.form.ctx
-    zero_vec = [ctx.embed(0)] * n
-    if r == n:
-        Zn = HermitianPair([[a * 0 for a in row] for row in X.A], zero_vec, X.form)
-        return X, Zn
-    if r == 0:
-        As = la.semisimple_part([list(row) for row in X.A])
-        An = la.mat_sub([list(row) for row in X.A], As)
-        return (HermitianPair(As, zero_vec, X.form),
-                HermitianPair(An, list(X.b), X.form))
-    plus, minus = u_canonical_decomposition(X)
-    T = [list(col) for col in zip(*(plus + minus))]
-    Ti = la.inverse(T)
-    Astd = la.mat_mul(Ti, la.mat_mul([list(row) for row in X.A], T))
-    Am = [row[r:] for row in Astd[r:]]
-    Bs = la.semisimple_part(Am)
-    # reassemble: semisimple part keeps the plus-block and the plus-vector,
-    # kills both off-diagonal blocks (the minus vector of the slice datum is 0)
-    As_std = [[Astd[i][j] if (i < r and j < r) else
-               (Bs[i - r][j - r] if (i >= r and j >= r) else Astd[i][j] * 0)
-               for j in range(n)] for i in range(n)]
-    As_full = la.mat_mul(T, la.mat_mul(As_std, Ti))
-    Xs = HermitianPair(As_full, list(X.b), X.form)
-    Xn = HermitianPair(la.mat_sub([list(row) for row in X.A], As_full), zero_vec, X.form)
-    return Xs, Xn
+    Xs, Xn = jordan(X.triple)
+    return HermitianPair(Xs.A, Xs.b, X.form), HermitianPair(Xn.A, Xn.b, X.form)
 
 
 def u_is_semisimple(X: HermitianPair) -> bool:
-    """Both canonical summands stable (block-diagonal shape in the adapted
-    basis), the vector inside the plus summand, and a semisimple minus
-    block."""
-    plus, minus = u_canonical_decomposition(X)
-    A = [list(row) for row in X.A]
-    r = len(plus)
-    n = X.n
-    T = [list(col) for col in zip(*(plus + minus))]
-    Ti = la.inverse(T)
-    if any(x for x in la.mat_vec(Ti, list(X.b))[r:]):
-        return False
-    Astd = la.mat_mul(Ti, la.mat_mul(A, T))
-    for i in range(n):
-        for j in range(n):
-            if (i < r) != (j < r) and Astd[i][j]:
-                return False
-    if not minus:
-        return True
-    Am = [row[r:] for row in Astd[r:]]
-    chi = la.charpoly(Am)
-    return la.is_zero_matrix(la.poly_apply(squarefree_part(chi), Am))
+    return is_semisimple(X.triple)
 
 
 def u_pairing(X: HermitianPair, Y: HermitianPair):
     """trace(A_X A_Y) + Phi(b_X, b_Y) + Phi(b_Y, b_X), an element of F."""
-    if X.n != Y.n:
-        raise ValueError("dimension mismatch")
-    P = la.mat_mul([list(r) for r in X.A], [list(r) for r in Y.A])
-    tr = P[0][0]
-    for i in range(1, X.n):
-        tr = tr + P[i][i]
-    s = tr + X.form.apply(X.b, Y.b) + X.form.apply(Y.b, X.b)
-    if not s.is_rational():
-        raise ValueError("pairing left the base field")
-    return s.as_fraction()
+    return _in_base_field([pairing(X.triple, Y.triple)], "pairing")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +266,6 @@ def splits_over_ext(P_i: Polynomial, ctx: PLocalContext) -> bool:
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = int(n) ** 0 if n == 0 else None
-    import math
     r = math.isqrt(n)
     return r * r == n
 
@@ -448,12 +350,7 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     if ctx.kind != INERT:
         raise ValueError("orbit inventory needs an inert context")
     n = a.n
-    # locate the stratum from the point itself
-    r = 0
-    for k in range(n, 0, -1):
-        if d_r_of_point(a, k) != 0:
-            r = k
-            break
+    r = stratum_of_point(a)
     chi = Polynomial([Fraction(x) for x in
                       list(reversed((1,) + tuple(a.a)))])
     # verify the factorization against the minus part
@@ -513,23 +410,10 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
                 blocks_gram.append(g)
                 blocks_A.append(A)
                 blocks_b.append([ctx.embed(0)] * (2 * n_i))
-        # block-diagonal assembly
-        dim = sum(len(g) for g in blocks_gram)
         zero = ctx.embed(0)
-        G = [[zero for _ in range(dim)] for _ in range(dim)]
-        A = [[zero for _ in range(dim)] for _ in range(dim)]
-        b = [zero for _ in range(dim)]
-        off = 0
-        for g_blk, A_blk, b_blk in zip(blocks_gram, blocks_A, blocks_b):
-            m = len(g_blk)
-            for i in range(m):
-                b[off + i] = b_blk[i]
-                for j in range(m):
-                    G[off + i][off + j] = g_blk[i][j]
-                    A[off + i][off + j] = A_blk[i][j]
-            off += m
-        form = HermitianForm(G, ctx)
-        rep = HermitianPair(A, b, form)
+        form = HermitianForm(la.block_diag(blocks_gram, zero), ctx)
+        rep = HermitianPair(la.block_diag(blocks_A, zero),
+                            [x for b_blk in blocks_b for x in b_blk], form)
         got = u_invariants(rep)
         if got != a:
             raise AssertionError("representative does not reproduce the invariant point")
@@ -631,18 +515,11 @@ def in_twisted_space(g) -> bool:
 
 def group_moments(Y, e0_index: int, count: int, form: HermitianForm | None = None):
     """e0^* Y^i e0 (form None) or Phi(e0, Y^i e0), i = 1..count."""
-    n = len(Y)
-    ctx = Y[0][0].ctx
-    e0 = [ctx.embed(1) if i == e0_index else ctx.embed(0) for i in range(n)]
-    out = []
-    v = list(e0)
-    for _ in range(count):
-        v = la.mat_vec(Y, v)
-        if form is None:
-            out.append(v[e0_index])
-        else:
-            out.append(form.apply(e0, v))
-    return out
+    e0 = la.identity(len(Y), Y[0][0].ctx.embed(1))[e0_index]
+    vs = la.krylov(Y, e0, count + 1)[1:]
+    if form is None:
+        return [v[e0_index] for v in vs]
+    return [form.apply(e0, v) for v in vs]
 
 
 def match_invariants_group(Y1, Y2, form_ext: HermitianForm) -> bool:
@@ -665,7 +542,6 @@ def matched_endomorphism_pair(rng, n: int, form_ext: HermitianForm, bound: int =
     transporting the companion model so that the distinguished vector and
     covector sit in standard position.  Retries until the moment matrix is
     invertible."""
-    from .poly import monic_coeffs
     ctx = form_ext.ctx
     N = n + 1
     if form_ext.n != N:
@@ -681,33 +557,19 @@ def matched_endomorphism_pair(rng, n: int, form_ext: HermitianForm, bound: int =
             mom = [m.as_fraction() for m in group_moments(Yu, N - 1, n, form_ext)]
         except ValueError:
             continue
-        ms = [Fraction(1)] + mom
-        while len(ms) < 2 * N - 1:
-            nxt = Fraction(0)
-            for i, ai in enumerate(coeffs):
-                nxt -= ai * ms[len(ms) - 1 - i]
-            ms.append(nxt)
-        if la.det([[ms[i + j] for j in range(N)] for i in range(N)]) == 0:
+        a = InvariantPoint(coeffs, [Fraction(1)] + mom)
+        if d_r_of_point(a, N) == 0:
             continue
         C = companion_matrix(coeffs)
-        P = [[Fraction(1) if j == i + 1 else Fraction(0) for j in range(N)]
-             for i in range(N - 1)]
-        P.append(list(ms[:N]))
+        P = la.identity(N)[1:] + [list(a.b)]
         Ygl = la.mat_mul(P, la.mat_mul(C, la.inverse(P)))
         return Ygl, Yu
 
 
 def _moment_basis_det(x, e0_index: int):
     """det(e0, x e0, ..., x^n e0) over the extension."""
-    n = len(x)
-    ctx = x[0][0].ctx
-    e0 = [ctx.embed(1) if i == e0_index else ctx.embed(0) for i in range(n)]
-    cols = [e0]
-    v = list(e0)
-    for _ in range(n - 1):
-        v = la.mat_vec(x, v)
-        cols.append(v)
-    return la.det([list(row) for row in zip(*cols)])
+    e0 = la.identity(len(x), x[0][0].ctx.embed(1))[e0_index]
+    return la.det(la.krylov(x, e0, len(x)))          # rows: det is transpose-invariant
 
 
 def omega_factor(x, ctx: PLocalContext) -> int:
@@ -729,14 +591,7 @@ def omega_group(g, gt, ctx: PLocalContext) -> int:
     with the extra determinant twist for odd n."""
     N = len(gt)
     n = N - 1
-    ctxE = gt[0][0].ctx
-    g_big = [[gt[0][0] * 0 for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            if i < n and j < n:
-                g_big[i][j] = g[i][j]
-            elif i == j == n:
-                g_big[i][j] = ctxE.embed(1)
+    g_big = la.block_diag([g, [[gt[0][0].ctx.embed(1)]]], gt[0][0] * 0)
     q = la.mat_mul(la.inverse(g_big), gt)
     x = la.mat_mul(q, la.inverse(la.conj_matrix(q)))
     base = omega_factor(x, ctx)
@@ -750,13 +605,7 @@ def eta_tilde_end(Y, ctx: PLocalContext) -> int:
     eta((-1)^n det(e0, Y e0, ..., Y^n e0)), e0 the last basis vector."""
     N = len(Y)
     n = N - 1
-    e0 = [Fraction(1) if i == N - 1 else Fraction(0) for i in range(N)]
-    cols = [e0]
-    v = list(e0)
-    for _ in range(N - 1):
-        v = la.mat_vec(Y, v)
-        cols.append(v)
-    D = la.det([list(row) for row in zip(*cols)])
+    D = la.det(la.krylov(Y, la.identity(N)[N - 1], N))   # rows: det is transpose-invariant
     if D == 0:
         raise ValueError("non-regular element")
     return eta((-1) ** n * D, ctx)

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import EScalar
+from .fields import one_like, scalar_inverse
 from .poly import Polynomial
 
 
-def _is_zero(c) -> bool:
-    return not c if isinstance(c, EScalar) else c == 0
+def _one(A):
+    """1 in the scalar domain of the matrix A."""
+    return one_like(A[0][0]) if A and A[0] else Fraction(1)
 
 
 def zeros(r, c):
@@ -77,19 +78,6 @@ def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(u, c):
-    return [a * c for a in u]
-
-
-def outer(u, v):
-    """Column u times row v."""
-    return [[a * b for b in v] for a in u]
-
-
-def transpose(A):
-    return [list(r) for r in zip(*A)]
-
-
 def conj_matrix(A):
     return [[a.conj() for a in row] for row in A]
 
@@ -98,11 +86,24 @@ def conj_transpose(A):
     return [[a.conj() for a in row] for row in zip(*A)]
 
 
-def mat_pow_apply(A, v, k):
-    """A^k v without forming A^k."""
-    for _ in range(k):
-        v = mat_vec(A, v)
-    return v
+def krylov(A, v, count):
+    """[v, A v, ..., A^(count-1) v]."""
+    out = []
+    for _ in range(count):
+        out.append(mat_vec(A, out[-1]) if out else list(v))
+    return out
+
+
+def block_diag(blocks, zero):
+    """Block-diagonal matrix of the given square blocks, zero elsewhere."""
+    n = sum(len(B) for B in blocks)
+    out = [[zero] * n for _ in range(n)]
+    off = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            out[off + i][off:off + len(B)] = row
+        off += len(B)
+    return out
 
 
 def det(A):
@@ -116,7 +117,7 @@ def det(A):
     for j in range(n):
         piv = None
         for i in range(j, n):
-            if not _is_zero(M[i][j]):
+            if M[i][j]:
                 piv = i
                 break
         if piv is None:
@@ -127,19 +128,13 @@ def det(A):
             sign = -sign
         pv = M[j][j]
         acc = pv if acc is None else acc * pv
-        pv_inv = _inv_scalar(pv)
+        pv_inv = scalar_inverse(pv)
         for i in range(j + 1, n):
-            if _is_zero(M[i][j]):
+            if not M[i][j]:
                 continue
             f = M[i][j] * pv_inv
             M[i] = [a - f * b for a, b in zip(M[i], M[j])]
     return acc * sign if acc is not None else Fraction(sign)
-
-
-def _inv_scalar(c):
-    if isinstance(c, EScalar):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
 
 
 def rref(A):
@@ -151,16 +146,16 @@ def rref(A):
     for j in range(m):
         piv = None
         for i in range(r, n):
-            if not _is_zero(M[i][j]):
+            if M[i][j]:
                 piv = i
                 break
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = _inv_scalar(M[r][j])
+        inv = scalar_inverse(M[r][j])
         M[r] = [a * inv for a in M[r]]
         for i in range(n):
-            if i != r and not _is_zero(M[i][j]):
+            if i != r and M[i][j]:
                 f = M[i][j]
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
         pivots.append(j)
@@ -180,9 +175,7 @@ def nullspace(A):
     R, pivots = rref(A)
     free = [j for j in range(m) if j not in pivots]
     basis = []
-    one = Fraction(1)
-    if A and isinstance(A[0][0], EScalar):
-        one = A[0][0].ctx.embed(1)
+    one = _one(A)
     for f in free:
         v = [one * 0 for _ in range(m)]
         v[f] = one
@@ -206,9 +199,7 @@ def solve(A, b):
 def inverse(A):
     n, m = dims(A)
     assert n == m
-    one = Fraction(1)
-    if A and isinstance(A[0][0], EScalar):
-        one = A[0][0].ctx.embed(1)
+    one = _one(A)
     M = [list(row) + [one if i == j else one * 0 for j in range(n)]
          for i, row in enumerate(A)]
     R, pivots = rref(M)
@@ -224,9 +215,7 @@ def charpoly(A) -> Polynomial:
     assert n == m
     if n == 0:
         return Polynomial([1])
-    one = Fraction(1)
-    if isinstance(A[0][0], EScalar):
-        one = A[0][0].ctx.embed(1)
+    one = _one(A)
     I = identity(n, one)
     M = [row[:] for row in I]
     coeffs = [one]          # descending: t^n coefficient first
@@ -245,9 +234,7 @@ def charpoly(A) -> Polynomial:
 def poly_apply(p: Polynomial, A):
     """p(A) for a square matrix A (Horner)."""
     n, _ = dims(A)
-    one = Fraction(1)
-    if A and isinstance(A[0][0], EScalar):
-        one = A[0][0].ctx.embed(1)
+    one = _one(A)
     out = None
     for c in reversed(p.coeffs):
         cI = mat_scale(identity(n, one), c)
@@ -258,7 +245,7 @@ def poly_apply(p: Polynomial, A):
 
 
 def is_zero_matrix(A) -> bool:
-    return all(_is_zero(a) for row in A for a in row)
+    return not any(a for row in A for a in row)
 
 
 def semisimple_part(A):
@@ -285,6 +272,6 @@ def semisimple_part(A):
 def in_span(vectors, v) -> bool:
     """Whether v lies in the span of the given vectors."""
     if not vectors:
-        return all(_is_zero(a) for a in v)
+        return not any(v)
     A = [list(col) for col in zip(*vectors)]           # columns = vectors
     return rank(A) == rank([row + [x] for row, x in zip(A, v)])

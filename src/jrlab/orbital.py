@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg as la
 from .fields import (EScalar, INERT, InfiniteValuation, PLocalContext, eta,
-                     is_integral, residue, valuation, valuation_ext)
+                     is_integral, one_like, residue, valuation, valuation_ext,
+                     zero_like)
 from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
                       dual_krylov_rows, invariants, stratum,
                       transfer_factor_eta)
@@ -103,22 +105,26 @@ def hermite_normalize(B, ctx: PLocalContext) -> Lattice:
     return Lattice(tuple(tuple(row) for row in M), p)
 
 
-def intermediate_lattices(M, ctx: PLocalContext):
-    """All H O^n with O^n >= H O^n >= M O^n, as upper-triangular p-power HNF
-    matrices (M p-integral, det nonzero)."""
-    p = ctx.p
+def _lattices_between(M, ctx: PLocalContext, residues, val):
+    """All H O^n with O^n >= H O^n >= M O^n over the ring whose residues
+    modulo p^k are residues(k): upper-triangular bases with p-power diagonal,
+    each entry above it reduced modulo its row's diagonal power; val is the
+    valuation that measures det M."""
     n = len(M)
-    vdet = valuation(la.det([[Fraction(x) for x in r] for r in M]), ctx)
+    zero, one = zero_like(M[0][0]), one_like(M[0][0])
+    vdet = val(la.det(M), ctx)
+    powers = [one * Fraction(ctx.p) ** d for d in range(vdet + 1)]
+    residues = lru_cache(maxsize=None)(residues)
     out = []
 
     def rec(j, diag, uppers):
         if j == n:
-            H = [[Fraction(0)] * n for _ in range(n)]
+            H = [[zero] * n for _ in range(n)]
             for k in range(n):
-                H[k][k] = Fraction(p) ** diag[k]
+                H[k][k] = powers[diag[k]]
             for (i, k), c in uppers.items():
-                H[i][k] = Fraction(c)
-            HM = la.mat_mul(la.inverse(H), [[Fraction(x) for x in r] for r in M])
+                H[i][k] = c
+            HM = la.mat_mul(la.inverse(H), M)
             if all(is_integral(x, ctx) for row in HM for x in row):
                 out.append(H)
             return
@@ -128,8 +134,9 @@ def intermediate_lattices(M, ctx: PLocalContext):
             for i in range(j):
                 # the row-i entry is defined modulo the row's diagonal power
                 new = []
+                reps = residues(diag[i])
                 for u in uppersets:
-                    for c in range(p ** diag[i]):
+                    for c in reps:
                         u2 = dict(u)
                         if c:
                             u2[(i, j)] = c
@@ -140,6 +147,13 @@ def intermediate_lattices(M, ctx: PLocalContext):
 
     rec(0, [], {})
     return out
+
+
+def intermediate_lattices(M, ctx: PLocalContext):
+    """All H O^n with O^n >= H O^n >= M O^n, as upper-triangular p-power HNF
+    matrices (M p-integral, det nonzero)."""
+    return _lattices_between(M, ctx, lambda k: [Fraction(c) for c in range(ctx.p ** k)],
+                             valuation)
 
 
 def admissible_lattices_gl(X: Triple, ctx: PLocalContext) -> list[Lattice]:
@@ -207,50 +221,15 @@ def orbital_gl(X: Triple, ctx: PLocalContext) -> OrbitalReport:
 
 
 def _e_residues(ctx: PLocalContext, k: int):
-    for x in range(ctx.p ** k):
-        for y in range(ctx.p ** k):
-            yield EScalar(Fraction(x), Fraction(y), ctx)
+    """x + y sqrt(eps) for x, y in [0, p^k): representatives of O_E / p^k."""
+    return [EScalar(Fraction(x), Fraction(y), ctx)
+            for x in range(ctx.p ** k) for y in range(ctx.p ** k)]
 
 
 def intermediate_lattices_ext(M, ctx: PLocalContext):
     """Extension version of the intermediate-lattice enumeration: all
     integral HNF bases H with O_E^n >= H O_E^n >= M O_E^n."""
-    p = ctx.p
-    n = len(M)
-    vdet = valuation_ext(la.det(M), ctx)
-    one = ctx.embed(1)
-    out = []
-
-    def rec(j, diag, uppers):
-        if j == n:
-            H = [[ctx.embed(0) for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                H[k][k] = ctx.embed(Fraction(p) ** diag[k])
-            for (i, k), c in uppers.items():
-                H[i][k] = c
-            HM = la.mat_mul(la.inverse(H), M)
-            if all(is_integral(x, ctx) for row in HM for x in row):
-                out.append(H)
-            return
-        rem = vdet - sum(diag)
-        for d in range(0, rem + 1):
-            uppersets = [{}]
-            for i in range(j):
-                # the row-i entry is defined modulo the row's diagonal power
-                new = []
-                reps = list(_e_residues(ctx, diag[i])) if diag[i] else [ctx.embed(0)]
-                for u in uppersets:
-                    for c in reps:
-                        u2 = dict(u)
-                        if c:
-                            u2[(i, j)] = c
-                        new.append(u2)
-                uppersets = new
-            for u in uppersets:
-                rec(j + 1, diag + [d], u)
-
-    rec(0, [], {})
-    return out
+    return _lattices_between(M, ctx, lambda k: _e_residues(ctx, k), valuation_ext)
 
 
 def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):
@@ -261,12 +240,7 @@ def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):
     if u_stratum(X) != n:
         raise ValueError("needs a regular semisimple pair")
     A = [list(r) for r in X.A]
-    cols = []
-    v = list(X.b)
-    for _ in range(n):
-        cols.append(v)
-        v = la.mat_vec(A, v)
-    K = [list(r) for r in zip(*cols)]
+    K = basis_matrix(X.triple)
     G = [list(r) for r in X.form.gram]
     gram_floor = la.mat_mul(la.conj_transpose(K), la.mat_mul(G, K))
     if not all(is_integral(x, ctx) for row in gram_floor for x in row):

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _is_zero(c) -> bool:
-    return not c if not isinstance(c, (int, Fraction)) else c == 0
+from .fields import scalar_inverse
 
 
 class Polynomial:
@@ -18,7 +16,7 @@ class Polynomial:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -50,7 +48,7 @@ class Polynomial:
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        terms = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if not _is_zero(c)]
+        terms = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ----------------------------------------------------------
@@ -93,9 +91,9 @@ class Polynomial:
         rem = list(self.coeffs)
         q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
-        inv_lead = _inverse(other.lead)
+        inv_lead = scalar_inverse(other.lead)
         while len(rem) - 1 >= d and rem:
-            while rem and _is_zero(rem[-1]):
+            while rem and not rem[-1]:
                 rem.pop()
             if len(rem) - 1 < d or not rem:
                 break
@@ -116,7 +114,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        inv = _inverse(self.lead)
+        inv = scalar_inverse(self.lead)
         return Polynomial([c * inv for c in self.coeffs])
 
     def derivative(self) -> "Polynomial":
@@ -131,16 +129,6 @@ class Polynomial:
             return 0 * x
         return out
 
-    def shift_compose_neg(self) -> "Polynomial":
-        """p(-t)."""
-        return Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-
-def poly_from_monic_desc(desc):
-    """Build from descending coefficients [1, a1, ..., an] of
-    t^n + a1 t^{n-1} + ... + an."""
-    return Polynomial(list(reversed(list(desc))))
-
 
 def monic_coeffs(p: Polynomial):
     """Return (a1, ..., an) with p = t^n + a1 t^{n-1} + ... + an (p monic)."""
@@ -150,12 +138,6 @@ def monic_coeffs(p: Polynomial):
     return cs[1:]
 
 
-def _inverse(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / Fraction(c)
-    return c.inverse()
-
-
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
     while not b.is_zero():
@@ -163,12 +145,6 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero():
         return a
     return a.monic()
-
-
-def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial([])
-    return ((a * b) // gcd(a, b)).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -220,4 +196,4 @@ def discriminant(p: Polynomial):
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     r = resultant(p, p.derivative())
-    return sign * r * _inverse(p.lead)
+    return sign * r * scalar_inverse(p.lead)

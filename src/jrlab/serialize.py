@@ -96,16 +96,3 @@ def chamber_to_json(C: Chamber) -> dict:
 
 def chamber_from_json(obj) -> Chamber:
     return Chamber(tuple(obj["perm"]))
-
-
-def inventory_to_json(classes) -> list:
-    """Wire format of an orbit inventory: one record per class with its
-    norm-class tags and the explicit representative."""
-    out = []
-    for c in classes:
-        out.append({
-            "labels": {str(k): v for k, v in c["labels"].items()},
-            "form": form_to_json(c["form"]),
-            "pair": pair_to_json(c["pair"]),
-        })
-    return out

@@ -290,8 +290,6 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                 H = [rng.randint(-20, 20) for _ in range(m)]
                 Ha = eng.to_ambient(H)
                 covs = [c for P in fib for c in g._sigma_hat_cov(P, G)]
-                for k, f in enumerate(R.factors):
-                    covs = covs  # factor covs checked through engine below
                 if not _nonzero_on(covs, [Ha]):
                     continue
                 got += 1

@@ -107,6 +107,7 @@ def test_iota_round_trips():
     # r = 0 passes through
     Y = rnd_triple(rng, 2)
     assert iota(None, Y) is Y
+    assert iota(*iota_inverse(Y, 0)) is Y
 
 
 def test_iota_membership_error():

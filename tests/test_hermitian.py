@@ -17,6 +17,7 @@ from jrlab.hermitian import (HermitianForm, HermitianPair, adjoint, cayley_gl,
                              standard_cayley_params, u_d_r, u_invariants,
                              u_is_semisimple, u_jordan, u_pairing, u_stratum,
                              unitary_act, _moment_basis_det)
+from jrlab import serialize as ser
 from jrlab.poly import Polynomial
 
 CTX = PLocalContext(3)
@@ -116,6 +117,28 @@ def test_u_pairing():
     beta = EScalar(F(2), F(1), CTX)
     X1 = HermitianPair([[CTX.embed(3)]], [beta], n1)
     assert u_pairing(X1, X1) == F(9) + 2 * beta.norm()
+
+
+def test_u_jordan_parts_are_extension_scalars():
+    """Jordan parts of non-regular pairs survive the wire format, which takes
+    extension scalars only: no rational constant leaks out of the core."""
+    rng = random.Random(29)
+    strata = set()
+    for _ in range(30):
+        k, m = rng.randint(1, 2), rng.randint(1, 2)
+        f1, f2 = rnd_form(rng, k), rnd_form(rng, m)
+        X1, X2 = rnd_pair(rng, f1), rnd_pair(rng, f2)
+        form = HermitianForm(la.block_diag([f1.gram, f2.gram], ZERO), CTX)
+        # b inside the first block keeps the Krylov span there: r <= k < n
+        b = (list(X1.b) if rng.random() < 0.8 else [ZERO] * k) + [ZERO] * m
+        X = HermitianPair(la.block_diag([X1.A, X2.A], ZERO), b, form)
+        X = unitary_act(random_unitary(form, rng), X)
+        r = u_stratum(X)
+        assert r < X.n
+        strata.add(r)
+        for part in u_jordan(X):
+            assert ser.pair_from_json(ser.pair_to_json(part), CTX) == part
+    assert strata == {0, 1, 2}
 
 
 def test_extend_form():

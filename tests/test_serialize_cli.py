@@ -106,6 +106,12 @@ def test_cli_budget():
     assert proc.returncode == 4
 
 
+def test_cli_budget_chambers_rank():
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli", "chambers", "--m", "5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+
+
 def test_cli_fl_and_determinism():
     cmd = [sys.executable, "-m", "jrlab.cli", "fl", "--n", "1", "--p", "3",
            "--budget-valuation", "3", "--seed", "5", "--json-only"]
