@@ -19,7 +19,7 @@ from .cones import (DescentDatum, DescentEngine, GTilde, ParabolicSubspace,
                     enumerate_parabolic_subspaces, parabolic_minus, projections)
 from .chambers import (Chamber, all_chambers, distance, h_plus, is_convex,
                        langlands_type_rep, minimal_galleries, psi_analytic,
-                       psi_geometric, random_orthogonal_positive, sigma_set)
+                       psi_geometric, sigma_set)
 from .orbital import (Lattice, OrbitalReport, admissible_lattices_gl,
                       fl_check, is_instable, orbital_gl, orbital_u,
                       toy_gl_orbital, toy_transfer_check, toy_u_orbital)

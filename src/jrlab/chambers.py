@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cones import _all_pos
+
 
 @dataclass(frozen=True)
 class Chamber:
@@ -66,18 +68,22 @@ def neighbours(P: Chamber):
     return out
 
 
-def minimal_galleries(P1: Chamber, P2: Chamber, guard: int = 5):
+# Largest rank at which minimal galleries are enumerated.
+GALLERY_MAX_RANK = 5
+
+
+def minimal_galleries(P1: Chamber, P2: Chamber):
     """All galleries from P1 to P2 of minimal length (depth-first over
     distance-decreasing steps)."""
-    if P1.m > guard:
-        raise ValueError(f"gallery enumeration guard exceeded: m={P1.m} > {guard}")
+    if P1.m > GALLERY_MAX_RANK:
+        raise ValueError(f"gallery enumeration guard exceeded: m={P1.m} > {GALLERY_MAX_RANK}")
     if P1 == P2:
         return [[P1]]
     out = []
     d = distance(P2, P1)
     for Q in neighbours(P1):
         if distance(P2, Q) == d - 1:
-            for tail in minimal_galleries(Q, P2, guard):
+            for tail in minimal_galleries(Q, P2):
                 out.append([P1] + tail)
     return out
 
@@ -99,11 +105,11 @@ def gallery_walls(gallery):
 CONVEXITY_MAX_RANK = 4
 
 
-def is_convex(S, guard: int = CONVEXITY_MAX_RANK) -> bool:
+def is_convex(S) -> bool:
     """Every minimal gallery between members stays inside."""
     S = list(S)
-    if S and S[0].m > guard:
-        raise ValueError(f"convexity guard exceeded: m={S[0].m} > {guard}")
+    if S and S[0].m > CONVEXITY_MAX_RANK:
+        raise ValueError(f"convexity guard exceeded: m={S[0].m} > {CONVEXITY_MAX_RANK}")
     inside = set(S)
     for P in S:
         for Q in S:
@@ -180,6 +186,11 @@ def all_parabolics(m: int):
     return [tuple(p) for p in parts(list(range(1, m + 1)))]
 
 
+def parabolics_above(S, m: int):
+    """The ordered set partitions of 1..m lying above some chamber of S."""
+    return [b for b in all_parabolics(m) if any(chamber_in_parabolic(P, b) for P in S)]
+
+
 def epsilon_parabolic(blocks, m: int) -> int:
     """(-1)^(corank of the split center against the full group)."""
     return -1 if (len(blocks) - 1) % 2 else 1
@@ -189,35 +200,19 @@ def epsilon_parabolic(blocks, m: int) -> int:
 # covectors and the psi sums
 
 
-def root_covector(ab, m: int):
-    a, b = ab
-    v = [Fraction(0)] * m
-    v[a - 1] = Fraction(1)
-    v[b - 1] = Fraction(-1)
-    return v
-
-
-def coroot(ab, m: int):
-    return root_covector(ab, m)
-
-
 def weight_covectors(blocks, m: int):
-    """Delta-hat of an ordered set partition: recentred prefix indicators."""
+    """Delta-hat of an ordered set partition: recentred prefix indicators,
+    scaled by m to integer covectors."""
     out = []
-    prefix = []
+    prefix = set()
     for blk in blocks[:-1]:
-        prefix += list(blk)
-        v = [Fraction(1) if i + 1 in prefix else Fraction(0) for i in range(m)]
-        f = Fraction(len(prefix), m)
-        out.append([a - f for a in v])
+        prefix |= set(blk)
+        out.append([m * (i + 1 in prefix) - len(prefix) for i in range(m)])
     return out
 
 
 def tau_hat(blocks, H, m: int) -> int:
-    for w in weight_covectors(blocks, m):
-        if not (sum(a * Fraction(h) for a, h in zip(w, H)) > 0):
-            return 0
-    return 1
+    return _all_pos(weight_covectors(blocks, m), H)
 
 
 def chamber_weights(C: Chamber):
@@ -226,32 +221,29 @@ def chamber_weights(C: Chamber):
     return weight_covectors(blocks, C.m)
 
 
-def project_parabolic(blocks, Y, m: int):
-    """Orthogonal projection onto the split-center space of an ordered set
-    partition: blockwise averages."""
-    out = [Fraction(0)] * m
-    for blk in blocks:
-        avg = sum(Fraction(Y[x - 1]) for x in blk) / len(blk)
-        for x in blk:
-            out[x - 1] = avg
-    return out
+def project_family(points, index_blocks):
+    """The orthogonal projection onto the split-center space of an ordered
+    set partition, given as blocks of vector positions: blockwise averages.
+    Every point must project to one vector, which is returned (None when
+    there are no points)."""
+    vals = set()
+    for Y in points:
+        out = [0] * len(Y)
+        for idx in index_blocks:
+            avg = Fraction(sum(Y[i] for i in idx), len(idx))
+            for i in idx:
+                out[i] = avg
+        vals.add(tuple(out))
+    if len(vals) > 1:
+        raise AssertionError("family projection depends on the member")
+    return list(vals.pop()) if vals else None
 
 
 # ---------------------------------------------------------------------------
 # orthogonal-positive families
 
 
-def random_orthogonal_positive(seed: int, m: int):
-    """Seeded random orthogonal-positive family (pairwise nonnegative weights
-    plus a constant), with the adjacency condition asserted."""
-    import random
-    fam = pairwise_orthogonal_positive(m, random.Random(seed))
-    if not check_orthogonal_positive(fam):
-        raise AssertionError("family fails the adjacency condition")
-    return fam
-
-
-def pairwise_orthogonal_positive(m: int, rng, bound: int = 6):
+def pairwise_orthogonal_positive(m: int, rng):
     """Family built from nonnegative weights per unordered coordinate pair:
     Y_P = sum over (a before b in P) of c_{ab} (e_a - e_b), plus a constant;
     adjacent differences are then nonnegative multiples of the crossed
@@ -259,8 +251,8 @@ def pairwise_orthogonal_positive(m: int, rng, bound: int = 6):
     c = {}
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
-            c[(a, b)] = Fraction(rng.randint(0, bound))
-    const = [Fraction(rng.randint(-bound, bound)) for _ in range(m)]
+            c[(a, b)] = rng.randint(0, 6)
+    const = [rng.randint(-6, 6) for _ in range(m)]
     fam = {}
     for P in all_chambers(m):
         v = list(const)
@@ -290,23 +282,16 @@ def weyl_orbit_family(m: int, T):
 
 
 def check_orthogonal_positive(fam) -> bool:
-    chambers = list(fam)
-    m = chambers[0].m
-    for P1 in chambers:
+    for P1 in fam:
         for P2 in neighbours(P1):
             if P2 not in fam:
                 continue
-            s = sigma_set(P2, P1)
-            (alpha,) = tuple(s)
-            diff = [Fraction(a) - Fraction(b) for a, b in zip(fam[P1], fam[P2])]
-            cv = coroot(alpha, m)
-            vals = {d / c for d, c in zip(diff, cv) if c != 0}
-            if len(vals) != 1:
-                return False
-            r = vals.pop()
-            if r < 0:
-                return False
-            if any(c == 0 and d != 0 for d, c in zip(diff, cv)):
+            (a, b), = sigma_set(P2, P1)
+            # the difference must be a nonnegative multiple of e_a - e_b
+            diff = [x - y for x, y in zip(fam[P1], fam[P2])]
+            r = diff[a - 1]
+            if r < 0 or diff[b - 1] != -r or any(
+                    d for i, d in enumerate(diff) if i not in (a - 1, b - 1)):
                 return False
     return True
 
@@ -314,15 +299,11 @@ def check_orthogonal_positive(fam) -> bool:
 def family_projection(fam, blocks, m: int):
     """Y_Q for a parabolic above some member chamber: blockwise average of
     any contained chamber's point (independence asserted)."""
-    vals = []
-    for P, Y in fam.items():
-        if chamber_in_parabolic(P, blocks):
-            vals.append(tuple(project_parabolic(blocks, Y, m)))
-    if not vals:
+    YQ = project_family([Y for P, Y in fam.items() if chamber_in_parabolic(P, blocks)],
+                        [[x - 1 for x in blk] for blk in blocks])
+    if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")
-    if len(set(vals)) != 1:
-        raise AssertionError("projection depends on the chamber")
-    return list(vals[0])
+    return YQ
 
 
 # ---------------------------------------------------------------------------
@@ -333,52 +314,33 @@ def psi_geometric(S, H, fam, m: int) -> int:
     """Sum over parabolics above some member: sign times the weight cone
     indicator at H - Y_Q."""
     total = 0
-    for blocks in all_parabolics(m):
-        if not any(chamber_in_parabolic(P, blocks) for P in S):
-            continue
-        YQ = family_projection(fam, blocks, m)
-        arg = [Fraction(h) - y for h, y in zip(H, YQ)]
+    for blocks in parabolics_above(S, m):
+        arg = [h - y for h, y in zip(H, family_projection(fam, blocks, m))]
         total += epsilon_parabolic(blocks, m) * tau_hat(blocks, arg, m)
     return total
 
 
 def epsilon_lambda(P: Chamber, Lam) -> int:
-    neg = 0
-    for ab in P.simple_roots():
-        cv = coroot(ab, P.m)
-        if sum(Fraction(l) * c for l, c in zip(Lam, cv)) <= 0:
-            neg += 1
+    neg = sum(1 for a, b in P.simple_roots() if Lam[a - 1] - Lam[b - 1] <= 0)
     return -1 if neg % 2 else 1
 
 
 def phi(P: Chamber, Lam, H) -> int:
     """Mixed cone indicator: weights positive where Lambda is nonpositive on
     the coroot, nonpositive where Lambda is positive."""
-    weights = chamber_weights(P)
-    for ab, w in zip(P.simple_roots(), weights):
-        cv = coroot(ab, P.m)
-        lam_val = sum(Fraction(l) * c for l, c in zip(Lam, cv))
-        wv = sum(a * Fraction(h) for a, h in zip(w, H))
-        if lam_val <= 0:
-            if not (wv > 0):
-                return 0
-        else:
-            if not (wv <= 0):
-                return 0
+    for (a, b), w in zip(P.simple_roots(), chamber_weights(P)):
+        if _all_pos([w], H) != (Lam[a - 1] - Lam[b - 1] <= 0):
+            return 0
     return 1
 
 
 def psi_analytic(S, Lam, H, fam) -> int:
     total = 0
     for P in S:
-        arg = [Fraction(h) - y for h, y in zip(H, fam[P])]
+        arg = [h - y for h, y in zip(H, fam[P])]
         total += epsilon_lambda(P, Lam) * phi(P, Lam, arg)
     return total
 
 
 def in_positive_dual_cone(Lam, P: Chamber) -> bool:
-    for ab in P.simple_roots():
-        cv = coroot(ab, P.m)
-        if not (sum(Fraction(l) * c for l, c in zip(Lam, cv)) > 0):
-            return False
-    return True
+    return all(Lam[a - 1] - Lam[b - 1] > 0 for a, b in P.simple_roots())

@@ -157,6 +157,9 @@ def cmd_toy(args):
 
 
 def cmd_cones(args):
+    if args.n < 0:
+        print("parse error: --n must be at least 0", file=sys.stderr)
+        return EXIT_PARSE
     if args.n > BUDGETS["cones_n"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -171,6 +174,9 @@ def cmd_cones(args):
 
 
 def cmd_chambers(args):
+    if args.m < 2:
+        print("parse error: --m must be at least 2", file=sys.stderr)
+        return EXIT_PARSE
     if args.m > BUDGETS["chambers_m"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET

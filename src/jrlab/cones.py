@@ -115,15 +115,17 @@ def full_group(n: int) -> ParabolicSubspace:
     return ParabolicSubspace(n, ())
 
 
-def enumerate_parabolic_subspaces(n: int, levi_blocks=None, guard: int = 4,
-                                  borel: bool = False):
+# Largest base dimension at which parabolic subspaces are enumerated (the
+# chain count grows fast).
+PARABOLIC_MAX_N = 4
+
+
+def enumerate_parabolic_subspaces(n: int, levi_blocks=None):
     """All parabolic subspaces with coordinate flags; with `levi_blocks`
     (a partition of {0..n}) only the flags whose members are unions of the
-    given blocks; with `borel` only the standard flags (base members are
-    coordinate prefixes).  The guard bounds n (the chain count grows
-    fast)."""
-    if n > guard:
-        raise ValueError(f"enumeration guard exceeded: n={n} > {guard}")
+    given blocks."""
+    if n > PARABOLIC_MAX_N:
+        raise ValueError(f"enumeration guard exceeded: n={n} > {PARABOLIC_MAX_N}")
     if levi_blocks is None:
         atoms = [frozenset([x]) for x in range(n + 1)]
     else:
@@ -148,11 +150,6 @@ def enumerate_parabolic_subspaces(n: int, levi_blocks=None, guard: int = 4,
                 grow(chain + [nxt], rest)
 
     grow([], atoms)
-    if borel:
-        def standard(P):
-            ws, i, j = P.vflag_ij()
-            return all(w == frozenset(range(1, len(w) + 1)) for w in ws[1:])
-        out = [P for P in out if standard(P)]
     return out
 
 
@@ -175,8 +172,9 @@ def above(P: ParabolicSubspace):
     return between(P, full_group(P.n))
 
 
-def epsilon_sign(P: ParabolicSubspace, Q: ParabolicSubspace) -> int:
-    """(-1)^(central split-torus dimension difference) for P contained in Q."""
+def epsilon_sign(P, Q) -> int:
+    """(-1)^(central split-torus dimension difference) for P contained in Q
+    (parabolic subspaces or product parabolics)."""
     if not P.le(Q):
         raise ValueError("containment violated")
     return -1 if (P.dim_z() - Q.dim_z()) % 2 else 1
@@ -192,19 +190,23 @@ def projections(H):
     vector through the last coordinate; r2^ H concentrates the coordinate sum
     on the distinguished line."""
     N = len(H)
-    H = [Fraction(x) for x in H]
     r2 = [H[N - 1]] * N
     r1 = [a - b for a, b in zip(H, r2)]
-    tot = sum(H, Fraction(0))
-    r2h = [Fraction(0)] * (N - 1) + [tot]
+    r2h = [0] * (N - 1) + [sum(H)]
     r1h = [a - b for a, b in zip(H, r2h)]
     return r1, r2, r1h, r2h
 
 
+def coordinate(label, N):
+    """Vector index of a coordinate label: l - 1 for base labels, the last
+    index for the distinguished line."""
+    return N - 1 if label == E0 else label - 1
+
+
 def _indicator(labels, N):
-    v = [Fraction(0)] * N
+    v = [0] * N
     for l in labels:
-        v[N - 1 if l == E0 else l - 1] += 1
+        v[coordinate(l, N)] += 1
     return v
 
 
@@ -217,15 +219,18 @@ def _scale_int(vec):
     return tuple(int(Fraction(x) * den) for x in vec)
 
 
-def _dot_int(cov, H):
-    s = 0
-    for c, h in zip(cov, H):
-        if c:
-            s += c * h
-    return s
+def _pull_back(w, support):
+    """The pullback w - w(e0) * 1_support, scaled to an integer covector."""
+    c0 = w[-1]
+    return _scale_int([a - c0 if i in support else a for i, a in enumerate(w)])
 
+
+# The two sign tests: every covector is an integer vector, and points are
+# ints or Fractions.  A strict sign is invariant under positive scaling, so
+# covectors are stored scaled to integers.
 
 def _all_pos(covs, H) -> int:
+    """1 when every covector is strictly positive at H, else 0."""
     for cov in covs:
         s = 0
         for c, h in zip(cov, H):
@@ -234,6 +239,19 @@ def _all_pos(covs, H) -> int:
         if not (s > 0):
             return 0
     return 1
+
+
+def _nonzero(covs, points) -> bool:
+    """Whether no covector vanishes at any of the points."""
+    for cov in covs:
+        for H in points:
+            s = 0
+            for c, h in zip(cov, H):
+                if c:
+                    s += c * h
+            if not s:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +283,7 @@ class GTilde:
         if not zb:
             return []
         rows = [[la.dot(d, z) for z in zb] for d in raw_q]
-        if not rows:
-            coeffs = [[Fraction(1) if i == j else Fraction(0) for j in range(len(zb))]
-                      for i in range(len(zb))]
-        else:
-            coeffs = la.nullspace(rows)
-        out = []
-        for t in coeffs:
-            v = [Fraction(0)] * self.N
-            for c, z in zip(t, zb):
-                v = [a + c * b for a, b in zip(v, z)]
-            out.append(v)
+        out = [la.vec_mat(t, zb) for t in la.nullspace(rows)] if rows else zb
         assert len(out) == P.dim_z() - Q.dim_z()
         return out
 
@@ -286,53 +294,40 @@ class GTilde:
         """Indicator-sum covectors: one per chain member (the flag-determinant
         weights), in chain order."""
         vset = set(range(1, self.n + 1))
-        out = []
-        for m in P.chain:
-            if E0 in m:
-                out.append(tuple(-x for x in _indicator(vset - set(m), self.N)))
-            else:
-                out.append(tuple(_indicator(m, self.N)))
-        return [list(v) for v in out]
+        return [[-x for x in _indicator(vset - m, self.N)] if E0 in m
+                else _indicator(m, self.N) for m in P.chain]
 
     # -- classical root/weight sets for the extended group --------------------
 
-    @lru_cache(maxsize=None)
-    def delta(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Relative simple roots as centroid differences of adjacent blocks
-        lying in a common coarse block."""
+    @staticmethod
+    def _walls(P: ParabolicSubspace, Q: ParabolicSubspace):
+        """(b1, b2, union of the blocks through b1, enclosing Q-block) for
+        each pair of adjacent P-blocks lying in a common Q-block."""
         if not P.le(Q):
             raise ValueError("containment violated")
         blocks = P.blocks()
-        qblocks = Q.blocks()
-        out = []
+        prefix: frozenset = frozenset()
         for b1, b2 in zip(blocks, blocks[1:]):
-            if any(b1 <= qb and b2 <= qb for qb in qblocks):
-                u = [Fraction(x, len(b1)) for x in _indicator(b1, self.N)]
-                v = [Fraction(x, len(b2)) for x in _indicator(b2, self.N)]
-                out.append([a - c for a, c in zip(u, v)])
-        return out
+            prefix = prefix | b1
+            for qb in Q.blocks():
+                if b1 <= qb and b2 <= qb:
+                    yield b1, b2, prefix, qb
+                    break
+
+    def delta(self, P: ParabolicSubspace, Q: ParabolicSubspace):
+        """Relative simple roots as centroid differences of adjacent blocks
+        lying in a common coarse block."""
+        return [[Fraction(x, len(b1)) - Fraction(y, len(b2))
+                 for x, y in zip(_indicator(b1, self.N), _indicator(b2, self.N))]
+                for b1, b2, _, _ in self._walls(P, Q)]
 
     @lru_cache(maxsize=None)
     def delta_hat(self, P: ParabolicSubspace, Q: ParabolicSubspace):
         """Relative fundamental weights: prefix indicators recentred inside
         the enclosing coarse block."""
-        if not P.le(Q):
-            raise ValueError("containment violated")
-        blocks = P.blocks()
-        qblocks = Q.blocks()
-        out = []
-        prefix: frozenset = frozenset()
-        for b1, b2 in zip(blocks, blocks[1:]):
-            prefix = prefix | b1
-            for qb in qblocks:
-                if b1 <= qb and b2 <= qb:
-                    D = prefix & qb
-                    w = _indicator(D, self.N)
-                    c = _indicator(qb, self.N)
-                    f = Fraction(len(D), len(qb))
-                    out.append([a - f * x for a, x in zip(w, c)])
-                    break
-        return out
+        return [[a - Fraction(len(prefix & qb), len(qb)) * x
+                 for a, x in zip(_indicator(prefix & qb, self.N), _indicator(qb, self.N))]
+                for _, _, prefix, qb in self._walls(P, Q)]
 
     # -- quotient-restricted representatives (for the duality statements) -------
 
@@ -341,17 +336,11 @@ class GTilde:
         representative inside the subspace of the functional's restriction
         (independent of the chosen ambient covector)."""
         S = self.z_rel_basis(P, Q)
-        out = []
         if not S:
-            return [[Fraction(0)] * self.N for _ in raw_list]
+            return [[0] * self.N for _ in raw_list]
         Gm = [[la.dot(a, b) for b in S] for a in S]
-        for raw in raw_list:
-            t = la.solve(Gm, [la.dot(s, list(map(Fraction, raw))) for s in S])
-            v = [Fraction(0)] * self.N
-            for c, z in zip(t, S):
-                v = [a + c * b for a, b in zip(v, z)]
-            out.append(v)
-        return out
+        return [la.vec_mat(la.solve(Gm, [la.dot(s, raw) for s in S]), S)
+                for raw in raw_list]
 
     @lru_cache(maxsize=None)
     def pi(self, P: ParabolicSubspace, Q: ParabolicSubspace):
@@ -385,45 +374,30 @@ class GTilde:
 
     @lru_cache(maxsize=None)
     def _tau_cov(self, P, Q):
-        return [_scale_int(v) for v in self.delta(P, Q)]
+        return [_pull_back(w, ()) for w in self.delta(P, Q)]
 
     @lru_cache(maxsize=None)
     def _tau_hat_cov(self, P, Q):
-        return [_scale_int(v) for v in self.delta_hat(P, Q)]
+        return [_pull_back(w, ()) for w in self.delta_hat(P, Q)]
 
     @lru_cache(maxsize=None)
     def _sigma_cov(self, P, Q):
-        out = []
-        for w in self.delta(P, Q):
-            out.append(_scale_int(list(w[:self.N - 1]) + [Fraction(0)]))
-        return out
+        return [_pull_back(w, {self.N - 1}) for w in self.delta(P, Q)]
 
     @lru_cache(maxsize=None)
     def _sigma_full_cov(self, P, Q):
         # roots pulled back through the second oblique projection (partner
         # of the full-correction hat realization in the dual alternating
         # sums)
-        out = []
-        for w in self.delta(P, Q):
-            c0 = w[self.N - 1]
-            out.append(_scale_int([a - c0 for a in w]))
-        return out
+        return [_pull_back(w, range(self.N)) for w in self.delta(P, Q)]
 
     @lru_cache(maxsize=None)
     def _sigma_hat_cov(self, P, Q):
         # the correction spreads over the super group's distinguished block
         # only, so the covectors factor through the Levi decomposition of Q;
         # for the full group this is the all-ones correction.
-        b0 = Q.e0_block()
-        idx = [self.N - 1 if l == E0 else l - 1 for l in b0]
-        out = []
-        for w in self.delta_hat(P, Q):
-            c0 = w[self.N - 1]
-            v = list(w)
-            for i in idx:
-                v[i] = v[i] - c0
-            out.append(_scale_int(v))
-        return out
+        support = {coordinate(l, self.N) for l in Q.e0_block()}
+        return [_pull_back(w, support) for w in self.delta_hat(P, Q)]
 
     @lru_cache(maxsize=None)
     def _sigma_hat_full_cov(self, P, Q):
@@ -431,11 +405,7 @@ class GTilde:
         # relative weights through the second oblique projection of the
         # whole space (this is the realization entering the product-side
         # resummation identities).
-        out = []
-        for w in self.delta_hat(P, Q):
-            c0 = w[self.N - 1]
-            out.append(_scale_int([a - c0 for a in w]))
-        return out
+        return [_pull_back(w, range(self.N)) for w in self.delta_hat(P, Q)]
 
     # -- characteristic functions ----------------------------------------------
 
@@ -478,40 +448,31 @@ class GTilde:
             raise AssertionError(f"alternating sum out of range: {total}")
         return total
 
+    def _kernel(self, P, H, X, outer, inner) -> int:
+        """The sum over R above P of eps(R, G) * outer(R, G, H - X) *
+        inner(P, R, H), shared by the truncation kernels."""
+        G = full_group(self.n)
+        HX = [a - b for a, b in zip(H, X)]
+        return sum(epsilon_sign(R, G) * outer(R, G, HX) * inner(P, R, H)
+                   for R in above(P))
+
     def gamma_prime(self, P, H, X) -> int:
         """Arthur's truncation kernel with tau-functions.  The sign on each
         term is the absolute one (split-center dimension of the summand
         against the full group); the relative sign printed in some sources
         differs by a global factor and breaks the expansion lemma."""
-        G = full_group(self.n)
-        HX = [Fraction(a) - Fraction(b) for a, b in zip(H, X)]
-        total = 0
-        for R in above(P):
-            total += (epsilon_sign(R, G) * self.tau_hat(R, G, HX)
-                      * self.tau(P, R, H))
-        return total
+        return self._kernel(P, H, X, self.tau_hat, self.tau)
 
     def b_function(self, P, H, X) -> int:
         """The sigma-analog of the truncation kernel."""
-        G = full_group(self.n)
-        HX = [Fraction(a) - Fraction(b) for a, b in zip(H, X)]
-        total = 0
-        for R in above(P):
-            total += (epsilon_sign(R, G) * self.sigma_hat(R, G, HX)
-                      * self.sigma(P, R, H))
-        return total
-
+        return self._kernel(P, H, X, self.sigma_hat, self.sigma)
 
     def sigma_hat_expansion(self, P, H, X) -> tuple[int, int]:
         """Both sides of the expansion of sigma^_P(H - X) through the
         b-functions of the groups above P."""
-        G = full_group(self.n)
-        HX = [Fraction(a) - Fraction(b) for a, b in zip(H, X)]
-        lhs = self.sigma_hat(P, G, HX)
-        rhs = 0
-        for R in above(P):
-            rhs += (epsilon_sign(R, G) * self.sigma_hat(P, R, H)
-                    * self.b_function(R, H, X))
+        lhs = self.sigma_hat(P, full_group(self.n), [a - b for a, b in zip(H, X)])
+        rhs = self._kernel(P, H, X, lambda R, G, HX: self.b_function(R, H, X),
+                           self.sigma_hat)
         return lhs, rhs
 
     # -- half-sum weights -----------------------------------------------------
@@ -529,7 +490,7 @@ class GTilde:
         """2 rho of the extended parabolic minus 2 rho of the base parabolic,
         as a raw covector on the ambient space."""
         def two_rho(blocks, N):
-            out = [Fraction(0)] * N
+            out = [0] * N
             sizes = [len(b) for b in blocks]
             for m, b in enumerate(blocks):
                 wt = sum(sizes[m + 1:]) - sum(sizes[:m])
@@ -646,7 +607,7 @@ def enumerate_product_parabolics(datum: DescentDatum):
     Levi (singleton lines plus the distinguished line)."""
     per_factor = []
     for coords in datum.parts:
-        per_factor.append(enumerate_parabolic_subspaces(len(coords), guard=4))
+        per_factor.append(enumerate_parabolic_subspaces(len(coords)))
     return [ProductParabolic(t) for t in itertools.product(*per_factor)]
 
 
@@ -658,12 +619,6 @@ def product_between(R: ProductParabolic, S: ProductParabolic):
 
 def product_full(datum: DescentDatum) -> ProductParabolic:
     return ProductParabolic(tuple(full_group(len(p)) for p in datum.parts))
-
-
-def product_epsilon(R: ProductParabolic, S: ProductParabolic) -> int:
-    if not R.le(S):
-        raise ValueError("containment violated")
-    return -1 if (R.dim_z() - S.dim_z()) % 2 else 1
 
 
 class DescentEngine:
@@ -683,48 +638,50 @@ class DescentEngine:
     def to_ambient(self, H):
         """A point given on the minus coordinates, placed into the ambient
         space (zero on the plus part and the distinguished line)."""
-        v = [Fraction(0)] * (self.datum.n + 1)
+        v = [0] * (self.datum.n + 1)
         for x, c in zip(H, self.minus):
-            v[c - 1] = Fraction(x)
+            v[c - 1] = x
         return v
 
     def to_factor(self, H, k: int):
-        coords = self.datum.parts[k]
         lut = dict(zip(self.minus, H))
-        return [Fraction(lut[c]) for c in coords] + [Fraction(0)]
+        return [lut[c] for c in self.datum.parts[k]] + [0]
+
+    def _to_minus(self, R: ProductParabolic, vectors):
+        """vectors(factor space, factor) for every factor of R, placed on the
+        minus coordinates (their distinguished-line entries are dropped)."""
+        out = []
+        for k, f in enumerate(R.factors):
+            pos = [self.minus.index(c) for c in self.datum.parts[k]]
+            for vec in vectors(self.gi[k], f):
+                v = [0] * len(self.minus)
+                for i, x in zip(pos, vec):
+                    v[i] = x
+                out.append(v)
+        return out
 
     # -- product-side functions -------------------------------------------------
 
-    def sigma_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
+    def _product(self, indicator, R: ProductParabolic, S: ProductParabolic, H) -> int:
+        """The product over the factors of a GTilde indicator at H."""
         out = 1
         for k, (a, b) in enumerate(zip(R.factors, S.factors)):
-            out *= self.gi[k].sigma(a, b, self.to_factor(H, k))
+            out *= indicator(self.gi[k], a, b, self.to_factor(H, k))
         return out
+
+    def sigma_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
+        return self._product(GTilde.sigma, R, S, H)
 
     def sigma_prod_full(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        out = 1
-        for k, (a, b) in enumerate(zip(R.factors, S.factors)):
-            out *= self.gi[k].sigma_full(a, b, self.to_factor(H, k))
-        return out
+        return self._product(GTilde.sigma_full, R, S, H)
 
     def sigma_hat_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        out = 1
-        for k, (a, b) in enumerate(zip(R.factors, S.factors)):
-            out *= self.gi[k].sigma_hat_full(a, b, self.to_factor(H, k))
-        return out
+        return self._product(GTilde.sigma_hat_full, R, S, H)
 
     def pi_hat_raw_prod(self, R: ProductParabolic):
-        """Raw factor weights pulled back to the minus coordinates."""
-        out = []
-        for k, f in enumerate(R.factors):
-            coords = self.datum.parts[k]
-            for cov in self.gi[k].pi_hat_raw(f):
-                v = [Fraction(0)] * len(self.minus)
-                for kk, c in enumerate(coords):
-                    v[self.minus.index(c)] = cov[kk]
-                # distinguished-line entries of raw weights are always zero
-                out.append(v)
-        return out
+        """Raw factor weights pulled back to the minus coordinates (their
+        distinguished-line entries are always zero)."""
+        return self._to_minus(R, GTilde.pi_hat_raw)
 
     # -- subspaces ---------------------------------------------------------------
 
@@ -732,21 +689,10 @@ class DescentEngine:
         """Center-space basis of an ambient parabolic subspace, restricted to
         the minus coordinates (entries elsewhere vanish for groups above the
         distinguished Levi)."""
-        out = []
-        for b in self.g.z_basis(P):
-            out.append([b[c - 1] for c in self.minus])
-        return out
+        return [[b[c - 1] for c in self.minus] for b in self.g.z_basis(P)]
 
     def z_basis_product(self, R: ProductParabolic):
-        out = []
-        for k, f in enumerate(R.factors):
-            coords = self.datum.parts[k]
-            for b in self.gi[k].z_basis(f):
-                v = [Fraction(0)] * len(self.minus)
-                for kk, c in enumerate(coords):
-                    v[self.minus.index(c)] = b[kk]
-                out.append(v)
-        return out
+        return self._to_minus(R, GTilde.z_basis)
 
     # -- the descent kernel ------------------------------------------------------
 
@@ -758,55 +704,23 @@ class DescentEngine:
         the rigid members' kernels."""
         key = (P, T)
         cache = self._desc_cov_cache
-        if key in cache:
-            return cache[key]
-        g = self.g
-        N = g.N
-        blocks = P.blocks()
-        qblocks = T.blocks()
-        covs = []
-
-        def ind(bb):
-            v = [Fraction(0)] * N
-            for l in bb:
-                v[N - 1 if l == E0 else l - 1] = Fraction(1, len(bb))
-            return v
-
-        for b1, b2 in zip(blocks, blocks[1:]):
-            if not any(b1 <= qb and b2 <= qb for qb in qblocks):
-                continue
-            alpha = [a - c for a, c in zip(ind(b1), ind(b2))]
-            a0 = alpha[N - 1]
-            if a0:
-                other = b2 if E0 in b1 else b1
-                support = {N - 1}
-                for p in self.datum.parts:
-                    if other & set(p):
-                        support |= {l - 1 for l in p}
-                for i in support:
-                    alpha[i] = alpha[i] - a0
-            covs.append(alpha)
-        cache[key] = covs
-        return covs
+        if key not in cache:
+            covs = []
+            for w in self.g.delta(P, T):
+                # the other side of the wall is where w has the opposite sign
+                # to its distinguished entry
+                parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
+                covs.append(_pull_back(w, {self.g.N - 1} | {l - 1 for p in parts for l in p}))
+            cache[key] = covs
+        return cache[key]
 
     def sigma_descent(self, P, T, H) -> int:
-        Hf = [Fraction(x) for x in H]
-        for cov in self.sigma_descent_cov(P, T):
-            if not (la.dot(cov, Hf) > 0):
-                return 0
-        return 1
+        return _all_pos(self.sigma_descent_cov(P, T), H)
 
     def b_function_descent(self, P: ParabolicSubspace, H, X) -> int:
         """Ambient kernel in the descent realization (for the splitting of
         the product kernel over the rigid fiber)."""
-        g = self.g
-        G = full_group(self.datum.n)
-        HX = [Fraction(a) - Fraction(b) for a, b in zip(H, X)]
-        total = 0
-        for T in above(P):
-            total += (epsilon_sign(T, G) * g.sigma_hat(T, G, HX)
-                      * self.sigma_descent(P, T, H))
-        return total
+        return self.g._kernel(P, H, X, self.g.sigma_hat, self.sigma_descent)
 
     def b_family(self, R: ProductParabolic, H, points) -> int:
         """The family kernel: double alternating sum over the product groups
@@ -844,7 +758,7 @@ class DescentEngine:
         if R in self._families_cache:
             return self._families_cache[R]
         m1 = self.datum.m1_blocks()
-        cands = enumerate_parabolic_subspaces(self.datum.n, levi_blocks=m1, guard=4)
+        cands = enumerate_parabolic_subspaces(self.datum.n, levi_blocks=m1)
         fbar, fib, f0 = [], [], []
         zR = self.z_basis_product(R)
         for P in cands:

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ParabolicSubspace,
-                    ProductParabolic, above, between, enumerate_parabolic_subspaces,
+                    ProductParabolic, _all_pos, _nonzero, above, between,
+                    coordinate, enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, epsilon_sign, full_group,
-                    parabolic_minus, product_between, product_epsilon,
-                    product_full, projections)
+                    parabolic_minus, product_between, product_full,
+                    projections)
 from . import chambers as ch
 
 
@@ -33,19 +34,11 @@ def _report(suite, instances, failures, seed, t0, extra=None):
 
 
 def _sample_span(rng, basis, N, lo=-30, hi=30):
-    v = [Fraction(0)] * N
-    for b in basis:
-        c = rng.randint(lo, hi)
-        v = [a + c * x for a, x in zip(v, b)]
-    return v
-
-
-def _nonzero_on(covs, args) -> bool:
-    for cov in covs:
-        for arg in args:
-            if la.dot([Fraction(c) for c in cov], [Fraction(x) for x in arg]) == 0:
-                return False
-    return True
+    """A random integer combination of the basis (the origin when it is
+    empty)."""
+    if not basis:
+        return [0] * N
+    return la.vec_mat([rng.randint(lo, hi) for _ in basis], basis)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +96,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             H = [rng.randint(-40, 40) for _ in range(N)]
             # part 2 at arbitrary points
             r1, r2, r1h, r2h = projections(H)
-            if not _nonzero_on(covs, [H, r1h]):
+            if not _nonzero(covs, [H, r1h]):
                 continue
             good += 1
             instances += 2
@@ -124,8 +117,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         tries = 0
         while good < per_pair and tries < 60 * per_pair:
             tries += 1
-            H = _sample_span(rng, S, N) if S else [Fraction(0)] * N
-            if S and not _nonzero_on(covs, [H]):
+            H = _sample_span(rng, S, N)
+            if S and not _nonzero(covs, [H]):
                 continue
             good += 1
             instances += 1
@@ -136,19 +129,22 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             if not S:
                 break
 
+    # wall covectors of the kernel terms above each P
+    kernel_covs = {P: [c for R in above(P)
+                       for c in g.wall_covectors(P, R) + g.wall_covectors(R, G)]
+                   for P in ps}
+
     # --- expansion of sigma-hat through B, on the zero-sum slice ---
     for P in ps:
+        covs = kernel_covs[P]
         good = 0
         tries = 0
-        covs = []
-        for R in above(P):
-            covs += g.wall_covectors(P, R) + g.wall_covectors(R, G)
         while good < per_pair and tries < 60 * per_pair:
             tries += 1
             H = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
             X = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
             HX = [a - b for a, b in zip(H, X)]
-            if not _nonzero_on(covs, [H, X, HX]):
+            if not _nonzero(covs, [H, X, HX]):
                 continue
             good += 1
             instances += 1
@@ -161,16 +157,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     for P in ps:
         zb = g.z_basis(P)
         ab = g.a_basis(P)
-        coeffs = la.nullspace([[Fraction(sum(b)) for b in ab]])
-        apg = []
-        for t in coeffs:
-            v = [Fraction(0)] * N
-            for c, b in zip(t, ab):
-                v = [a + c * bb for a, bb in zip(v, b)]
-            apg.append(v)
-        covs = []
-        for R in above(P):
-            covs += g.wall_covectors(P, R) + g.wall_covectors(R, G)
+        apg = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
+        covs = kernel_covs[P]
         good = 0
         tries = 0
         while good < per_pair and tries < 60 * per_pair:
@@ -183,7 +171,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             HTX = [a - b for a, b in zip(HT, r2hH)]
             Hm = [a - b for a, b in zip(H, r1T)]
             HmX = [a - b for a, b in zip(Hm, r2T)]
-            if not _nonzero_on(covs, [HT, HTX, Hm, HmX]):
+            if not _nonzero(covs, [HT, HTX, Hm, HmX]):
                 continue
             good += 1
             instances += 1
@@ -196,7 +184,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
 
 def _zero_base_sum(v, n):
     """Adjust the last base coordinate so the base-coordinate sum vanishes."""
-    v = [Fraction(x) for x in v]
+    v = list(v)
     s = sum(v[:n])
     if n:
         v[n - 1] -= s
@@ -265,84 +253,66 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             zR = eng.z_basis_product(R)
             rawR = eng.pi_hat_raw_prod(R)
             # -- closure-family sum = closed-cone indicator --
+            covs = [c for P in fbar for c in g._sigma_hat_cov(P, G)]
+            neg_rawR = [[-x for x in c] for c in rawR]
             got = 0
             tries = 0
             while got < samples and tries < 40 * samples:
                 tries += 1
                 H = [rng.randint(-20, 20) for _ in range(m)]
                 Ha = eng.to_ambient(H)
-                if not _nonzero_on([c for P in fbar for c in g._sigma_hat_cov(P, G)], [Ha]):
-                    continue
-                if not _nonzero_on(rawR, [H]):
+                if not (_nonzero(covs, [Ha]) and _nonzero(rawR, [H])):
                     continue
                 got += 1
                 instances += 1
                 lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fbar)
-                rhs = 1 if all(la.dot(c, [Fraction(x) for x in H]) < 0 for c in rawR) else 0
-                if lhs != rhs:
+                if lhs != _all_pos(neg_rawR, H):
                     failures.append({"check": "closure-family", "datum": _djson(datum),
                                      "R": _prodjson(R), "H": H})
             # -- fiber-family sum = signed product cone --
+            covs = [c for P in fib for c in g._sigma_hat_cov(P, G)]
             got = 0
             tries = 0
             while got < samples and tries < 40 * samples:
                 tries += 1
                 H = [rng.randint(-20, 20) for _ in range(m)]
                 Ha = eng.to_ambient(H)
-                covs = [c for P in fib for c in g._sigma_hat_cov(P, G)]
-                if not _nonzero_on(covs, [Ha]):
+                if not _nonzero(covs, [Ha]):
                     continue
                 got += 1
                 instances += 1
                 lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fib)
-                rhs = product_epsilon(R, Hfull) * eng.sigma_hat_prod(R, Hfull, H)
+                rhs = epsilon_sign(R, Hfull) * eng.sigma_hat_prod(R, Hfull, H)
                 if lhs != rhs:
                     failures.append({"check": "fiber-family", "datum": _djson(datum),
                                      "R": _prodjson(R), "H": H})
             # -- pointwise inversion over the fiber (vanishing off the rigid set) --
             for P in fbar:
                 zP = eng.z_basis_ambient(P)
-                zPR = _intersect_span(zP, zR, m)
-                for which, basis in (("generic", zR), ("rigid", zPR)):
+                below = [(Q, parabolic_minus(Q, datum)) for Q in fbar if Q.le(P)]
+                for which, basis in (("generic", zR), ("rigid", _intersect_span(zP, zR))):
+                    # wall filter: the covectors that do not vanish on the
+                    # whole domain must not vanish at the sample
+                    hat_covs = _live([c for Q, _ in below for c in g._sigma_hat_cov(Q, P)], basis)
+                    factor_covs = [(k, _live(eng.gi[k]._sigma_cov(rf, qf),
+                                             [eng.to_factor(b, k) for b in basis]))
+                                   for _, Qm in below
+                                   for k, (rf, qf) in enumerate(zip(R.factors, Qm.factors))]
                     got = 0
                     tries = 0
                     while got < max(4, samples // 3) and tries < 40 * samples:
                         tries += 1
                         X = _sample_span(rng, basis, m, lo=-20, hi=20)
                         Xa = eng.to_ambient(X)
-                        allcovs = []
-                        for Q in fbar:
-                            if not Q.le(P):
-                                continue
-                            allcovs += g._sigma_hat_cov(Q, P)
-                        if not _nonzero_on([c for c in allcovs if any(
-                                la.dot([Fraction(y) for y in c], [Fraction(x) for x in b]) != 0 for b in basis)], [Xa]):
-                            continue
-                        skip = False
-                        for Q in fbar:
-                            if not Q.le(P):
-                                continue
-                            Qm = parabolic_minus(Q, datum)
-                            for k, (rf, qf) in enumerate(zip(R.factors, Qm.factors)):
-                                for cov in eng.gi[k]._sigma_cov(rf, qf):
-                                    val = la.dot([Fraction(c) for c in cov], eng.to_factor(X, k))
-                                    live = any(la.dot([Fraction(c) for c in cov], eng.to_factor(b, k)) != 0 for b in basis)
-                                    if live and val == 0:
-                                        skip = True
-                        if skip:
+                        if not (_nonzero(hat_covs, [Xa])
+                                and all(_nonzero(covs, [eng.to_factor(X, k)])
+                                        for k, covs in factor_covs)):
                             continue
                         got += 1
                         instances += 1
-                        tot = 0
-                        for Q in fbar:
-                            if not Q.le(P):
-                                continue
-                            Qm = parabolic_minus(Q, datum)
-                            tot += (epsilon_sign(Q, P) * eng.sigma_prod(R, Qm, X)
-                                    * g.sigma_hat(Q, P, Xa))
-                        in_fib = P in fib
-                        in_zp = _in_span(zP, X)
-                        expect = 1 if (in_fib and in_zp) else 0
+                        tot = sum(epsilon_sign(Q, P) * eng.sigma_prod(R, Qm, X)
+                                  * g.sigma_hat(Q, P, Xa) for Q, Qm in below)
+                        expect = 1 if (P in fib and la.in_span(zP, X)) else 0
                         if tot != expect:
                             failures.append({"check": "fiber-inversion", "datum": _djson(datum),
                                              "R": _prodjson(R), "P": _pjson(P),
@@ -360,31 +330,23 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     return _report("descent", instances, failures, seed, t0, {"n": n})
 
 
-def _intersect_span(A, B, m):
+def _live(covs, basis):
+    """The covectors that do not vanish on every basis vector."""
+    return [c for c in covs if any(_nonzero([c], [b]) for b in basis)]
+
+
+def _intersect_span(A, B):
     """Basis of span(A) intersect span(B)."""
     if not A or not B:
         return []
-    rows = A + B
-    rel = la.nullspace([list(col) for col in zip(*[[Fraction(x) for x in r] for r in rows])])
-    out = []
-    for t in rel:
-        v = [Fraction(0)] * m
-        for c, a in zip(t[:len(A)], A):
-            v = [x + c * y for x, y in zip(v, a)]
-        if any(x != 0 for x in v):
-            out.append(v)
-    # reduce to an independent set
+    rel = la.nullspace([list(col) for col in zip(*(A + B))])
     basis = []
-    for v in out:
-        if not la.in_span(basis, v):
+    for t in rel:
+        v = la.vec_mat(t[:len(A)], A)
+        # reduce to an independent set
+        if any(v) and not la.in_span(basis, v):
             basis.append(v)
     return basis
-
-
-def _in_span(basis, v) -> bool:
-    if not basis:
-        return all(Fraction(x) == 0 for x in v)
-    return la.in_span(basis, [Fraction(x) for x in v])
 
 
 def _orth_positive_family(rng, eng: DescentEngine, R, f0):
@@ -397,58 +359,26 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
     if len(blocksets) != 1:
         return None
     blocks = [frozenset(b) for b in next(iter(blocksets))]
-    c = {}
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            c[(i, j)] = Fraction(rng.randint(0, 5))
-    base = {frozenset(b): Fraction(rng.randint(-4, 4)) for b in blocks}
+    c = {(i, j): rng.randint(0, 5)
+         for i in range(len(blocks)) for j in range(i + 1, len(blocks))}
+    base = {frozenset(b): rng.randint(-4, 4) for b in blocks}
     fam = {}
     for P in f0:
         order = [frozenset(b) for b in P.blocks()]
-        v = [Fraction(0)] * N
+        v = [0] * N
         for b in order:
-            idx = [N - 1 if l == 0 else l - 1 for l in b]
-            for i in idx:
-                v[i] += base[b]
-        for x in range(len(order)):
-            for y in range(x + 1, len(order)):
-                bi = blocks.index(order[x]) if order[x] in blocks else None
-                bj = blocks.index(order[y]) if order[y] in blocks else None
-                i, j = sorted((bi, bj))
-                w = c[(i, j)]
-                sgn = 1 if bi == i else -1
-                # u_{first} - u_{second} with the pair weight
-                for l in order[x]:
-                    v[N - 1 if l == 0 else l - 1] += sgn * w / len(order[x])
-                for l in order[y]:
-                    v[N - 1 if l == 0 else l - 1] -= sgn * w / len(order[y])
+            for l in b:
+                v[coordinate(l, N)] += base[b]
+        for x, y in itertools.combinations(order, 2):
+            bx, by = blocks.index(x), blocks.index(y)
+            w = c[min(bx, by), max(bx, by)] * (1 if bx < by else -1)
+            # u_{first} - u_{second} with the pair weight
+            for l in x:
+                v[coordinate(l, N)] += Fraction(w, len(x))
+            for l in y:
+                v[coordinate(l, N)] -= Fraction(w, len(y))
         fam[P] = v
     return fam
-
-
-def _project_blocks(P: ParabolicSubspace, v, N):
-    out = [Fraction(0)] * N
-    for b in P.blocks():
-        idxs = [N - 1 if l == 0 else l - 1 for l in b]
-        avg = sum(v[i] for i in idxs) / len(idxs)
-        for i in idxs:
-            out[i] = avg
-    return out
-
-
-def _family_point(eng, fam, f0, Q):
-    """Y_Q: orthogonal block projection of the point of any rigid member
-    inside Q (choice independence asserted)."""
-    N = eng.datum.n + 1
-    vals = []
-    for P, Y in fam.items():
-        if P.le(Q):
-            vals.append(tuple(_project_blocks(Q, Y, N)))
-    if not vals:
-        return None
-    if len(set(vals)) != 1:
-        raise AssertionError("family projection depends on the member")
-    return list(vals[0])
 
 
 def _family_checks(rng, eng: DescentEngine, R, fbar, fib, f0, fam, samples):
@@ -462,30 +392,30 @@ def _family_checks(rng, eng: DescentEngine, R, fbar, fib, f0, fam, samples):
     failures = []
     instances = 0
     zR = eng.z_basis_product(R)
+
+    def point(Q):
+        """Y_Q: the block projection of any rigid member's point inside Q."""
+        return ch.project_family([Y for P, Y in fam.items() if P.le(Q)],
+                                 [[coordinate(l, N) for l in b] for b in Q.blocks()])
+
     # points Y_Q for every Q in the closure family
     ys = {}
     for Q in fbar:
-        y = _family_point(eng, fam, f0, Q)
-        if y is None:
+        ys[Q] = point(Q)
+        if ys[Q] is None:
             return 0, [{"check": "family-structure", "datum": _djson(datum),
                         "R": _prodjson(R), "note": "closure member without rigid member"}]
-        ys[Q] = y
-
-    # sub-families for every product group above R
+    # sub-families for every product group above R, with their points
     Hsup = product_full(datum)
     sups = product_between(R, Hsup)
-
-    def all_points(H):
-        pts = dict(ys)
-        for T in product_between(R, Hsup):
-            _, fibT, _ = eng.families(T)
-            for Q in fibT:
-                if Q not in pts:
-                    pts[Q] = _family_point(eng, fam, f0, Q)
-        return pts
-
-    def b_kernel(S, H):
-        return eng.b_family(S, H, all_points(H))
+    pts = dict(ys)
+    for T in sups:
+        for Q in eng.families(T)[1]:
+            if Q not in pts:
+                pts[Q] = point(Q)
+    product_covs = [(k, eng.gi[k]._sigma_full_cov(sf, tf) + eng.gi[k]._sigma_hat_full_cov(sf, tf))
+                    for S in sups for T in product_between(S, Hsup)
+                    for k, (sf, tf) in enumerate(zip(S.factors, T.factors))]
 
     got = 0
     tries = 0
@@ -493,62 +423,28 @@ def _family_checks(rng, eng: DescentEngine, R, fbar, fib, f0, fam, samples):
         tries += 1
         H = _sample_span(rng, zR, m, lo=-25, hi=25)
         Ha = eng.to_ambient(H)
-        # wall filter: every hat-covector at its shifted argument, every
-        # product sigma-covector at H, and the interiors of the ambient
-        # kernels on the splitting side (relative sigma at H, absolute hat
-        # at H shifted by the rigid member's point)
-        ok = True
-        for Q in fbar:
-            arg = [a - b for a, b in zip(Ha, ys[Q])]
-            if not _nonzero_on(g._sigma_hat_cov(Q, G), [arg]):
-                ok = False
-                break
-        if ok:
-            for P in f0:
-                argP = [a - b for a, b in zip(Ha, ys[P])]
-                for T in above(P):
-                    if not (_nonzero_on(eng.sigma_descent_cov(P, T), [Ha])
-                            and _nonzero_on(g._sigma_hat_cov(T, G), [argP])):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            for S in sups:
-                for T in product_between(S, Hsup):
-                    for k, (sf, tf) in enumerate(zip(S.factors, T.factors)):
-                        covs = (eng.gi[k]._sigma_full_cov(sf, tf)
-                                + eng.gi[k]._sigma_hat_full_cov(sf, tf))
-                        for cov in covs:
-                            if la.dot([Fraction(c) for c in cov],
-                                      eng.to_factor(H, k)) == 0:
-                                ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if not ok:
+        shifted = {Q: [a - b for a, b in zip(Ha, ys[Q])] for Q in fbar}
+        # wall filter: every hat-covector at its shifted argument, the
+        # interiors of the ambient kernels on the splitting side (relative
+        # sigma at H, absolute hat at H shifted by the rigid member's point),
+        # and every product sigma-covector at H
+        if not (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
+                and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
+                        and _nonzero(g._sigma_hat_cov(T, G), [shifted[P]])
+                        for P in f0 for T in above(P))
+                and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs)):
             continue
         got += 1
         instances += 1
         # resummation: fiber sum with shifts = signed sum of family kernels
-        lhs = 0
-        for P in fib:
-            arg = [a - b for a, b in zip(Ha, ys[P])]
-            lhs += epsilon_sign(P, G) * g.sigma_hat(P, G, arg)
-        rhs = 0
-        for S in sups:
-            rhs += (product_epsilon(R, S) * eng.sigma_hat_prod(R, S, H)
-                    * b_kernel(S, H))
+        lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, shifted[P]) for P in fib)
+        rhs = sum(epsilon_sign(R, S) * eng.sigma_hat_prod(R, S, H) * eng.b_family(S, H, pts)
+                  for S in sups)
         if lhs != rhs:
             failures.append({"check": "family-resummation", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
         # generic splitting into rigid members' kernels
-        lhs2 = b_kernel(R, H)
-        rhs2 = 0
-        for P in f0:
-            rhs2 += eng.b_function_descent(P, Ha, ys[P])
-        if lhs2 != rhs2:
+        if eng.b_family(R, H, pts) != sum(eng.b_function_descent(P, Ha, ys[P]) for P in f0):
             failures.append({"check": "family-splitting", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
     return instances, failures
@@ -619,7 +515,6 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
                                      "P1": P1.perm, "P2": P2.perm})
 
     # representative lemma + the two psi sums on random data
-    paras = ch.all_parabolics(m)
     done = 0
     guard = 0
     while done < families and guard < 50 * families:
@@ -635,21 +530,14 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
             failures.append({"check": "family-consistency"})
             continue
         H = [rng.randint(-15, 15) for _ in range(m)]
-        # wall filter
-        ok = True
-        for blocks in paras:
-            if not any(ch.chamber_in_parabolic(P, blocks) for P in S):
-                continue
-            YQ = ch.family_projection(fam, blocks, m)
-            arg = [Fraction(h) - y for h, y in zip(H, YQ)]
-            for w in ch.weight_covectors(blocks, m):
-                if sum(a * x for a, x in zip(w, arg)) == 0:
-                    ok = False
-        if not ok:
+        # wall filter on the parabolics above a member
+        cands = ch.parabolics_above(S, m)
+        if not all(_nonzero(ch.weight_covectors(blocks, m),
+                            [[h - y for h, y in zip(H, ch.family_projection(fam, blocks, m))]])
+                   for blocks in cands):
             continue
         # representative lemma on a random parabolic above a member
         P = rng.choice(S)
-        cands = [b for b in paras if any(ch.chamber_in_parabolic(C, b) for C in S)]
         blocks = rng.choice(cands)
         instances += 1
         try:
@@ -659,17 +547,17 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         except AssertionError as e:
             failures.append({"check": "representative", "error": str(e)})
         # psi sums
-        Lam = [Fraction(0)] * m
+        Lam = [0] * m
         base = sorted(rng.sample(range(1, 60), m), reverse=True)
         for pos, a in enumerate(P.perm):
-            Lam[a - 1] = Fraction(base[pos])
+            Lam[a - 1] = base[pos]
         instances += 1
         v1 = ch.psi_geometric(S, H, fam, m)
         v2 = ch.psi_analytic(S, Lam, H, fam)
         if v1 != v2:
             failures.append({"check": "psi-equality", "S": [c.perm for c in S], "H": H})
-        cond = all(sum(w0 * (Fraction(h) - y) for w0, h, y in zip(w, H, fam[Pp])) <= 0
-                   for Pp in S for w in ch.chamber_weights(Pp))
+        cond = not any(_all_pos([w], [h - y for h, y in zip(H, fam[Pp])])
+                       for Pp in S for w in ch.chamber_weights(Pp))
         instances += 1
         if (v1 != 0) != cond or (v1 not in (0, 1)):
             failures.append({"check": "psi-trichotomy", "S": [c.perm for c in S], "H": H})

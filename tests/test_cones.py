@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jrlab import linalg as la
 from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
-                         ParabolicSubspace, above, between,
+                         ParabolicSubspace, _all_pos, _nonzero, above, between,
                          enumerate_parabolic_subspaces,
                          enumerate_product_parabolics, epsilon_sign,
                          full_group, parabolic_minus, product_full,
@@ -140,3 +141,37 @@ def test_cones_suite_small():
 def test_descent_suite_small():
     rep = descent_suite(2, seed=11, samples=6)
     assert not rep["failures"], rep["failures"][:2]
+
+
+@st.composite
+def sign_cases(draw):
+    """Integer covectors, a rational or integer point (moved onto the wall
+    of one covector half of the time) and a positive rational scale."""
+    N = draw(st.integers(1, 5))
+    covs = draw(st.lists(st.lists(st.integers(-6, 6), min_size=N, max_size=N),
+                         min_size=1, max_size=4))
+    coord = st.one_of(st.integers(-20, 20),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    H = draw(st.lists(coord, min_size=N, max_size=N))
+    cov = draw(st.sampled_from(covs))
+    support = [i for i, c in enumerate(cov) if c]
+    if support and draw(st.booleans()):
+        i = draw(st.sampled_from(support))
+        H[i] -= F(sum(c * h for c, h in zip(cov, H)), cov[i])
+        assert sum(c * h for c, h in zip(cov, H)) == 0
+    lam = draw(st.fractions(min_value=0, max_value=50, max_denominator=12)
+               .filter(lambda x: x > 0))
+    return covs, H, lam
+
+
+@settings(max_examples=400, deadline=None)
+@given(sign_cases())
+def test_sign_helpers_agree_with_rational_dot(case):
+    """The integer sign tests give the signs of the rational dot products,
+    at H and at every positive multiple of H."""
+    covs, H, lam = case
+    for point in (H, [lam * h for h in H]):
+        vals = [la.dot(list(map(F, cov)), list(map(F, point))) for cov in covs]
+        assert _all_pos(covs, point) == (1 if all(v > 0 for v in vals) else 0)
+        assert _nonzero(covs, [point]) == all(v != 0 for v in vals)
+    assert _nonzero(covs, [H, [lam * h for h in H]]) == _nonzero(covs, [H])

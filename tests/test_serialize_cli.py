@@ -112,6 +112,15 @@ def test_cli_budget_chambers_rank():
     assert proc.returncode == 4 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["chambers", "--m", "1"], ["chambers", "--m", "0"],
+                                  ["cones", "--n", "-1"]])
+def test_cli_rejects_small_sizes(argv):
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error")
+
+
 def test_cli_fl_and_determinism():
     cmd = [sys.executable, "-m", "jrlab.cli", "fl", "--n", "1", "--p", "3",
            "--budget-valuation", "3", "--seed", "5", "--json-only"]

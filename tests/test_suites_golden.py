@@ -5,8 +5,11 @@ reproduction data), with only the wall time dropped, so any change to the
 samplers, the wall filters or the indicators shows up here.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from jrlab import chambers, cones, suites
 from jrlab.suites import chambers_suite, cones_suite, descent_suite
 
 GOLDEN = [
@@ -28,3 +31,35 @@ def run_golden(k):
 @pytest.mark.parametrize("k", range(len(GOLDEN)), ids=["cones", "descent", "chambers"])
 def test_suite_report_is_pinned(k):
     assert run_golden(k) == GOLDEN[k][1]
+
+
+def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
+    """Every covector reaching a sign test is an integer vector and every
+    point coordinate an int or a Fraction (a float would come from a
+    division such as sum(...) / len(...) on int points)."""
+    calls = []
+
+    def check(covs, points):
+        calls.append(1)
+        for cov in covs:
+            assert all(type(c) is int for c in cov), cov
+        for H in points:
+            assert all(type(x) in (int, Fraction) for x in H), H
+
+    all_pos, nonzero = cones._all_pos, cones._nonzero
+
+    def checked_all_pos(covs, H):
+        check(covs, [H])
+        return all_pos(covs, H)
+
+    def checked_nonzero(covs, points):
+        check(covs, points)
+        return nonzero(covs, points)
+
+    for mod in (cones, suites, chambers):
+        for name, fn in (("_all_pos", checked_all_pos), ("_nonzero", checked_nonzero)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    for k in range(len(GOLDEN)):
+        assert run_golden(k) == GOLDEN[k][1]
+    assert calls
