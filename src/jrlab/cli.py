@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .chambers import CONVEXITY_MAX_RANK
 from .fields import PLocalContext, InfiniteValuation
-from .gltilde import (Triple, d_r, invariants, jordan, stratum)
-from .hermitian import (cayley_gl, cayley_inverse, extend_form,
+from .gltilde import d_r, invariants, jordan, stratum
+from .hermitian import (cayley_gl, cayley_inverse, group_moments,
                         match_invariants_group, standard_cayley_params)
 from . import serialize as ser
 from .orbital import fl_check, toy_transfer_check
@@ -42,22 +42,42 @@ def _emit(args, records, summary):
             fh.write("\n".join(lines) + "\n")
 
 
-def _load_json(path):
+def _parse_error(message):
+    print(f"parse error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _load(path, build):
+    """build(the JSON in path); malformed input of any shape is a parse
+    error (exit 2)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
+            obj = json.load(fh)
+        return build(obj)
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, IndexError,
+            TypeError, ValueError, ZeroDivisionError) as e:
+        _parse_error(e)
+
+
+def _prime(text):
+    """argparse type of --p: an odd prime."""
+    try:
+        return PLocalContext(int(text)).p
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad flags are parse errors too: the same first line and exit code."""
+
+    def error(self, message):
+        print(f"parse error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
 def cmd_invariants(args):
-    obj = _load_json(args.input)
-    try:
-        X = ser.triple_from_json(obj)
-    except (KeyError, ValueError, ZeroDivisionError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    X = _load(args.input, ser.triple_from_json)
     a = invariants(X)
     r = stratum(X)
     record = ser.point_to_json(a)
@@ -68,27 +88,16 @@ def cmd_invariants(args):
 
 
 def cmd_jordan(args):
-    obj = _load_json(args.input)
-    try:
-        X = ser.triple_from_json(obj)
-    except (KeyError, ValueError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    Xs, Xn = jordan(X)
+    Xs, Xn = jordan(_load(args.input, ser.triple_from_json))
     rec = {"semisimple": ser.triple_to_json(Xs), "nilpotent": ser.triple_to_json(Xn)}
     _emit(args, [rec], "decomposed")
     return EXIT_PASS
 
 
 def cmd_cayley(args):
-    obj = _load_json(args.input)
+    Y = _load(args.input, lambda obj: ser.square_from_json(obj["Y"]))
     ctx = PLocalContext(args.p)
     params = standard_cayley_params(ctx, t=1, s=1)
-    try:
-        Y = [[Fraction(x) for x in row] for row in obj["Y"]]
-    except (KeyError, ValueError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     try:
         r = cayley_gl(Y, params)
         back = cayley_inverse(r, params)
@@ -102,18 +111,17 @@ def cmd_cayley(args):
 
 
 def cmd_match(args):
-    obj = _load_json(args.input)
     ctx = PLocalContext(args.p)
-    try:
-        Y1 = [[ser.escalar_from_json(x, ctx) for x in row] for row in obj["Y1"]]
-        Y2 = [[ser.escalar_from_json(x, ctx) for x in row] for row in obj["Y2"]]
-        form = ser.form_from_json(obj["form"], ctx)
-    except (KeyError, ValueError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+
+    def build(obj):
+        def scalar(x):
+            return ser.escalar_from_json(x, ctx)
+        return (ser.square_from_json(obj["Y1"], scalar), ser.square_from_json(obj["Y2"], scalar),
+                ser.form_from_json(obj["form"], ctx))
+
+    Y1, Y2, form = _load(args.input, build)
     try:
         ok = match_invariants_group(Y1, Y2, form)
-        from .hermitian import group_moments
         n = len(Y1) - 1
         moments = {
             "twisted": [ser.escalar_to_json(m) for m in group_moments(Y1, n, n)],
@@ -131,6 +139,8 @@ def _suite_exit(report) -> int:
 
 
 def cmd_fl(args):
+    if args.n < 1:
+        _parse_error("--n must be at least 1")
     if args.n > BUDGETS["fl_n"] or args.budget_valuation > BUDGETS["fl_valuation"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -158,8 +168,7 @@ def cmd_toy(args):
 
 def cmd_cones(args):
     if args.n < 0:
-        print("parse error: --n must be at least 0", file=sys.stderr)
-        return EXIT_PARSE
+        _parse_error("--n must be at least 0")
     if args.n > BUDGETS["cones_n"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -175,8 +184,7 @@ def cmd_cones(args):
 
 def cmd_chambers(args):
     if args.m < 2:
-        print("parse error: --m must be at least 2", file=sys.stderr)
-        return EXIT_PARSE
+        _parse_error("--m must be at least 2")
     if args.m > BUDGETS["chambers_m"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -189,7 +197,7 @@ def cmd_chambers(args):
 
 def _common_options(ap, suppress=False):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--p", type=int, default=d(3), help="odd prime")
+    ap.add_argument("--p", type=_prime, default=d(3), help="odd prime")
     ap.add_argument("--n", type=int, default=d(1), help="base dimension")
     ap.add_argument("--m", type=int, default=d(4), help="chamber rank")
     ap.add_argument("--seed", type=int, default=d(0))
@@ -205,7 +213,7 @@ def _common_options(ap, suppress=False):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="jrlab",
         description="exact verification of invariant-theoretic, polyhedral "
                     "and p-adic identities for the GL(n) x GL(n+1) comparison")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from . import linalg as la
 
@@ -258,6 +258,20 @@ def _nonzero(covs, points) -> bool:
 # the root/weight machinery for one ambient space
 
 
+def _memo(method):
+    """Cache a method's results on its instance, so the cache goes with the
+    instance (a class-level cache would keep every instance alive)."""
+    @wraps(method)
+    def cached(self, *args):
+        key = (method, *args)
+        try:
+            return self._cache[key]
+        except KeyError:
+            out = self._cache[key] = method(self, *args)
+            return out
+    return cached
+
+
 class GTilde:
     """Weight data and cone characteristic functions for one ambient
     dimension; everything relevant to a pair of nested parabolic subspaces is
@@ -266,6 +280,7 @@ class GTilde:
     def __init__(self, n: int):
         self.n = n
         self.N = n + 1
+        self._cache = {}
 
     # -- subspace bases ------------------------------------------------------
 
@@ -289,7 +304,7 @@ class GTilde:
 
     # -- raw weights ----------------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @_memo
     def pi_hat_raw(self, P: ParabolicSubspace):
         """Indicator-sum covectors: one per chain member (the flag-determinant
         weights), in chain order."""
@@ -321,7 +336,7 @@ class GTilde:
                  for x, y in zip(_indicator(b1, self.N), _indicator(b2, self.N))]
                 for b1, b2, _, _ in self._walls(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def delta_hat(self, P: ParabolicSubspace, Q: ParabolicSubspace):
         """Relative fundamental weights: prefix indicators recentred inside
         the enclosing coarse block."""
@@ -342,13 +357,13 @@ class GTilde:
         return [la.vec_mat(la.solve(Gm, [la.dot(s, raw) for s in S]), S)
                 for raw in raw_list]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def pi(self, P: ParabolicSubspace, Q: ParabolicSubspace):
         """Relative simple roots restricted to the center space (in-subspace
         representatives)."""
         return self._restrict_project(P, Q, self.delta(P, Q))
 
-    @lru_cache(maxsize=None)
+    @_memo
     def pi_hat(self, P: ParabolicSubspace, Q: ParabolicSubspace):
         """Leftover flag weights restricted to the center space (in-subspace
         representatives)."""
@@ -372,26 +387,26 @@ class GTilde:
     # the base-coordinate sums of the arguments vanish (where the two
     # possible pullbacks of the roots agree).
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _tau_cov(self, P, Q):
         return [_pull_back(w, ()) for w in self.delta(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _tau_hat_cov(self, P, Q):
         return [_pull_back(w, ()) for w in self.delta_hat(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _sigma_cov(self, P, Q):
         return [_pull_back(w, {self.N - 1}) for w in self.delta(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _sigma_full_cov(self, P, Q):
         # roots pulled back through the second oblique projection (partner
         # of the full-correction hat realization in the dual alternating
         # sums)
         return [_pull_back(w, range(self.N)) for w in self.delta(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _sigma_hat_cov(self, P, Q):
         # the correction spreads over the super group's distinguished block
         # only, so the covectors factor through the Levi decomposition of Q;
@@ -399,7 +414,7 @@ class GTilde:
         support = {coordinate(l, self.N) for l in Q.e0_block()}
         return [_pull_back(w, support) for w in self.delta_hat(P, Q)]
 
-    @lru_cache(maxsize=None)
+    @_memo
     def _sigma_hat_full_cov(self, P, Q):
         # all-ones correction regardless of the pair: the pullback of the
         # relative weights through the second oblique projection of the

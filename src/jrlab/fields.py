@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 
 INERT = "inert"
@@ -149,12 +148,18 @@ class EScalar:
 
     def _coerce(self, other):
         if isinstance(other, EScalar):
-            if other.ctx.kind != self.ctx.kind:
-                raise ValueError("mixed extension kinds")
+            if other.ctx is not self.ctx:
+                self._check_ctx(other)
             return other
-        if isinstance(other, Rational):
+        if isinstance(other, (int, Fraction)):
             return self.ctx.embed(other)
         return None
+
+    def _check_ctx(self, other: "EScalar"):
+        """Elements of different extensions (another p or kind) never mix;
+        callers test `other.ctx is self.ctx` first, the common case."""
+        if other.ctx != self.ctx:
+            raise ValueError(f"mixed contexts: {self.ctx} and {other.ctx}")
 
     def conj(self) -> "EScalar":
         if self.ctx.kind == INERT:
@@ -196,10 +201,15 @@ class EScalar:
         return self.x == o.x and self.y == o.y
 
     def __hash__(self):
+        # base-field elements equal their Fraction, so they hash like it
+        if self.is_rational():
+            return hash(self.x)
         return hash((self.x, self.y, self.ctx.kind))
 
     def __add__(self, other):
         if type(other) is EScalar:
+            if other.ctx is not self.ctx:
+                self._check_ctx(other)
             return EScalar(self.x + other.x, self.y + other.y, self.ctx)
         o = self._coerce(other)
         if o is None:
@@ -213,6 +223,8 @@ class EScalar:
 
     def __sub__(self, other):
         if type(other) is EScalar:
+            if other.ctx is not self.ctx:
+                self._check_ctx(other)
             return EScalar(self.x - other.x, self.y - other.y, self.ctx)
         o = self._coerce(other)
         if o is None:
@@ -226,11 +238,13 @@ class EScalar:
         return EScalar(o.x - self.x, o.y - self.y, self.ctx)
 
     def __mul__(self, other):
-        if type(other) is not EScalar:
-            o = self._coerce(other)
-            if o is None:
+        if type(other) is EScalar:
+            if other.ctx is not self.ctx:
+                self._check_ctx(other)
+        else:
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = o
         if self.ctx.kind == INERT:
             return EScalar(self.x * other.x + self.y * other.y * self.ctx.eps,
                            self.x * other.y + self.y * other.x, self.ctx)

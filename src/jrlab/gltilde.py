@@ -87,10 +87,12 @@ class Decomposition:
 
 def act(g, X: Triple) -> Triple:
     """g . X = (g A g^{-1}, g b, c g^{-1})."""
-    gi = la.inverse([list(r) for r in g])
-    return Triple(la.mat_mul(la.mat_mul(g, X.A), gi),
-                  la.mat_vec(g, list(X.b)),
-                  la.vec_mat(list(X.c), gi))
+    return _conjugate(g, la.inverse(g), X)
+
+
+def _conjugate(g, gi, X: Triple) -> Triple:
+    """g . X for a g whose inverse gi is already known."""
+    return Triple(la.mat_mul(la.mat_mul(g, X.A), gi), la.mat_vec(g, X.b), la.vec_mat(X.c, gi))
 
 
 def moments(X: Triple, count: int) -> list:
@@ -103,35 +105,32 @@ def invariants(X: Triple) -> InvariantPoint:
     return InvariantPoint(tuple(monic_coeffs(chi)), tuple(moments(X, X.n)))
 
 
-def hankel_d(moments_of, n: int, r: int):
-    """Determinant of the r x r Hankel matrix (m_{i+j}) of a moment sequence
-    in dimension n, where moments_of(k) lists m_0..m_{k-1}; d_0 = 1, and 0
-    for r > n."""
+def hankel_d(ms, n: int, r: int):
+    """Determinant of the r x r Hankel matrix (m_{i+j}) of the moment list
+    ms = [m_0, ..., m_{2n-2}] in dimension n; d_0 = 1, and 0 for r > n."""
     if r < 0:
         raise ValueError("d_r needs r >= 0")
     if r == 0:
         return Fraction(1)
     if r > n:
         return Fraction(0)
-    ms = moments_of(2 * r - 1)
     return la.det([[ms[i + j] for j in range(r)] for i in range(r)])
 
 
 def d_r(X: Triple, r: int):
     """Determinant of the r x r moment matrix (c A^{i+j} b)."""
-    return hankel_d(lambda k: moments(X, k), X.n, r)
+    return hankel_d(moments(X, 2 * X.n - 1), X.n, r)
 
 
 def d_r_of_point(a: InvariantPoint, r: int):
     """d_r read off an invariant point (Hankel determinant of the moment
     sequence extended through the characteristic-polynomial recursion)."""
-    return hankel_d(lambda k: extend_moments(a, k), a.n, r)
+    return hankel_d(extend_moments(a, 2 * a.n - 1), a.n, r)
 
 
 def extend_moments(a: InvariantPoint, count: int) -> list:
     """Moments c A^k b for k = 0..count-1; beyond the stored ones they follow
     the recursion imposed by the characteristic polynomial."""
-    n = a.n
     ms = list(a.b[:count])
     while len(ms) < count:
         nxt = 0
@@ -141,18 +140,19 @@ def extend_moments(a: InvariantPoint, count: int) -> list:
     return ms
 
 
-def _top_stratum(d, n: int) -> int:
-    """The largest r in 1..n with d(r) != 0, else 0."""
-    return next((r for r in range(n, 0, -1) if d(r)), 0)
+def _top_stratum(ms, n: int) -> int:
+    """The largest r in 1..n whose leading Hankel minor of the moment list
+    ms = [m_0, ..., m_{2n-2}] is non-zero, else 0."""
+    return next((r for r in range(n, 0, -1) if hankel_d(ms, n, r)), 0)
 
 
 def stratum(X: Triple) -> int:
     """The unique r with d_r != 0 and d_i = 0 for all i > r."""
-    return _top_stratum(lambda r: d_r(X, r), X.n)
+    return _top_stratum(moments(X, 2 * X.n - 1), X.n)
 
 
 def stratum_of_point(a: InvariantPoint) -> int:
-    return _top_stratum(lambda r: d_r_of_point(a, r), a.n)
+    return _top_stratum(extend_moments(a, 2 * a.n - 1), a.n)
 
 
 def krylov_columns(X: Triple, r: int) -> list:
@@ -241,33 +241,24 @@ def conjugate_to_slice(X: Triple) -> tuple:
     """Change of basis putting X into the standard slice position; returns
     (g, g.X, r) with g the basis-change matrix inverse."""
     dec = canonical_decomposition(X)
-    T = [list(col) for col in zip(*(list(dec.basis_plus) + list(dec.basis_minus)))]
+    T = list(zip(*(dec.basis_plus + dec.basis_minus)))
     g = la.inverse(T)
-    return g, act(g, X), dec.r
+    return g, _conjugate(g, T, X), dec.r
 
 
 def jordan(X: Triple) -> tuple[Triple, Triple]:
     """Relative Jordan decomposition X = X_s + X_n (semisimple invariant-
     preserving part plus nilpotent-invariant part)."""
-    n = X.n
     r = stratum(X)
-    if r == n:
-        zero = Triple([[x * 0 for x in row] for row in X.A],
-                      [x * 0 for x in X.b], [x * 0 for x in X.c])
-        return X, zero
+    if r == X.n:
+        return X, X - X
     if r == 0:
-        As = la.semisimple_part([list(row) for row in X.A])
-        An = la.mat_sub([list(row) for row in X.A], As)
-        zv = [x * 0 for x in X.b]
-        zc = [x * 0 for x in X.c]
-        return Triple(As, zv, zc), Triple(An, list(X.b), list(X.c))
+        Xs = Triple(la.semisimple_part(X.A), [x * 0 for x in X.b], [x * 0 for x in X.c])
+        return Xs, X - Xs
     g, Xstd, _ = conjugate_to_slice(X)
     Xp, Y = iota_inverse(Xstd, r)
-    Bs = la.semisimple_part([list(row) for row in Y.A])
-    Ys = Triple(Bs, [x * 0 for x in Y.b], [x * 0 for x in Y.c])
-    Xs_std = iota(Xp, Ys)
-    gi = la.inverse(g)
-    Xs = act(gi, Xs_std)
+    Ys = Triple(la.semisimple_part(Y.A), [x * 0 for x in Y.b], [x * 0 for x in Y.c])
+    Xs = _conjugate(la.inverse(g), g, iota(Xp, Ys))
     return Xs, X - Xs
 
 
@@ -276,28 +267,18 @@ def is_semisimple(X: Triple) -> bool:
     semisimplicity of the induced map on the minus summand; the vector must
     lie in the plus summand and the covector must kill the minus summand
     (otherwise the full Krylov spans outgrow the canonical ones and the
-    orbit is not closed)."""
-    dec = canonical_decomposition(X)
-    plus = [list(v) for v in dec.basis_plus]
-    minus = [list(v) for v in dec.basis_minus]
-    r = dec.r
+    orbit is not closed).  All are read off X in slice position; a
+    regular triple has no minus summand and is semisimple."""
     n = X.n
-    if any(la.dot(X.c, v) for v in minus):
-        return False
-    T = [list(col) for col in zip(*(plus + minus))]
-    Ti = la.inverse(T)
-    if any(la.mat_vec(Ti, list(X.b))[r:]):
-        return False
-    Astd = la.mat_mul(Ti, la.mat_mul(X.A, T))
-    for i in range(n):
-        for j in range(n):
-            if (i < r) != (j < r) and Astd[i][j]:
-                return False
-    if not minus:
+    if stratum(X) == n:
         return True
-    Am = [row[r:] for row in Astd[r:]]
-    chi = la.charpoly(Am)
-    return la.is_zero_matrix(la.poly_apply(squarefree_part(chi), Am))
+    _, Y, r = conjugate_to_slice(X)
+    if any(Y.c[r:]) or any(Y.b[r:]):
+        return False
+    if any(Y.A[i][j] for i in range(n) for j in range(n) if (i < r) != (j < r)):
+        return False
+    Am = [row[r:] for row in Y.A[r:]]
+    return la.is_zero_matrix(la.poly_apply(squarefree_part(la.charpoly(Am)), Am))
 
 
 def pairing(X: Triple, Y: Triple):
@@ -340,13 +321,13 @@ def slice_compatibility_check(parts: list[Triple]) -> dict:
     X = direct_sum(parts)
     n = X.n
     lhs = d_r(X, n)
-    chi = la.charpoly([list(r) for r in X.A])
+    chi = la.charpoly(X.A)
     disc_total = discriminant(chi) if n >= 1 else Fraction(1)
     if disc_total == 0:
         raise ZeroDivisionError("disc=0: blocks share an eigenvalue")
     rhs = disc_total
     for p in parts:
-        chi_i = la.charpoly([list(r) for r in p.A])
+        chi_i = la.charpoly(p.A)
         disc_i = discriminant(chi_i) if p.n >= 1 else Fraction(1)
         if disc_i == 0:
             raise ZeroDivisionError("disc=0: a block is not regular semisimple")

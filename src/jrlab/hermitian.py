@@ -14,7 +14,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import linalg as la
-from .fields import EScalar, PLocalContext, INERT, eta, eta_ext, is_norm, valuation
+from .fields import (EScalar, PLocalContext, INERT, eta, eta_ext, is_norm, one_like,
+                     valuation)
 from .gltilde import (InvariantPoint, Triple, d_r_of_point, extend_moments,
                       hankel_d, invariants, is_semisimple, jordan, moments,
                       pairing, stratum, stratum_of_point)
@@ -36,23 +37,17 @@ class HermitianForm:
         n = len(g)
         if any(len(r) != n for r in g):
             raise ValueError("Gram matrix must be square")
-        if la.conj_transpose([list(r) for r in g]) != [list(r) for r in g]:
+        if la.conj_transpose(g) != [list(r) for r in g]:
             raise ValueError("Gram matrix is not sigma-hermitian")
-        if not la.det([list(r) for r in g]):
+        if not la.det(g):
             raise ValueError("degenerate form")
 
     @property
     def n(self) -> int:
         return len(self.gram)
 
-    def apply(self, v, w):
-        """Phi(v, w) = sigma(v)^T Gram w."""
-        vb = [x.conj() for x in v]
-        return la.dot(vb, la.mat_vec([list(r) for r in self.gram], list(w)))
-
     def det(self) -> Fraction:
-        d = la.det([list(r) for r in self.gram])
-        return d.as_fraction()
+        return la.det(self.gram).as_fraction()
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class HermitianPair:
         object.__setattr__(self, "b", tuple(self.b))
         if len(self.A) != self.form.n or len(self.b) != self.form.n:
             raise ValueError("dimension mismatch with the form")
-        if not is_selfadjoint([list(r) for r in self.A], self.form):
+        if not is_selfadjoint(self.A, self.form):
             raise ValueError("A is not self-adjoint for the form")
 
     @property
@@ -79,33 +74,32 @@ class HermitianPair:
 
     @cached_property
     def triple(self) -> Triple:
-        G = [list(r) for r in self.form.gram]
-        return Triple(self.A, self.b, la.vec_mat([x.conj() for x in self.b], G))
+        return Triple(self.A, self.b, la.vec_mat([x.conj() for x in self.b], self.form.gram))
 
 
 def is_selfadjoint(A, form: HermitianForm) -> bool:
-    """sigma(A)^T Gram == Gram A."""
-    G = [list(r) for r in form.gram]
+    """sigma(A)^T Gram == Gram A; as Gram is hermitian, the left side is
+    sigma(Gram A)^T, so Gram A must be hermitian."""
     if len(A) != form.n:
         raise ValueError("dimension mismatch")
-    return la.mat_mul(la.conj_transpose(A), G) == la.mat_mul(G, A)
+    GA = la.mat_mul(form.gram, A)
+    return la.conj_transpose(GA) == GA
 
 
 def adjoint(M, form: HermitianForm):
     """Phi-adjoint: Gram^{-1} sigma(M)^T Gram."""
-    G = [list(r) for r in form.gram]
+    G = form.gram
     return la.mat_mul(la.inverse(G), la.mat_mul(la.conj_transpose(M), G))
 
 
 def unitary_act(g, X: HermitianPair) -> HermitianPair:
-    gi = la.inverse([list(r) for r in g])
-    return HermitianPair(la.mat_mul(g, la.mat_mul([list(r) for r in X.A], gi)),
-                         la.mat_vec(g, list(X.b)), X.form)
+    gi = la.inverse(g)
+    return HermitianPair(la.mat_mul(g, la.mat_mul(X.A, gi)), la.mat_vec(g, X.b), X.form)
 
 
 def is_unitary(g, form: HermitianForm) -> bool:
-    G = [list(r) for r in form.gram]
-    return la.mat_mul(la.conj_transpose(g), la.mat_mul(G, g)) == G
+    return (la.mat_mul(la.conj_transpose(g), la.mat_mul(form.gram, g))
+            == [list(r) for r in form.gram])
 
 
 def random_unitary(form: HermitianForm, rng, bound: int = 2):
@@ -150,7 +144,7 @@ def u_invariants(X: HermitianPair) -> InvariantPoint:
 
 def u_d_r(X: HermitianPair, r: int):
     """The Hankel determinant d_r of the moments Phi(b, A^k b), over F."""
-    return hankel_d(lambda k: _in_base_field(moments(X.triple, k), "moment"), X.n, r)
+    return hankel_d(_in_base_field(moments(X.triple, 2 * X.n - 1), "moment"), X.n, r)
 
 
 def u_stratum(X: HermitianPair) -> int:
@@ -256,11 +250,7 @@ def splits_over_ext(P_i: Polynomial, ctx: PLocalContext) -> bool:
         return False
     if P_i.degree != 2:
         raise ValueError("only degree <= 2 supported")
-    d = Fraction(discriminant(P_i)) / ctx.eps
-    if d < 0:
-        return False
-    num, den = d.numerator, d.denominator
-    return _is_square(num) and _is_square(den)
+    return _is_rational_square(Fraction(discriminant(P_i)) / ctx.eps)
 
 
 def _is_square(n: int) -> bool:
@@ -282,39 +272,12 @@ def _irreducible_deg_le2(P: Polynomial) -> bool:
     return False
 
 
-class QuadAlgebraElement:
-    """Element x + y*alpha of E[t]/(P) for a monic quadratic P = t^2+st+q,
-    with E-coefficients; sigma acts on coefficients only."""
-
-    __slots__ = ("x", "y", "s", "q")
-
-    def __init__(self, x: EScalar, y: EScalar, s: Fraction, q: Fraction):
-        self.x, self.y, self.s, self.q = x, y, s, q
-
-    def __add__(self, o):
-        return QuadAlgebraElement(self.x + o.x, self.y + o.y, self.s, self.q)
-
-    def __mul__(self, o):
-        # (x1 + y1 a)(x2 + y2 a) with a^2 = -s a - q
-        x = self.x * o.x - self.q * (self.y * o.y)
-        y = self.x * o.y + self.y * o.x - self.s * (self.y * o.y)
-        return QuadAlgebraElement(x, y, self.s, self.q)
-
-    def conj_sigma(self):
-        return QuadAlgebraElement(self.x.conj(), self.y.conj(), self.s, self.q)
-
-    def trace_down(self) -> EScalar:
-        """Trace to E: tr(x + y a) = 2x - s y."""
-        return self.x + self.x - self.s * self.y
-
-
 def _traced_quadratic_block(P_i: Polynomial, n_i: int, unit: Fraction,
                             ctx: PLocalContext):
     """Gram (over E) of the traced form on (E[t]/P_i)^{n_i} given by
     <u, v> = tr(sigma(u)^T diag(unit,1,..,1) v), in the E-basis
     (e_k, alpha e_k); also the matrix of multiplication by alpha."""
     s_, q_ = (Fraction(c) for c in (P_i.coeffs[1], P_i.coeffs[0]))
-    one = ctx.embed(1)
     dim = 2 * n_i
     gram = [[ctx.embed(0) for _ in range(dim)] for _ in range(dim)]
     # basis ordering: (e_1, a e_1, e_2, a e_2, ...)
@@ -349,6 +312,7 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     """
     if ctx.kind != INERT:
         raise ValueError("orbit inventory needs an inert context")
+    zero = ctx.embed(0)
     n = a.n
     r = stratum_of_point(a)
     chi = Polynomial([Fraction(x) for x in
@@ -364,6 +328,8 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     if prod.degree != n - r:
         raise ValueError("factorization mismatch: wrong total degree")
     for (P_i, n_i, flag) in factored:
+        if flag not in ("inert", "split"):
+            raise ValueError(f"unknown flag {flag!r}: expected 'inert' or 'split'")
         if not _irreducible_deg_le2(P_i):
             raise ValueError("factor fails the irreducibility certificate")
         if gcd(P_i, P_i.derivative()).degree > 0:
@@ -380,40 +346,29 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     from itertools import product as iproduct
     for labels in iproduct((True, False), repeat=len(inert_idx)):
         label_map = dict(zip(inert_idx, labels))
-        blocks_gram, blocks_A, blocks_b = [], [], []
+        blocks_gram, blocks_A, b = [], [], [zero] * (n - r)
         if r:
             plus = hankel_pair_for_point(a_plus, ctx)
-            blocks_gram.append([list(row) for row in plus.form.gram])
-            blocks_A.append([list(row) for row in plus.A])
-            blocks_b.append(list(plus.b))
+            blocks_gram.append(plus.form.gram)
+            blocks_A.append(plus.A)
+            b = list(plus.b) + b
+        # a split factor has degree 2 (splits_over_ext is False in degree 1)
         for k, (P_i, n_i, flag) in enumerate(factored):
-            deg = P_i.degree
             if flag == "inert":
                 _fi_valuation_data(P_i, ctx)
-                unit = Fraction(1) if label_map[k] else Fraction(ctx.p)
-                if deg == 1:
-                    root = -Fraction(P_i.coeffs[0])
-                    g = [[ctx.embed(unit if i == j == 0 else (1 if i == j else 0))
-                          for j in range(n_i)] for i in range(n_i)]
-                    A = [[ctx.embed(root if i == j else 0) for j in range(n_i)]
-                         for i in range(n_i)]
-                    blocks_gram.append(g)
-                    blocks_A.append(A)
-                    blocks_b.append([ctx.embed(0)] * n_i)
-                else:
-                    g, A = _traced_quadratic_block(P_i.monic(), n_i, unit, ctx)
-                    blocks_gram.append(g)
-                    blocks_A.append(A)
-                    blocks_b.append([ctx.embed(0)] * (2 * n_i))
+            unit = Fraction(1) if flag == "split" or label_map[k] else Fraction(ctx.p)
+            if P_i.degree == 1:
+                root = -Fraction(P_i.coeffs[0])
+                g = [[ctx.embed(unit if i == j == 0 else (1 if i == j else 0))
+                      for j in range(n_i)] for i in range(n_i)]
+                A = [[ctx.embed(root if i == j else 0) for j in range(n_i)]
+                     for i in range(n_i)]
             else:
-                g, A = _traced_quadratic_block(P_i.monic(), n_i, Fraction(1), ctx)
-                blocks_gram.append(g)
-                blocks_A.append(A)
-                blocks_b.append([ctx.embed(0)] * (2 * n_i))
-        zero = ctx.embed(0)
+                g, A = _traced_quadratic_block(P_i.monic(), n_i, unit, ctx)
+            blocks_gram.append(g)
+            blocks_A.append(A)
         form = HermitianForm(la.block_diag(blocks_gram, zero), ctx)
-        rep = HermitianPair(la.block_diag(blocks_A, zero),
-                            [x for b_blk in blocks_b for x in b_blk], form)
+        rep = HermitianPair(la.block_diag(blocks_A, zero), b, form)
         got = u_invariants(rep)
         if got != a:
             raise AssertionError("representative does not reproduce the invariant point")
@@ -467,8 +422,7 @@ def cayley(Y, params: CayleyParams):
     if not la.det(den):
         raise ZeroDivisionError("kappa pole: det(1 - tau^{-1} Y) = 0")
     num = la.mat_add(I, tY)
-    r = la.mat_scale(la.mat_mul(num, la.inverse(den)), -params.xi)
-    return r
+    return la.mat_scale(la.mat_mul(num, la.inverse(den)), -params.xi)
 
 
 def cayley_gl(Y, params: CayleyParams):
@@ -501,8 +455,7 @@ def cayley_inverse(r, params: CayleyParams):
     den = la.mat_add(w, I)
     if not la.det(den):
         raise ZeroDivisionError("inverse Cayley pole")
-    Y = la.mat_scale(la.mat_mul(la.mat_sub(w, I), la.inverse(den)), params.tau)
-    return Y
+    return la.mat_scale(la.mat_mul(la.mat_sub(w, I), la.inverse(den)), params.tau)
 
 
 def in_twisted_space(g) -> bool:
@@ -514,12 +467,12 @@ def in_twisted_space(g) -> bool:
 
 
 def group_moments(Y, e0_index: int, count: int, form: HermitianForm | None = None):
-    """e0^* Y^i e0 (form None) or Phi(e0, Y^i e0), i = 1..count."""
+    """e0^* Y^i e0 (form None) or Phi(e0, Y^i e0), i = 1..count: the moments
+    c Y^i e0 of the triple (Y, e0, c) with c = e0^T or sigma(e0)^T Gram,
+    the Gram row of e0 (e0 is rational)."""
     e0 = la.identity(len(Y), Y[0][0].ctx.embed(1))[e0_index]
-    vs = la.krylov(Y, e0, count + 1)[1:]
-    if form is None:
-        return [v[e0_index] for v in vs]
-    return [form.apply(e0, v) for v in vs]
+    c = e0 if form is None else form.gram[e0_index]
+    return moments(Triple(Y, e0, c), count + 1)[1:]
 
 
 def match_invariants_group(Y1, Y2, form_ext: HermitianForm) -> bool:
@@ -567,8 +520,8 @@ def matched_endomorphism_pair(rng, n: int, form_ext: HermitianForm, bound: int =
 
 
 def _moment_basis_det(x, e0_index: int):
-    """det(e0, x e0, ..., x^n e0) over the extension."""
-    e0 = la.identity(len(x), x[0][0].ctx.embed(1))[e0_index]
+    """det(e0, x e0, ..., x^n e0) in the scalar domain of x."""
+    e0 = la.identity(len(x), one_like(x[0][0]))[e0_index]
     return la.det(la.krylov(x, e0, len(x)))          # rows: det is transpose-invariant
 
 
@@ -605,7 +558,7 @@ def eta_tilde_end(Y, ctx: PLocalContext) -> int:
     eta((-1)^n det(e0, Y e0, ..., Y^n e0)), e0 the last basis vector."""
     N = len(Y)
     n = N - 1
-    D = la.det(la.krylov(Y, la.identity(N)[N - 1], N))   # rows: det is transpose-invariant
+    D = _moment_basis_det(Y, N - 1)
     if D == 0:
         raise ValueError("non-regular element")
     return eta((-1) ** n * D, ctx)

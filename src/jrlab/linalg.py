@@ -215,19 +215,17 @@ def charpoly(A) -> Polynomial:
     assert n == m
     if n == 0:
         return Polynomial([1])
-    one = _one(A)
-    I = identity(n, one)
-    M = [row[:] for row in I]
-    coeffs = [one]          # descending: t^n coefficient first
+    coeffs = [_one(A)]      # descending: t^n coefficient first
+    M = A                   # M_k = A (M_{k-1} + c_{k-1} I), M_1 = A
     for k in range(1, n + 1):
-        M = mat_mul(A, M)
         tr = M[0][0]
         for i in range(1, n):
             tr = tr + M[i][i]
         c = tr * Fraction(-1, k)
         coeffs.append(c)
         if k < n:
-            M = mat_add(M, mat_scale(I, c))
+            M = mat_mul(A, [[x + c if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(M)])
     return Polynomial(list(reversed(coeffs)))
 
 

@@ -14,15 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg as la
-from .fields import (EScalar, INERT, InfiniteValuation, PLocalContext, eta,
-                     is_integral, one_like, residue, valuation, valuation_ext,
-                     zero_like)
+from .fields import (EScalar, INERT, PLocalContext, eta, is_integral, one_like,
+                     residue, valuation, valuation_ext, zero_like)
 from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
                       dual_krylov_rows, invariants, stratum,
                       transfer_factor_eta)
-from .hermitian import (HermitianForm, HermitianPair, classify_form_local,
-                        companion_matrix, hankel_pair_for_point, u_invariants,
-                        u_stratum)
+from .hermitian import (HermitianPair, classify_form_local, companion_matrix,
+                        hankel_pair_for_point, u_invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +154,46 @@ def intermediate_lattices(M, ctx: PLocalContext):
                              valuation)
 
 
-def admissible_lattices_gl(X: Triple, ctx: PLocalContext) -> list[Lattice]:
-    """All lattices stable under the matrix, containing the vector and
-    integral against the covector; the Krylov span and the dual-Krylov
-    polar sandwich the candidates, with index exactly p^(v(d_n))."""
+def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None):
+    """Bases B of the lattices stable under the matrix, containing the
+    vector and integral against the covector, that pass keep(B) if given.
+    With K the Krylov basis and L the dual-Krylov rows, L B lies between
+    M O^n, M = L K the moment matrix, and O^n: so B = L^{-1} H for the H
+    that lattices_between(M, ctx) enumerates.  None when M is not
+    p-integral, as then no lattice qualifies."""
     n = X.n
     if stratum(X) != n:
-        raise ValueError("admissible lattices need a regular semisimple triple")
-    K = basis_matrix(X)
+        raise ValueError("admissible lattices need a regular semisimple element")
     L = dual_krylov_rows(X, n)
-    M = la.mat_mul(L, K)
-    dn = d_r(X, n)
-    assert valuation(la.det(M), ctx) == valuation(dn, ctx)
+    M = la.mat_mul(L, basis_matrix(X))
+    if la.det(M) != d_r(X, n):
+        raise AssertionError("the moment matrix does not have determinant d_n")
+    if not all(is_integral(x, ctx) for row in M for x in row):
+        return None
     Li = la.inverse(L)
-    A = [list(r) for r in X.A]
     out = []
-    for H in intermediate_lattices(M, ctx):
+    for H in lattices_between(M, ctx):
         B = la.mat_mul(Li, H)
+        if keep is not None and not keep(B):
+            continue
         Bi = la.inverse(B)
-        AB = la.mat_mul(Bi, la.mat_mul(A, B))
+        AB = la.mat_mul(Bi, la.mat_mul(X.A, B))
         if not all(is_integral(x, ctx) for row in AB for x in row):
             continue
-        if not all(is_integral(x, ctx) for x in la.mat_vec(Bi, list(X.b))):
+        if not all(is_integral(x, ctx) for x in la.mat_vec(Bi, X.b)):
             continue
-        if not all(is_integral(x, ctx) for x in la.vec_mat(list(X.c), B)):
+        if not all(is_integral(x, ctx) for x in la.vec_mat(X.c, B)):
             continue
-        out.append(hermite_normalize(B, ctx))
+        out.append(B)
     return out
+
+
+def admissible_lattices_gl(X: Triple, ctx: PLocalContext) -> list[Lattice]:
+    """All lattices stable under the matrix, containing the vector and
+    integral against the covector, in p-normalized Hermite form."""
+    bases = _admissible_bases(X, ctx, intermediate_lattices)
+    # non-integral moment data admits no lattice
+    return [hermite_normalize(B, ctx) for B in bases or []]
 
 
 @dataclass(frozen=True)
@@ -233,37 +244,23 @@ def intermediate_lattices_ext(M, ctx: PLocalContext):
 
 
 def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):
-    """Self-dual stable lattices containing the vector: every candidate sits
-    between the Krylov floor and its polar, so the enumeration runs over the
-    finite quotient and filters by unimodularity of the Gram matrix."""
-    n = X.n
-    if u_stratum(X) != n:
-        raise ValueError("needs a regular semisimple pair")
-    A = [list(r) for r in X.A]
-    K = basis_matrix(X.triple)
-    G = [list(r) for r in X.form.gram]
-    gram_floor = la.mat_mul(la.conj_transpose(K), la.mat_mul(G, K))
-    if not all(is_integral(x, ctx) for row in gram_floor for x in row):
-        raise ValueError("the moment data is not integral at p")
-    # polar basis F with F^{-1} K = gram_floor
-    F = la.inverse(la.mat_mul(la.conj_transpose(K), G))
-    out = []
-    for H in intermediate_lattices_ext(gram_floor, ctx):
-        B = la.mat_mul(F, H)
+    """Self-dual stable lattices containing the vector: the admissible
+    lattices of the linear triple (A, b, sigma(b)^T Gram) over the extension
+    whose Gram matrix is unimodular.  As A is self-adjoint, the triple's
+    moment matrix is the Gram matrix K* Gram K of the Krylov basis."""
+    G = X.form.gram
+
+    def unimodular(B):
         gr = la.mat_mul(la.conj_transpose(B), la.mat_mul(G, B))
         if not all(is_integral(x, ctx) for row in gr for x in row):
-            continue
+            return False
         d = la.det(gr)
-        if not d or valuation_ext(d, ctx) != 0:
-            continue
-        Bi = la.inverse(B)
-        AB = la.mat_mul(Bi, la.mat_mul(A, B))
-        if not all(is_integral(x, ctx) for row in AB for x in row):
-            continue
-        if not all(is_integral(x, ctx) for x in la.mat_vec(Bi, list(X.b))):
-            continue
-        out.append(B)
-    return out
+        return bool(d) and valuation_ext(d, ctx) == 0
+
+    bases = _admissible_bases(X.triple, ctx, intermediate_lattices_ext, unimodular)
+    if bases is None:
+        raise ValueError("the moment data is not integral at p")
+    return bases
 
 
 def orbital_u(X: HermitianPair, ctx: PLocalContext) -> OrbitalReport:

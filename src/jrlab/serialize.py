@@ -23,6 +23,10 @@ def frac_to_str(x) -> str:
 
 
 def frac_from_str(s) -> Fraction:
+    """An exact scalar from a "num/den" string or an integer; floats (and
+    booleans) are refused, as they carry no exact value."""
+    if isinstance(s, (float, bool)):
+        raise ValueError(f"scalar {s!r} is not exact: write it as a \"num/den\" string")
     return Fraction(s)
 
 
@@ -43,9 +47,19 @@ def triple_to_json(X: Triple) -> dict:
 
 
 def triple_from_json(obj) -> Triple:
+    if not obj["b"]:
+        raise ValueError("a triple needs dimension n >= 1")
     return Triple([[frac_from_str(x) for x in row] for row in obj["A"]],
                   [frac_from_str(x) for x in obj["b"]],
                   [frac_from_str(x) for x in obj["c"]])
+
+
+def square_from_json(rows, scalar=frac_from_str) -> list:
+    """A non-empty square matrix of scalars read by scalar(x)."""
+    M = [[scalar(x) for x in row] for row in rows]
+    if not M or any(len(row) != len(M) for row in M):
+        raise ValueError("matrix must be square and non-empty")
+    return M
 
 
 def point_to_json(a: InvariantPoint) -> dict:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -130,6 +132,22 @@ def test_families_structure():
         # the fiber over the full product contains the full group
         if R == product_full(datum):
             assert any(P.is_group() for P in fib)
+
+
+def test_gtilde_is_freed_after_a_suite(monkeypatch):
+    """The covector caches live on their GTilde, so a suite's GTilde goes
+    away with the suite."""
+    refs = []
+    init = GTilde.__init__
+
+    def recording_init(self, n):
+        init(self, n)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(GTilde, "__init__", recording_init)
+    cones_suite(1, points=20, seed=3)
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
 
 
 def test_cones_suite_small():

@@ -197,3 +197,22 @@ def test_squarefree_part():
     sf = squarefree_part(P)
     assert sf == (t * Polynomial([F(-1), F(1)])).monic()
     assert is_squarefree(sf)
+
+
+def test_escalar_refuses_mixed_contexts():
+    a, b = CTX3.embed(2) + CTX3.sqrt_eps(), CTX5.embed(3)
+    for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a / b,
+               lambda: a == b, lambda: a * SPLIT3.embed(1)):
+        with pytest.raises(ValueError):
+            op()
+    # an equal context built separately is the same extension
+    assert a * PLocalContext(3).embed(2) == a + a
+
+
+@pytest.mark.parametrize("ctx", [CTX3, SPLIT3], ids=["inert", "split"])
+def test_escalar_base_field_hashes_like_fraction(ctx):
+    assert ctx.embed(3) == 3 and hash(ctx.embed(3)) == hash(3)
+    assert hash(ctx.embed(F(1, 2))) == hash(F(1, 2))
+    assert len({ctx.embed(3), 3}) == 1
+    with pytest.raises(TypeError):
+        ctx.embed(1) * 1.5

@@ -224,3 +224,23 @@ def test_slice_compatibility_degenerate():
 def test_slice_compatibility_single_block():
     rep = slice_compatibility_check([Triple([[F(2)]], [F(3)], [F(5)])])
     assert rep["ratio"] in (1, -1)
+
+
+def test_jordan_inverts_the_slice_basis_twice(monkeypatch):
+    """A mixed-stratum Jordan decomposition conjugates to the slice and back
+    with one n x n inverse each way."""
+    X = act([[F(1), F(2), F(0)], [F(0), F(1), F(-1)], [F(1), F(0), F(1)]],
+             Triple([[F(3), F(0), F(0)], [F(0), F(2), F(1)], [F(0), F(0), F(2)]],
+                    [F(1), F(0), F(0)], [F(2), F(0), F(0)]))
+    assert stratum(X) == 1
+    sizes = []
+    inverse = la.inverse
+
+    def counting(A):
+        sizes.append(len(A))
+        return inverse(A)
+
+    monkeypatch.setattr(la, "inverse", counting)
+    Xs, Xn = jordan(X)
+    assert sizes.count(3) == 2
+    assert invariants(Xs) == invariants(X) and invariants(Xn).is_nilpotent()

@@ -374,3 +374,10 @@ def test_factor_compat_constancy():
         gY = la.mat_mul(g, la.mat_mul(Y, la.inverse(g)))
         rep2 = factor_compat_check([Y, gY], PARAMS, CTX)
         assert rep2["constant"]
+
+
+def test_orbit_inventory_rejects_unknown_flags():
+    t = Polynomial([F(0), F(1)])
+    for flag in ("Inert", "ramified"):
+        with pytest.raises(ValueError, match="unknown flag"):
+            orbit_inventory(InvariantPoint((F(0),), (F(0),)), [(t, 1, flag)], CTX)

@@ -121,6 +121,43 @@ def test_cli_rejects_small_sizes(argv):
     assert proc.stderr.startswith("parse error")
 
 
+@pytest.mark.parametrize("argv", [["fl", "--n", "0"], ["fl", "--p", "4"], ["fl", "--p", "9"],
+                                  ["toy", "--p", "4"], ["cayley", "--p", "9", "in.json"]])
+def test_cli_rejects_bad_flags(argv, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"Y": [["1", "2"], ["3", "1/2"]]}))
+    argv = [str(path) if a == "in.json" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error")
+
+
+ONE_J, ZERO_J = {"x": "1", "y": "0"}, {"x": "0", "y": "0"}
+
+
+@pytest.mark.parametrize("command,inp", [
+    ("jordan", {"A": [["1/0"]], "b": ["1"], "c": ["1"]}),
+    ("invariants", [1, 2]),
+    ("jordan", [1, 2]),
+    ("cayley", {"Y": [["1", "2"], ["3"]]}),
+    ("cayley", {"Y": [["1", "2"]]}),
+    ("invariants", {"A": [[1.5]], "b": ["1"], "c": ["1"]}),
+    ("invariants", {"A": [[True]], "b": ["1"], "c": ["1"]}),
+    ("invariants", {"A": [], "b": [], "c": []}),
+    ("jordan", {"A": [], "b": [], "c": []}),
+    ("match", {"Y1": [["1"]], "Y2": [], "form": {}}),
+    ("match", {"Y1": [[ONE_J, ZERO_J], [ZERO_J]], "Y2": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]],
+               "form": {"gram": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]]}}),
+], ids=["zero-denominator", "list-invariants", "list-jordan", "ragged-cayley",
+        "nonsquare-cayley", "float", "bool", "n0-invariants", "n0-jordan", "match-shape",
+        "ragged-match"])
+def test_cli_rejects_bad_input(command, inp, tmp_path):
+    proc = run_cli([command], inp, tmp_path)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error")
+
+
 def test_cli_fl_and_determinism():
     cmd = [sys.executable, "-m", "jrlab.cli", "fl", "--n", "1", "--p", "3",
            "--budget-valuation", "3", "--seed", "5", "--json-only"]
