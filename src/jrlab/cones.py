@@ -645,8 +645,7 @@ class DescentEngine:
         self.g = GTilde(datum.n)
         self.gi = [GTilde(len(p)) for p in datum.parts]
         self.minus = datum.minus_coords()
-        self._desc_cov_cache = {}
-        self._families_cache = {}
+        self._cache = {}
 
     # -- point embeddings ------------------------------------------------------
 
@@ -711,23 +710,20 @@ class DescentEngine:
 
     # -- the descent kernel ------------------------------------------------------
 
+    @_memo
     def sigma_descent_cov(self, P: ParabolicSubspace, T: ParabolicSubspace):
         """Relative root covectors with each wall touching the distinguished
         block corrected over (the factor of its other side) + (the
         distinguished line); walls away from that block need no correction.
         This is the realization under which the product kernel splits into
         the rigid members' kernels."""
-        key = (P, T)
-        cache = self._desc_cov_cache
-        if key not in cache:
-            covs = []
-            for w in self.g.delta(P, T):
-                # the other side of the wall is where w has the opposite sign
-                # to its distinguished entry
-                parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
-                covs.append(_pull_back(w, {self.g.N - 1} | {l - 1 for p in parts for l in p}))
-            cache[key] = covs
-        return cache[key]
+        covs = []
+        for w in self.g.delta(P, T):
+            # the other side of the wall is where w has the opposite sign
+            # to its distinguished entry
+            parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
+            covs.append(_pull_back(w, {self.g.N - 1} | {l - 1 for p in parts for l in p}))
+        return covs
 
     def sigma_descent(self, P, T, H) -> int:
         return _all_pos(self.sigma_descent_cov(P, T), H)
@@ -766,12 +762,11 @@ class DescentEngine:
 
     # -- families ------------------------------------------------------------------
 
+    @_memo
     def families(self, R: ProductParabolic):
         """(closure family, fiber family, rigid fiber family) of the ambient
         parabolic subspaces above the distinguished Levi, sorted by the
         factorwise image."""
-        if R in self._families_cache:
-            return self._families_cache[R]
         m1 = self.datum.m1_blocks()
         cands = enumerate_parabolic_subspaces(self.datum.n, levi_blocks=m1)
         fbar, fib, f0 = [], [], []
@@ -784,5 +779,4 @@ class DescentEngine:
                 fib.append(P)
                 if self.same_space(self.z_basis_ambient(P), zR):
                     f0.append(P)
-        self._families_cache[R] = (fbar, fib, f0)
         return fbar, fib, f0

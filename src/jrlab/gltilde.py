@@ -166,7 +166,11 @@ def dual_krylov_rows(X: Triple, r: int) -> list:
 
 
 def canonical_decomposition(X: Triple) -> Decomposition:
-    r = stratum(X)
+    return _decomposition(X, stratum(X))
+
+
+def _decomposition(X: Triple, r: int) -> Decomposition:
+    """The canonical direct sum of X, whose stratum r is known."""
     plus = krylov_columns(X, r)
     minus = la.nullspace(dual_krylov_rows(X, r)) if r else la.identity(X.n, one_like(X.A[0][0]))
     T = [list(col) for col in zip(*(plus + minus))]
@@ -240,25 +244,33 @@ def iota_inverse(X: Triple, r: int) -> tuple[Triple | None, Triple]:
 def conjugate_to_slice(X: Triple) -> tuple:
     """Change of basis putting X into the standard slice position; returns
     (g, g.X, r) with g the basis-change matrix inverse."""
-    dec = canonical_decomposition(X)
+    r = stratum(X)
+    return (*_to_slice(X, r), r)
+
+
+def _to_slice(X: Triple, r: int) -> tuple:
+    """(g, g.X) for X of stratum r, g the inverse of its canonical basis."""
+    dec = _decomposition(X, r)
     T = list(zip(*(dec.basis_plus + dec.basis_minus)))
     g = la.inverse(T)
-    return g, _conjugate(g, T, X), dec.r
+    return g, _conjugate(g, T, X)
 
 
 def jordan(X: Triple) -> tuple[Triple, Triple]:
     """Relative Jordan decomposition X = X_s + X_n (semisimple invariant-
     preserving part plus nilpotent-invariant part)."""
+    n = X.n
     r = stratum(X)
-    if r == X.n:
+    if r == n:
         return X, X - X
-    if r == 0:
-        Xs = Triple(la.semisimple_part(X.A), [x * 0 for x in X.b], [x * 0 for x in X.c])
-        return Xs, X - Xs
-    g, Xstd, _ = conjugate_to_slice(X)
-    Xp, Y = iota_inverse(Xstd, r)
-    Ys = Triple(la.semisimple_part(Y.A), [x * 0 for x in Y.b], [x * 0 for x in Y.c])
-    Xs = _conjugate(la.inverse(g), g, iota(Xp, Ys))
+    # in slice position X_s is the plus block beside the semisimple part of
+    # the minus block, with the vector and covector of the plus block
+    g, Y = _to_slice(X, r)
+    zero = zero_like(X.A[0][0])
+    As = la.block_diag([[row[:r] for row in Y.A[:r]],
+                        la.semisimple_part([row[r:] for row in Y.A[r:]])], zero)
+    pad = [zero] * (n - r)
+    Xs = _conjugate(la.inverse(g), g, Triple(As, list(Y.b[:r]) + pad, list(Y.c[:r]) + pad))
     return Xs, X - Xs
 
 
@@ -270,9 +282,10 @@ def is_semisimple(X: Triple) -> bool:
     orbit is not closed).  All are read off X in slice position; a
     regular triple has no minus summand and is semisimple."""
     n = X.n
-    if stratum(X) == n:
+    r = stratum(X)
+    if r == n:
         return True
-    _, Y, r = conjugate_to_slice(X)
+    _, Y = _to_slice(X, r)
     if any(Y.c[r:]) or any(Y.b[r:]):
         return False
     if any(Y.A[i][j] for i in range(n) for j in range(n) if (i < r) != (j < r)):

@@ -306,15 +306,17 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     """Inventory of semisimple orbits above an invariant point.
 
     `factored` lists (P_i, n_i, flag) with flag "inert" (irreducible over the
-    extension) or "split" (factors over it); the product of P_i^{n_i} must be
-    the minus-part characteristic polynomial.  Returns one entry per class:
-    the class labels per inert factor and an explicit representative pair.
+    extension) or "split" (factors over it); the product of the P_i^{n_i},
+    each P_i made monic, must be the minus-part characteristic polynomial.
+    Returns one entry per class: the class labels per inert factor and an
+    explicit representative pair.
     """
     if ctx.kind != INERT:
         raise ValueError("orbit inventory needs an inert context")
     zero = ctx.embed(0)
     n = a.n
     r = stratum_of_point(a)
+    factored = [(P_i.monic(), n_i, flag) for P_i, n_i, flag in factored]
     chi = Polynomial([Fraction(x) for x in
                       list(reversed((1,) + tuple(a.a)))])
     # verify the factorization against the minus part
@@ -364,7 +366,7 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
                 A = [[ctx.embed(root if i == j else 0) for j in range(n_i)]
                      for i in range(n_i)]
             else:
-                g, A = _traced_quadratic_block(P_i.monic(), n_i, unit, ctx)
+                g, A = _traced_quadratic_block(P_i, n_i, unit, ctx)
             blocks_gram.append(g)
             blocks_A.append(A)
         form = HermitianForm(la.block_diag(blocks_gram, zero), ctx)

@@ -9,6 +9,7 @@ Hermite form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,7 @@ from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
                       transfer_factor_eta)
 from .hermitian import (HermitianPair, classify_form_local, companion_matrix,
                         hankel_pair_for_point, u_invariants)
+from .suites import _accepted
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +40,6 @@ class Lattice:
     @property
     def n(self) -> int:
         return len(self.basis)
-
-    def det_valuation(self, ctx: PLocalContext) -> int:
-        return sum(valuation(self.basis[i][i], ctx) for i in range(self.n))
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.basis]
@@ -113,37 +112,20 @@ def _lattices_between(M, ctx: PLocalContext, residues, val):
     vdet = val(la.det(M), ctx)
     powers = [one * Fraction(ctx.p) ** d for d in range(vdet + 1)]
     residues = lru_cache(maxsize=None)(residues)
+    above = [(i, j) for j in range(n) for i in range(j)]
     out = []
-
-    def rec(j, diag, uppers):
-        if j == n:
+    for diag in itertools.product(range(vdet + 1), repeat=n):
+        if sum(diag) > vdet:
+            continue
+        for entries in itertools.product(*(residues(diag[i]) for i, _ in above)):
             H = [[zero] * n for _ in range(n)]
             for k in range(n):
                 H[k][k] = powers[diag[k]]
-            for (i, k), c in uppers.items():
-                H[i][k] = c
+            for (i, j), c in zip(above, entries):
+                H[i][j] = c
             HM = la.mat_mul(la.inverse(H), M)
             if all(is_integral(x, ctx) for row in HM for x in row):
                 out.append(H)
-            return
-        rem = vdet - sum(diag)
-        for d in range(0, rem + 1):
-            uppersets = [{}]
-            for i in range(j):
-                # the row-i entry is defined modulo the row's diagonal power
-                new = []
-                reps = residues(diag[i])
-                for u in uppersets:
-                    for c in reps:
-                        u2 = dict(u)
-                        if c:
-                            u2[(i, j)] = c
-                        new.append(u2)
-                uppersets = new
-            for u in uppersets:
-                rec(j + 1, diag + [d], u)
-
-    rec(0, [], {})
     return out
 
 
@@ -159,8 +141,8 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None
     vector and integral against the covector, that pass keep(B) if given.
     With K the Krylov basis and L the dual-Krylov rows, L B lies between
     M O^n, M = L K the moment matrix, and O^n: so B = L^{-1} H for the H
-    that lattices_between(M, ctx) enumerates.  None when M is not
-    p-integral, as then no lattice qualifies."""
+    that lattices_between(M, ctx) enumerates.  There are none when M is
+    not p-integral: c A^k b lies in O for every admissible lattice."""
     n = X.n
     if stratum(X) != n:
         raise ValueError("admissible lattices need a regular semisimple element")
@@ -169,7 +151,7 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None
     if la.det(M) != d_r(X, n):
         raise AssertionError("the moment matrix does not have determinant d_n")
     if not all(is_integral(x, ctx) for row in M for x in row):
-        return None
+        return []
     Li = la.inverse(L)
     out = []
     for H in lattices_between(M, ctx):
@@ -191,9 +173,7 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None
 def admissible_lattices_gl(X: Triple, ctx: PLocalContext) -> list[Lattice]:
     """All lattices stable under the matrix, containing the vector and
     integral against the covector, in p-normalized Hermite form."""
-    bases = _admissible_bases(X, ctx, intermediate_lattices)
-    # non-integral moment data admits no lattice
-    return [hermite_normalize(B, ctx) for B in bases or []]
+    return [hermite_normalize(B, ctx) for B in _admissible_bases(X, ctx, intermediate_lattices)]
 
 
 @dataclass(frozen=True)
@@ -257,10 +237,7 @@ def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):
         d = la.det(gr)
         return bool(d) and valuation_ext(d, ctx) == 0
 
-    bases = _admissible_bases(X.triple, ctx, intermediate_lattices_ext, unimodular)
-    if bases is None:
-        raise ValueError("the moment data is not integral at p")
-    return bases
+    return _admissible_bases(X.triple, ctx, intermediate_lattices_ext, unimodular)
 
 
 def orbital_u(X: HermitianPair, ctx: PLocalContext) -> OrbitalReport:
@@ -383,21 +360,14 @@ def fl_check(n: int, ctx: PLocalContext, budget: int, seed: int = 0,
                     compare(InvariantPoint((Fraction(a1),), (b1,)),
                             f"v={w},u={unit},a1={a1}")
     else:
-        done = 0
-        guard = 0
-        while done < samples and guard < 500 * samples:
-            guard += 1
-            a_coeffs = (Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p)))
-            b_moms = (Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p)))
-            a = InvariantPoint(a_coeffs, b_moms)
+        def draw():
+            a = InvariantPoint((Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p))),
+                               (Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p))))
             dn = d_r_of_point(a, 2)
-            if dn == 0:
-                continue
-            v = valuation(dn, ctx)
-            if not (0 <= v <= budget):
-                continue
-            compare(a, f"sample{done}")
-            done += 1
+            return a if dn and 0 <= valuation(dn, ctx) <= budget else None
+
+        for k, a in enumerate(_accepted(draw, samples, 500 * samples)):
+            compare(a, f"sample{k}")
     return {"n": n, "p": p, "seed": seed, "results": results,
             "failures": failures,
             "pass": f"{len(results) - len(failures)}/{len(results)}"}

@@ -33,6 +33,20 @@ def _report(suite, instances, failures, seed, t0, extra=None):
     return rep
 
 
+def _accepted(draw, target, tries):
+    """Rejection sampling: the values of draw() that are not None, until
+    target of them have come or draw() has run tries times.  draw() makes
+    the random draws and applies the filter, rejecting with None."""
+    got = 0
+    for _ in range(tries):
+        if got == target:
+            return
+        x = draw()
+        if x is not None:
+            got += 1
+            yield x
+
+
 def _sample_span(rng, basis, N, lo=-30, hi=30):
     """A random integer combination of the basis (the origin when it is
     empty)."""
@@ -89,16 +103,14 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     # --- sig-tau exchange ---
     for P, Q in pairs:
         covs = g.wall_covectors(P, Q)
-        good = 0
-        tries = 0
-        while good < per_pair and tries < 50 * per_pair:
-            tries += 1
+
+        def draw():
             H = [rng.randint(-40, 40) for _ in range(N)]
             # part 2 at arbitrary points
-            r1, r2, r1h, r2h = projections(H)
-            if not _nonzero(covs, [H, r1h]):
-                continue
-            good += 1
+            r1, _, r1h, _ = projections(H)
+            return (H, r1, r1h) if _nonzero(covs, [H, r1h]) else None
+
+        for H, r1, r1h in _accepted(draw, per_pair, 50 * per_pair):
             instances += 2
             if g.sigma_hat_full(P, Q, H) != g.tau_hat(P, Q, r1h):
                 failures.append({"check": "exchange-hat", "pair": (_pjson(P), _pjson(Q)),
@@ -113,21 +125,18 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         covs = []
         for R in between(Q, P):
             covs += g.wall_covectors(Q, R) + g.wall_covectors(R, P)
-        good = 0
-        tries = 0
-        while good < per_pair and tries < 60 * per_pair:
-            tries += 1
+
+        def draw():
             H = _sample_span(rng, S, N)
-            if S and not _nonzero(covs, [H]):
-                continue
-            good += 1
+            return H if not S or _nonzero(covs, [H]) else None
+
+        # an empty basis spans the single point 0
+        for H in _accepted(draw, per_pair if S else 1, 60 * per_pair):
             instances += 1
             val = g.langlands_sum(Q, P, H)
             if val != (1 if Q == P else 0):
                 failures.append({"check": "alternating-sum", "pair": (_pjson(Q), _pjson(P)),
                                  "H": [str(x) for x in H]})
-            if not S:
-                break
 
     # wall covectors of the kernel terms above each P
     kernel_covs = {P: [c for R in above(P)
@@ -137,16 +146,13 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     # --- expansion of sigma-hat through B, on the zero-sum slice ---
     for P in ps:
         covs = kernel_covs[P]
-        good = 0
-        tries = 0
-        while good < per_pair and tries < 60 * per_pair:
-            tries += 1
+
+        def draw():
             H = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
             X = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
-            HX = [a - b for a, b in zip(H, X)]
-            if not _nonzero(covs, [H, X, HX]):
-                continue
-            good += 1
+            return (H, X) if _nonzero(covs, [H, X, la.vec_sub(H, X)]) else None
+
+        for H, X in _accepted(draw, per_pair, 60 * per_pair):
             instances += 1
             lhs, rhs = g.sigma_hat_expansion(P, H, X)
             if lhs != rhs:
@@ -159,21 +165,18 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         ab = g.a_basis(P)
         apg = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
         covs = kernel_covs[P]
-        good = 0
-        tries = 0
-        while good < per_pair and tries < 60 * per_pair:
-            tries += 1
+
+        def draw():
             H = _sample_span(rng, zb, N)
             T = _sample_span(rng, apg, N)
             r1T, r2T, _, _ = projections(T)
-            HT = [a - b for a, b in zip(H, T)]
+            HT = la.vec_sub(H, T)
             _, _, _, r2hH = projections(H)
-            HTX = [a - b for a, b in zip(HT, r2hH)]
-            Hm = [a - b for a, b in zip(H, r1T)]
-            HmX = [a - b for a, b in zip(Hm, r2T)]
-            if not _nonzero(covs, [HT, HTX, Hm, HmX]):
-                continue
-            good += 1
+            Hm = la.vec_sub(H, r1T)
+            keep = _nonzero(covs, [HT, la.vec_sub(HT, r2hH), Hm, la.vec_sub(Hm, r2T)])
+            return (H, T, HT, r2hH, Hm, r2T) if keep else None
+
+        for H, T, HT, r2hH, Hm, r2T in _accepted(draw, per_pair, 60 * per_pair):
             instances += 1
             if g.gamma_prime(P, HT, r2hH) != g.b_function(P, Hm, r2T):
                 failures.append({"check": "truncation-kernels", "P": _pjson(P),
@@ -255,15 +258,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             # -- closure-family sum = closed-cone indicator --
             covs = [c for P in fbar for c in g._sigma_hat_cov(P, G)]
             neg_rawR = [[-x for x in c] for c in rawR]
-            got = 0
-            tries = 0
-            while got < samples and tries < 40 * samples:
-                tries += 1
-                H = [rng.randint(-20, 20) for _ in range(m)]
-                Ha = eng.to_ambient(H)
-                if not (_nonzero(covs, [Ha]) and _nonzero(rawR, [H])):
-                    continue
-                got += 1
+            for H, Ha in _accepted(_minus_draw(rng, eng, covs, rawR), samples, 40 * samples):
                 instances += 1
                 lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fbar)
                 if lhs != _all_pos(neg_rawR, H):
@@ -271,15 +266,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                                      "R": _prodjson(R), "H": H})
             # -- fiber-family sum = signed product cone --
             covs = [c for P in fib for c in g._sigma_hat_cov(P, G)]
-            got = 0
-            tries = 0
-            while got < samples and tries < 40 * samples:
-                tries += 1
-                H = [rng.randint(-20, 20) for _ in range(m)]
-                Ha = eng.to_ambient(H)
-                if not _nonzero(covs, [Ha]):
-                    continue
-                got += 1
+            for H, Ha in _accepted(_minus_draw(rng, eng, covs), samples, 40 * samples):
                 instances += 1
                 lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fib)
                 rhs = epsilon_sign(R, Hfull) * eng.sigma_hat_prod(R, Hfull, H)
@@ -298,17 +285,18 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                                              [eng.to_factor(b, k) for b in basis]))
                                    for _, Qm in below
                                    for k, (rf, qf) in enumerate(zip(R.factors, Qm.factors))]
-                    got = 0
-                    tries = 0
-                    while got < max(4, samples // 3) and tries < 40 * samples:
-                        tries += 1
+
+                    def draw():
                         X = _sample_span(rng, basis, m, lo=-20, hi=20)
                         Xa = eng.to_ambient(X)
-                        if not (_nonzero(hat_covs, [Xa])
+                        keep = (_nonzero(hat_covs, [Xa])
                                 and all(_nonzero(covs, [eng.to_factor(X, k)])
-                                        for k, covs in factor_covs)):
-                            continue
-                        got += 1
+                                        for k, covs in factor_covs))
+                        return (X, Xa) if keep else None
+
+                    # an empty basis spans the single point 0
+                    target = max(4, samples // 3) if basis else 1
+                    for X, Xa in _accepted(draw, target, 40 * samples):
                         instances += 1
                         tot = sum(epsilon_sign(Q, P) * eng.sigma_prod(R, Qm, X)
                                   * g.sigma_hat(Q, P, Xa) for Q, Qm in below)
@@ -318,8 +306,6 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                                              "R": _prodjson(R), "P": _pjson(P),
                                              "X": [str(x) for x in X], "domain": which,
                                              "got": tot, "expect": expect})
-                        if not basis:
-                            break
             # -- kernel sums for orthogonal-positive families --
             if f0:
                 fam = _orth_positive_family(rng, eng, R, f0)
@@ -328,6 +314,16 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     instances += inst
                     failures += fails
     return _report("descent", instances, failures, seed, t0, {"n": n})
+
+
+def _minus_draw(rng, eng: DescentEngine, covs, raw=()):
+    """Draw of a point H on the minus coordinates, kept with its ambient
+    image Ha when no covector vanishes at Ha and no raw covector at H."""
+    def draw():
+        H = [rng.randint(-20, 20) for _ in range(len(eng.minus))]
+        Ha = eng.to_ambient(H)
+        return (H, Ha) if _nonzero(covs, [Ha]) and _nonzero(raw, [H]) else None
+    return draw
 
 
 def _live(covs, basis):
@@ -417,24 +413,22 @@ def _family_checks(rng, eng: DescentEngine, R, fbar, fib, f0, fam, samples):
                     for S in sups for T in product_between(S, Hsup)
                     for k, (sf, tf) in enumerate(zip(S.factors, T.factors))]
 
-    got = 0
-    tries = 0
-    while got < samples and tries < 60 * samples:
-        tries += 1
+    def draw():
         H = _sample_span(rng, zR, m, lo=-25, hi=25)
         Ha = eng.to_ambient(H)
-        shifted = {Q: [a - b for a, b in zip(Ha, ys[Q])] for Q in fbar}
+        shifted = {Q: la.vec_sub(Ha, ys[Q]) for Q in fbar}
         # wall filter: every hat-covector at its shifted argument, the
         # interiors of the ambient kernels on the splitting side (relative
         # sigma at H, absolute hat at H shifted by the rigid member's point),
         # and every product sigma-covector at H
-        if not (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
+        keep = (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
                 and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
                         and _nonzero(g._sigma_hat_cov(T, G), [shifted[P]])
                         for P in f0 for T in above(P))
-                and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs)):
-            continue
-        got += 1
+                and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs))
+        return (H, Ha, shifted) if keep else None
+
+    for H, Ha, shifted in _accepted(draw, samples, 60 * samples):
         instances += 1
         # resummation: fiber sum with shifts = signed sum of family kernels
         lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, shifted[P]) for P in fib)
@@ -515,27 +509,26 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
                                      "P1": P1.perm, "P2": P2.perm})
 
     # representative lemma + the two psi sums on random data
-    done = 0
-    guard = 0
-    while done < families and guard < 50 * families:
-        guard += 1
+    def draw():
         S = set(chambers)
         for _ in range(rng.randint(0, 3)):
             S &= set(ch.h_plus(rng.choice(roots), m))
         S = sorted(S, key=lambda c: c.perm)
         if not S:
-            continue
+            return None
         fam = ch.pairwise_orthogonal_positive(m, rng)
         if not ch.check_orthogonal_positive(fam):
             failures.append({"check": "family-consistency"})
-            continue
+            return None
         H = [rng.randint(-15, 15) for _ in range(m)]
         # wall filter on the parabolics above a member
         cands = ch.parabolics_above(S, m)
-        if not all(_nonzero(ch.weight_covectors(blocks, m),
-                            [[h - y for h, y in zip(H, ch.family_projection(fam, blocks, m))]])
-                   for blocks in cands):
-            continue
+        keep = all(_nonzero(ch.weight_covectors(blocks, m),
+                            [la.vec_sub(H, ch.family_projection(fam, blocks, m))])
+                   for blocks in cands)
+        return (S, fam, H, cands) if keep else None
+
+    for S, fam, H, cands in _accepted(draw, families, 50 * families):
         # representative lemma on a random parabolic above a member
         P = rng.choice(S)
         blocks = rng.choice(cands)
@@ -561,5 +554,4 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         instances += 1
         if (v1 != 0) != cond or (v1 not in (0, 1)):
             failures.append({"check": "psi-trichotomy", "S": [c.perm for c in S], "H": H})
-        done += 1
     return _report("chambers", instances, failures, seed, t0, {"m": m})

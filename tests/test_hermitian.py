@@ -220,6 +220,19 @@ def test_orbit_inventory_errors():
                         [(P, 1, "inert")], CTX)
 
 
+@pytest.mark.parametrize("a, monic, scaled", [
+    # r = 0: chi = t - 1, given as 2t - 2
+    (InvariantPoint((F(-1),), (F(0),)), Polynomial([F(-1), F(1)]), Polynomial([F(-2), F(2)])),
+    # r = 1: chi = (t - 1)(t - 2), the minus factor given as 2t - 4
+    (InvariantPoint((F(-3), F(2)), (F(1), F(1))), Polynomial([F(-2), F(1)]),
+     Polynomial([F(-4), F(2)])),
+], ids=["r0", "r1"])
+def test_orbit_inventory_makes_factors_monic(a, monic, scaled):
+    want = orbit_inventory(a, [(monic, 1, "inert")], CTX)
+    got = orbit_inventory(a, [(scaled, 1, "inert")], CTX)
+    assert [(c["labels"], c["pair"]) for c in got] == [(c["labels"], c["pair"]) for c in want]
+
+
 PARAMS = standard_cayley_params(CTX, t=1, s=1)
 
 

@@ -6,7 +6,7 @@ import pytest
 from jrlab import linalg as la
 from jrlab.fields import PLocalContext, eta, is_integral, valuation
 from jrlab.gltilde import InvariantPoint, Triple, act, invariants, stratum
-from jrlab.hermitian import (HermitianForm, HermitianPair,
+from jrlab.hermitian import (HermitianForm, HermitianPair, classify_form_local,
                              hankel_pair_for_point, random_unitary,
                              unitary_act)
 from jrlab.orbital import (Lattice, admissible_lattices_gl, fl_check,
@@ -59,30 +59,36 @@ def test_sandwich_example():
     assert r.lattice_count == 1 and r.value == 1
 
 
-# Submodules of O/p^a + O/p^b (a >= b) over a residue field with q elements,
-# counted by order: the lattices between O^2 and diag(p^a, p^b) O^2.
+# Submodules of O/p^a1 + ... + O/p^an (a1 >= ... >= an) over a residue field
+# with q elements, counted by order: the lattices between O^n and
+# diag(p^a1, ..., p^an) O^n.  At n = 3, (1, 1, 1) counts the subspaces of
+# F_q^3 and (1, 1, 0) those of F_q^2.
 SUBMODULES = {(1, 0): lambda q: 2, (2, 0): lambda q: 3, (1, 1): lambda q: q + 3,
-              (2, 1): lambda q: 2 * q + 4, (2, 2): lambda q: q * q + 3 * q + 5}
+              (2, 1): lambda q: 2 * q + 4, (2, 2): lambda q: q * q + 3 * q + 5,
+              (1, 0, 0): lambda q: 2, (1, 1, 0): lambda q: q + 3,
+              (1, 1, 1): lambda q: 2 * (q * q + q + 1) + 2}
 
 
-def _check_submodule_count(enumerate_, ctx, scalar, a, b, q):
-    M = [[scalar(F(ctx.p) ** a), scalar(0)], [scalar(0), scalar(F(ctx.p) ** b)]]
+def _check_submodule_count(enumerate_, ctx, scalar, exps, q):
+    n = len(exps)
+    M = [[scalar(F(ctx.p) ** exps[i] if i == j else F(0)) for j in range(n)]
+         for i in range(n)]
     found = enumerate_(M, ctx)
-    assert len(found) == SUBMODULES[(a, b)](q), (ctx.p, a, b)
+    assert len(found) == SUBMODULES[exps](q), (ctx.p, exps)
     assert len({tuple(map(tuple, H)) for H in found}) == len(found)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_intermediate_lattices_count_submodules(p):
     ctx = PLocalContext(p)
-    for a, b in SUBMODULES:
-        _check_submodule_count(intermediate_lattices, ctx, F, a, b, p)
+    for exps in SUBMODULES:
+        _check_submodule_count(intermediate_lattices, ctx, F, exps, p)
 
 
 def test_intermediate_lattices_ext_count_submodules():
     ctx = PLocalContext(3)
-    for a, b in ((1, 0), (2, 0), (1, 1), (2, 1)):
-        _check_submodule_count(intermediate_lattices_ext, ctx, ctx.embed, a, b, 9)
+    for exps in ((1, 0), (2, 0), (1, 1), (2, 1), (1, 0, 0)):
+        _check_submodule_count(intermediate_lattices_ext, ctx, ctx.embed, exps, 9)
 
 
 def test_sandwich_index_is_exact():
@@ -148,6 +154,16 @@ def test_orbital_u_examples():
     # unit moment: one lattice
     Xu = hankel_pair_for_point(InvariantPoint((F(1),), (F(1),)), CTX)
     assert orbital_u(Xu, CTX).value == 1
+
+
+def test_sides_agree_on_nonintegral_moment_data():
+    """c b = 1/9 lies outside O, so no lattice qualifies on either side (the
+    form is in the norm class, so the unitary side does count)."""
+    a = InvariantPoint((F(0),), (F(1, 9),))
+    Xu = hankel_pair_for_point(a, CTX)
+    assert classify_form_local(Xu.form, CTX)["disc_is_norm"]
+    assert selfdual_admissible_lattices(Xu, CTX) == []
+    assert orbital_u(Xu, CTX).value == orbital_gl(gl_representative_of_point(a), CTX).value == 0
 
 
 def test_orbital_u_unitary_invariance():

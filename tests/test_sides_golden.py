@@ -229,7 +229,7 @@ PINNED = {'group_side': {'fixed0': {'eta_tilde': '-1', 'omega': '-1'},
                  'split': ['[{},[[(2/1,0/1),(0/1,0/1)],[(0/1,0/1),(4/1,0/1)]],[[(0/1,0/1),(2/1,0/1)],[(1/1,0/1),(0/1,0/1)]],[(0/1,0/1),(0/1,0/1)]]']},
  'lattice_errors': {'gl_nonintegral': '[]',
                     'gl_stratum2': 'raises ValueError',
-                    'u_nonintegral': 'raises ValueError',
+                    'u_nonintegral': '[]',
                     'u_stratum2': 'raises ValueError'},
  'lattices_n1': {'gl': 'sha256:813d4b34e1b1490e7fc2cfe76eb430800ecda610d7ca16c9564b9c892d737f92',
                  'points': 42,
