@@ -2,7 +2,7 @@
 suites, and emit line-delimited JSON reports plus a one-line summary.
 
 Exit codes: 0 pass, 1 failures found, 2 parse error, 3 domain error,
-4 budget exceeded.
+4 budget exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 BUDGETS = {"fl_n": 2, "fl_valuation": 8, "cones_n": 3,
            "chambers_m": CONVEXITY_MAX_RANK, "descent_n": 3}
@@ -45,6 +46,13 @@ def _emit(args, records, summary):
 def _parse_error(message):
     print(f"parse error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_PARSE)
+
+
+def _at_least(args, **low):
+    """A flag below its range is a parse error: _at_least(args, n=1)."""
+    for name, lo in low.items():
+        if getattr(args, name) < lo:
+            _parse_error(f"--{name.replace('_', '-')} must be at least {lo}")
 
 
 def _load(path, build):
@@ -139,8 +147,7 @@ def _suite_exit(report) -> int:
 
 
 def cmd_fl(args):
-    if args.n < 1:
-        _parse_error("--n must be at least 1")
+    _at_least(args, n=1, budget_valuation=0, instances=1)
     if args.n > BUDGETS["fl_n"] or args.budget_valuation > BUDGETS["fl_valuation"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -154,6 +161,7 @@ def cmd_fl(args):
 
 
 def cmd_toy(args):
+    _at_least(args, budget_valuation=0)
     ctx = PLocalContext(args.p)
     vals = [Fraction(0)]
     for w in range(-args.budget_valuation, args.budget_valuation + 1):
@@ -167,8 +175,7 @@ def cmd_toy(args):
 
 
 def cmd_cones(args):
-    if args.n < 0:
-        _parse_error("--n must be at least 0")
+    _at_least(args, n=0)
     if args.n > BUDGETS["cones_n"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -183,8 +190,7 @@ def cmd_cones(args):
 
 
 def cmd_chambers(args):
-    if args.m < 2:
-        _parse_error("--m must be at least 2")
+    _at_least(args, m=2, instances=1)
     if args.m > BUDGETS["chambers_m"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -247,6 +253,9 @@ def main(argv=None):
     except InfiniteValuation as e:
         print(f"domain error: {e}", file=sys.stderr)
         code = EXIT_DOMAIN
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        code = EXIT_INTERNAL
     raise SystemExit(code)
 
 

@@ -4,8 +4,8 @@ A parabolic subspace is encoded by the chain of its proper nonzero flag
 members inside the extended space; coordinates carry labels 1..n for the
 base space and 0 for the distinguished line.  In vectors, label l sits at
 index l-1 and label 0 at index n.  All weight covectors are realized as
-exact rational vectors on the ambient space; characteristic functions use
-strict inequalities throughout.
+integer vectors on the ambient space; characteristic functions use strict
+inequalities throughout.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 
 from . import linalg as la
 from .fields import (EScalar, PLocalContext, INERT, eta, eta_ext, is_norm, one_like,
@@ -102,8 +103,19 @@ def is_unitary(g, form: HermitianForm) -> bool:
             == [list(r) for r in form.gram])
 
 
+def _mobius(M, a, b, c):
+    """c (M + a)(M + b)^{-1} for scalars a, b, c: every Cayley-type
+    transform here.  A pole, det(M + b) = 0, raises ZeroDivisionError."""
+    def shift(s):
+        return [[x + s if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(M)]
+    den = la.inverse(shift(b))
+    return la.mat_scale(la.mat_mul(shift(a), den), c)
+
+
 def random_unitary(form: HermitianForm, rng, bound: int = 2):
-    """Cayley transform of a random Phi-skew-adjoint matrix (pole-avoiding)."""
+    """Cayley transform (1 - S)(1 + S)^{-1} of a random Phi-skew-adjoint S,
+    redrawn at a pole."""
     n = form.n
     ctx = form.ctx
     one = ctx.embed(1)
@@ -111,12 +123,10 @@ def random_unitary(form: HermitianForm, rng, bound: int = 2):
         M = [[EScalar(Fraction(rng.randint(-bound, bound)),
                       Fraction(rng.randint(-bound, bound)), ctx)
               for _ in range(n)] for _ in range(n)]
-        S = la.mat_sub(M, adjoint(M, form))
-        I = la.identity(n, one)
-        den = la.mat_add(I, S)
-        if not la.det(den):
+        try:
+            g = _mobius(la.mat_sub(M, adjoint(M, form)), -one, one, -one)
+        except ZeroDivisionError:
             continue
-        g = la.mat_mul(la.mat_sub(I, S), la.inverse(den))
         assert is_unitary(g, form)
         return g
     raise RuntimeError("failed to sample a unitary element")
@@ -174,11 +184,7 @@ def u_pairing(X: HermitianPair, Y: HermitianPair):
 def extend_form(form: HermitianForm) -> HermitianForm:
     """Append the distinguished line: block-diagonal Gram + (1)."""
     ctx = form.ctx
-    n = form.n
-    one, zero = ctx.embed(1), ctx.embed(0)
-    g = [[form.gram[i][j] if i < n and j < n else (one if i == j == n else zero)
-          for j in range(n + 1)] for i in range(n + 1)]
-    return HermitianForm(g, ctx)
+    return HermitianForm(la.block_diag([form.gram, [[ctx.embed(1)]]], ctx.embed(0)), ctx)
 
 
 def classify_form_local(form: HermitianForm, ctx: PLocalContext) -> dict:
@@ -220,29 +226,6 @@ def companion_matrix(a_coeffs):
     return C
 
 
-def _fi_valuation_data(P_i: Polynomial, ctx: PLocalContext):
-    """Local valuation on F[t]/(P_i) at p for deg <= 2 factors.
-
-    deg 1: ordinary p-adic valuation.  deg 2: accepted only when v_p(disc)
-    is odd (p-ramified), where v = v_p of the norm; other quadratic shapes
-    either split locally or make the extension-by-sigma split, so the
-    two-class labeling would be wrong for them.
-    """
-    d = P_i.degree
-    if d == 1:
-        return ("deg1",)
-    if d == 2:
-        disc = discriminant(P_i)
-        if disc == 0:
-            raise ValueError("factor is not squarefree")
-        if valuation(disc, ctx) % 2 == 0:
-            raise ValueError(
-                "unverifiable flags: degree-2 inert factor must be p-ramified "
-                "(v_p(disc) odd) for the two-class labeling to apply")
-        return ("ramified2",)
-    raise ValueError("only factors of degree <= 2 are supported")
-
-
 def splits_over_ext(P_i: Polynomial, ctx: PLocalContext) -> bool:
     """Whether a monic irreducible quadratic splits over the inert quadratic
     extension F(sqrt(eps)): disc / eps must be a rational square."""
@@ -272,34 +255,18 @@ def _irreducible_deg_le2(P: Polynomial) -> bool:
     return False
 
 
-def _traced_quadratic_block(P_i: Polynomial, n_i: int, unit: Fraction,
-                            ctx: PLocalContext):
-    """Gram (over E) of the traced form on (E[t]/P_i)^{n_i} given by
-    <u, v> = tr(sigma(u)^T diag(unit,1,..,1) v), in the E-basis
-    (e_k, alpha e_k); also the matrix of multiplication by alpha."""
-    s_, q_ = (Fraction(c) for c in (P_i.coeffs[1], P_i.coeffs[0]))
-    dim = 2 * n_i
-    gram = [[ctx.embed(0) for _ in range(dim)] for _ in range(dim)]
-    # basis ordering: (e_1, a e_1, e_2, a e_2, ...)
-    for k in range(n_i):
-        u = Fraction(unit) if k == 0 else Fraction(1)
-        # pairings of 1 and alpha within one rank-1 slot:
-        # tr(u * a^{i+j}) with a^0=1, a^1=a, a^2=-s a - q
-        t0 = ctx.embed(2 * u)                      # tr(u)
-        t1 = ctx.embed(-u * s_)                    # tr(u a)
-        t2 = ctx.embed(u * (s_ * s_ - 2 * q_))     # tr(u a^2)
-        gram[2 * k][2 * k] = t0
-        gram[2 * k][2 * k + 1] = t1
-        gram[2 * k + 1][2 * k] = t1
-        gram[2 * k + 1][2 * k + 1] = t2
-    mult = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(n_i):
-        # alpha * e = a e ; alpha * (a e) = -q e - s (a e)
-        mult[2 * k + 1][2 * k] = Fraction(1)
-        mult[2 * k][2 * k + 1] = -q_
-        mult[2 * k + 1][2 * k + 1] = -s_
-    A = [[ctx.embed(x) for x in row] for row in mult]
-    return gram, A
+def _slot(P_i: Polynomial, u: Fraction, ctx: PLocalContext):
+    """Gram and multiplication-by-t matrices (over E) of one copy of
+    E[t]/P_i, P_i monic of degree <= 2, under <x, y> = tr(u sigma(x) y).
+    In degree 2 the basis is (1, alpha), alpha the class of t, and the Gram
+    entries are tr(u alpha^{i+j}) with alpha^2 = -s alpha - q."""
+    if P_i.degree == 1:
+        return [[ctx.embed(u)]], [[ctx.embed(-Fraction(P_i.coeffs[0]))]]
+    s, q = (Fraction(c) for c in (P_i.coeffs[1], P_i.coeffs[0]))
+    gram = [[2 * u, -u * s], [-u * s, u * (s * s - 2 * q)]]
+    mult = [[0, -q], [1, -s]]
+    return ([[ctx.embed(x) for x in row] for row in gram],
+            [[ctx.embed(x) for x in row] for row in mult])
 
 
 def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dict]:
@@ -341,38 +308,31 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
             raise ValueError("unverifiable flags: factor splits over the extension")
         if flag == "split" and not split:
             raise ValueError("unverifiable flags: factor stays irreducible")
-    # plus part of the invariant point
-    a_plus = InvariantPoint(tuple(monic_coeffs(aplus_poly)), tuple(a.b[:r])) if r else None
+        # other quadratic shapes split locally or make the extension by sigma
+        # split, so the two-class labeling would be wrong for them
+        if flag == "inert" and P_i.degree == 2 and valuation(discriminant(P_i), ctx) % 2 == 0:
+            raise ValueError(
+                "unverifiable flags: degree-2 inert factor must be p-ramified "
+                "(v_p(disc) odd) for the two-class labeling to apply")
+    # the plus part of the invariant point takes its Hankel model
+    plus_slot, b = [], [zero] * (n - r)
+    if r:
+        plus = hankel_pair_for_point(
+            InvariantPoint(tuple(monic_coeffs(aplus_poly)), tuple(a.b[:r])), ctx)
+        plus_slot, b = [(plus.form.gram, plus.A)], list(plus.b) + b
     inert_idx = [k for k, (_, _, fl) in enumerate(factored) if fl == "inert"]
     classes = []
-    from itertools import product as iproduct
-    for labels in iproduct((True, False), repeat=len(inert_idx)):
+    for labels in product((True, False), repeat=len(inert_idx)):
         label_map = dict(zip(inert_idx, labels))
-        blocks_gram, blocks_A, b = [], [], [zero] * (n - r)
-        if r:
-            plus = hankel_pair_for_point(a_plus, ctx)
-            blocks_gram.append(plus.form.gram)
-            blocks_A.append(plus.A)
-            b = list(plus.b) + b
+        slots = list(plus_slot)
         # a split factor has degree 2 (splits_over_ext is False in degree 1)
         for k, (P_i, n_i, flag) in enumerate(factored):
-            if flag == "inert":
-                _fi_valuation_data(P_i, ctx)
             unit = Fraction(1) if flag == "split" or label_map[k] else Fraction(ctx.p)
-            if P_i.degree == 1:
-                root = -Fraction(P_i.coeffs[0])
-                g = [[ctx.embed(unit if i == j == 0 else (1 if i == j else 0))
-                      for j in range(n_i)] for i in range(n_i)]
-                A = [[ctx.embed(root if i == j else 0) for j in range(n_i)]
-                     for i in range(n_i)]
-            else:
-                g, A = _traced_quadratic_block(P_i, n_i, unit, ctx)
-            blocks_gram.append(g)
-            blocks_A.append(A)
-        form = HermitianForm(la.block_diag(blocks_gram, zero), ctx)
-        rep = HermitianPair(la.block_diag(blocks_A, zero), b, form)
-        got = u_invariants(rep)
-        if got != a:
+            slots += [_slot(P_i, unit if c == 0 else Fraction(1), ctx) for c in range(n_i)]
+        grams, mults = zip(*slots)
+        form = HermitianForm(la.block_diag(grams, zero), ctx)
+        rep = HermitianPair(la.block_diag(mults, zero), b, form)
+        if u_invariants(rep) != a:
             raise AssertionError("representative does not reproduce the invariant point")
         classes.append({
             "labels": {k: {"disc_is_norm": label_map[k]} for k in inert_idx},
@@ -411,20 +371,12 @@ def standard_cayley_params(ctx: PLocalContext, t=1, s=0) -> CayleyParams:
 
 
 def cayley(Y, params: CayleyParams):
-    """kappa(Y) = -xi (1 + tau^{-1} Y)(1 - tau^{-1} Y)^{-1}; Y is a square
-    matrix over the base field or the extension."""
+    """kappa(Y) = xi (Y + tau)(Y - tau)^{-1}, which is
+    -xi (1 + tau^{-1} Y)(1 - tau^{-1} Y)^{-1}; Y is a square matrix over the
+    base field or the extension.  A pole raises ZeroDivisionError."""
     ctx = params.tau.ctx
-    n = len(Y)
     Ye = [[x if isinstance(x, EScalar) else ctx.embed(x) for x in row] for row in Y]
-    one = ctx.embed(1)
-    I = la.identity(n, one)
-    ti = params.tau.inverse()
-    tY = la.mat_scale(Ye, ti)
-    den = la.mat_sub(I, tY)
-    if not la.det(den):
-        raise ZeroDivisionError("kappa pole: det(1 - tau^{-1} Y) = 0")
-    num = la.mat_add(I, tY)
-    return la.mat_scale(la.mat_mul(num, la.inverse(den)), -params.xi)
+    return _mobius(Ye, params.tau, -params.tau, params.xi)
 
 
 def cayley_gl(Y, params: CayleyParams):
@@ -448,16 +400,9 @@ def cayley_u(Y, form: HermitianForm, params: CayleyParams):
 
 
 def cayley_inverse(r, params: CayleyParams):
-    """Y = tau (w - 1)(w + 1)^{-1} with w = -xi^{-1} r."""
-    ctx = params.tau.ctx
-    n = len(r)
-    one = ctx.embed(1)
-    I = la.identity(n, one)
-    w = la.mat_scale(r, -params.xi.inverse())
-    den = la.mat_add(w, I)
-    if not la.det(den):
-        raise ZeroDivisionError("inverse Cayley pole")
-    return la.mat_scale(la.mat_mul(la.mat_sub(w, I), la.inverse(den)), params.tau)
+    """Y = tau (w - 1)(w + 1)^{-1} with w = -xi^{-1} r, which is
+    tau (r + xi)(r - xi)^{-1}.  A pole raises ZeroDivisionError."""
+    return _mobius(r, params.xi, -params.xi, params.tau)
 
 
 def in_twisted_space(g) -> bool:

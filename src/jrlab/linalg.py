@@ -107,8 +107,8 @@ def block_diag(blocks, zero):
 
 
 def det(A):
-    """Determinant by fraction-free-ish Gaussian elimination (exact division
-    happens in the field, so plain elimination is fine)."""
+    """Determinant by Gaussian elimination with field division: every
+    nonzero pivot must be invertible (Q or the inert extension)."""
     n, m = dims(A)
     assert n == m, "determinant of a non-square matrix"
     M = [list(row) for row in A]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -218,6 +219,10 @@ def test_orbit_inventory_errors():
     with pytest.raises(ValueError):
         orbit_inventory(InvariantPoint((F(0), F(-2)), (F(0), F(0))),
                         [(P, 1, "inert")], CTX)
+    P = Polynomial([F(-5), F(0), F(1)])       # inert, but v_3(disc) = v_3(20) = 0
+    with pytest.raises(ValueError, match="p-ramified"):
+        orbit_inventory(InvariantPoint((F(0), F(-5)), (F(0), F(0))),
+                        [(P, 1, "inert")], CTX)
 
 
 @pytest.mark.parametrize("a, monic, scaled", [
@@ -248,6 +253,21 @@ def test_cayley_pole():
     # an eigenvalue squaring to eps hits the pole locus
     with pytest.raises(ZeroDivisionError):
         cayley_gl([[F(0), F(2)], [F(1), F(0)]], PARAMS)
+    with pytest.raises(ZeroDivisionError):
+        cayley_inverse(la.identity(2, PARAMS.xi), PARAMS)
+
+
+def test_cayley_poles_and_round_trips_on_a_grid():
+    # all 625 integer 2x2 matrices with entries in [-2, 2]
+    tau_I = la.identity(2, PARAMS.tau)
+    for e in itertools.product(range(-2, 3), repeat=4):
+        Y = [[F(e[0]), F(e[1])], [F(e[2]), F(e[3])]]
+        Ye = [[CTX.embed(x) for x in row] for row in Y]
+        if la.det(la.mat_sub(Ye, tau_I)) == 0:
+            with pytest.raises(ZeroDivisionError):
+                cayley_gl(Y, PARAMS)
+        else:
+            assert cayley_inverse(cayley_gl(Y, PARAMS), PARAMS) == Ye
 
 
 def test_cayley_equivariance():

@@ -1,9 +1,11 @@
-"""Differential tests of the exact linear algebra against sympy, an
-independent implementation: det, charpoly and nullspace of seeded rational
-matrices of size 2..6 (full rank and low rank), resultants and
+"""Differential tests of the exact linear algebra against independent
+implementations.  Against sympy: det, charpoly and nullspace of seeded
+rational matrices of size 2..6 (full rank and low rank), resultants and
 discriminants of seeded rational polynomials of degree 2..6 (with and
-without common factors)."""
+without common factors).  Against the Leibniz formula: det and inverse of
+seeded matrices over the inert extension at p = 3 and 5, size 1..4."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,6 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from jrlab import linalg as la  # noqa: E402
+from jrlab.fields import EScalar, PLocalContext  # noqa: E402
 from jrlab.poly import Polynomial, discriminant, resultant  # noqa: E402
 
 T = sympy.Symbol("t")
@@ -89,3 +92,41 @@ def test_resultant_and_discriminant_agree_with_sympy(n):
         sp, sq = _sym_poly(P), _sym_poly(Q)
         assert resultant(P, Q) == _frac(sympy.resultant(sp, sq, T))
         assert discriminant(P) == _frac(sympy.discriminant(sp, T))
+
+
+def _e_matrix(rng, ctx, n, singular):
+    """A random n x n matrix over E; a singular one has its last row a
+    combination of the others (the zero row at n = 1)."""
+    A = [[EScalar(_entry(rng), _entry(rng), ctx) for _ in range(n)] for _ in range(n)]
+    if singular:
+        cs = [EScalar(_entry(rng), _entry(rng), ctx) for _ in range(n - 1)]
+        A[-1] = [sum((c * row[j] for c, row in zip(cs, A)), ctx.embed(0)) for j in range(n)]
+    return A
+
+
+def _leibniz(A, ctx):
+    total = ctx.embed(0)
+    for perm in itertools.permutations(range(len(A))):
+        term = ctx.embed(1)
+        for i, j in enumerate(perm):
+            term = term * A[i][j]
+        odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(A)), 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_det_and_inverse_over_the_inert_extension_agree_with_leibniz(p, n):
+    ctx = PLocalContext(p)
+    rng = random.Random(730 + 10 * p + n)
+    I = la.identity(n, ctx.embed(1))
+    for k in range(20):
+        A = _e_matrix(rng, ctx, n, singular=k % 5 == 4)
+        d = _leibniz(A, ctx)
+        assert la.det(A) == d
+        if not d:
+            with pytest.raises(ZeroDivisionError):
+                la.inverse(A)
+        else:
+            assert la.mat_mul(A, la.inverse(A)) == I

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jrlab import serialize as ser
+from jrlab import cli, serialize as ser
 from jrlab.chambers import Chamber
 from jrlab.cones import ParabolicSubspace, enumerate_parabolic_subspaces
 from jrlab.fields import EScalar, PLocalContext
@@ -113,12 +113,34 @@ def test_cli_budget_chambers_rank():
 
 
 @pytest.mark.parametrize("argv", [["chambers", "--m", "1"], ["chambers", "--m", "0"],
-                                  ["cones", "--n", "-1"]])
+                                  ["cones", "--n", "-1"],
+                                  ["fl", "--n", "1", "--budget-valuation", "-1"],
+                                  ["fl", "--n", "2", "--instances", "0"],
+                                  ["toy", "--budget-valuation", "-3"],
+                                  ["chambers", "--m", "3", "--instances", "0"]])
 def test_cli_rejects_small_sizes(argv):
     proc = subprocess.run([sys.executable, "-m", "jrlab.cli"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error")
+
+
+def test_cli_unwritable_out_is_an_internal_error(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli", "toy", "--out",
+                           str(tmp_path / "missing" / "x.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 5 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("internal error: FileNotFoundError")
+
+
+def test_cli_crash_is_an_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_toy", crash)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["toy"])
+    assert exc.value.code == 5
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize("argv", [["fl", "--n", "0"], ["fl", "--p", "4"], ["fl", "--p", "9"],
