@@ -2,8 +2,8 @@
 combinatorics, and p-adic orbital integrals for the comparison between the
 linear pair GL(n) x GL(n+1) and its unitary counterpart."""
 
-from .fields import (EScalar, INERT, SPLIT, PLocalContext, eta, eta_ext,
-                     is_norm, norm_trace, valuation, valuation_ext)
+from .fields import (EScalar, INERT, PLocalContext, eta, eta_ext, is_norm,
+                     valuation, valuation_ext)
 from .gltilde import (Decomposition, InvariantPoint, Triple,
                       canonical_decomposition, d_r, invariants, iota,
                       iota_inverse, is_semisimple, jordan, pairing, stratum,

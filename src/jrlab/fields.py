@@ -1,5 +1,6 @@
-"""Exact scalar arithmetic: rationals with p-adic valuations, quadratic
-extensions with Galois action, and quadratic characters.
+"""Exact scalar arithmetic: rationals with p-adic valuations, the
+unramified inert quadratic extension with its Galois action, and quadratic
+characters.
 
 All scalars are exact.  A "p-local" number is an ordinary rational carried
 together with a fixed odd prime p; valuations and residues are read off the
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# the extension's name on the wire (see serialize)
 INERT = "inert"
-SPLIT = "split"
 
 
 class InfiniteValuation(ArithmeticError):
@@ -42,41 +43,25 @@ def _is_odd_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PLocalContext:
-    """An odd residue characteristic together with the unramified quadratic
-    extension kind at that place (inert field extension or split algebra).
+    """An odd residue characteristic p together with the unramified inert
+    quadratic extension E of Q_p.
 
-    For the inert kind the extension is generated by sqrt(eps) with eps the
-    smallest positive non-residue mod p; eps is a unit, so the extension is
-    unramified.
+    E is generated by sqrt(eps) with eps the smallest positive non-residue
+    mod p; eps is a unit, so the extension is unramified.
     """
 
     p: int
-    kind: str = INERT
 
     def __post_init__(self):
         if not _is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.kind not in (INERT, SPLIT):
-            raise ValueError(f"unknown extension kind {self.kind!r}")
-        object.__setattr__(self, "_eps",
-                           smallest_nonresidue(self.p) if self.kind == INERT else None)
-
-    @property
-    def eps(self) -> int:
-        if self.kind != INERT:
-            raise ValueError("eps is only defined for the inert kind")
-        return self._eps
+        object.__setattr__(self, "eps", smallest_nonresidue(self.p))
 
     def embed(self, x) -> "EScalar":
-        """Embed a rational into the quadratic extension (diagonally if split)."""
-        x = Fraction(x)
-        if self.kind == INERT:
-            return EScalar(x, Fraction(0), self)
-        return EScalar(x, x, self)
+        """Embed a rational into the quadratic extension."""
+        return EScalar(Fraction(x), Fraction(0), self)
 
     def sqrt_eps(self) -> "EScalar":
-        if self.kind != INERT:
-            raise ValueError("sqrt(eps) only exists in the inert kind")
         return EScalar(Fraction(0), Fraction(1), self)
 
 
@@ -107,34 +92,28 @@ def residue(x, ctx: PLocalContext, k: int = 1) -> int:
 
 
 def eta(x, ctx: PLocalContext) -> int:
-    """The unramified quadratic character: (-1)^v(x) at an inert place,
-    identically +1 at a split place."""
+    """The unramified quadratic character of the inert extension: (-1)^v(x)."""
     if Fraction(x) == 0:
         raise InfiniteValuation("eta undefined at 0")
-    if ctx.kind == SPLIT:
-        return 1
     return -1 if valuation(x, ctx) % 2 else 1
 
 
 def is_norm(x, ctx: PLocalContext) -> bool:
     """Whether x lies in the norm group of the quadratic extension.
 
-    Unramified inert extension: the norms are exactly the elements of even
-    valuation.  Split algebra: everything is a norm.
+    The extension is unramified and inert, so the norms are exactly the
+    elements of even valuation.
     """
     if Fraction(x) == 0:
         raise ValueError("is_norm undefined at 0")
-    if ctx.kind == SPLIT:
-        return True
     return valuation(x, ctx) % 2 == 0
 
 
 class EScalar:
     """Element of the quadratic extension attached to a PLocalContext.
 
-    Inert kind: x + y*sqrt(eps) with x, y rational and conjugation
-    sigma(x + y sqrt(eps)) = x - y sqrt(eps).  Split kind: the pair (x, y)
-    in F x F with sigma swapping the coordinates; F embeds diagonally.
+    x + y*sqrt(eps) with x, y rational and conjugation
+    sigma(x + y sqrt(eps)) = x - y sqrt(eps).
     """
 
     __slots__ = ("x", "y", "ctx")
@@ -156,33 +135,21 @@ class EScalar:
         return None
 
     def _check_ctx(self, other: "EScalar"):
-        """Elements of different extensions (another p or kind) never mix;
+        """Elements of different extensions (another p) never mix;
         callers test `other.ctx is self.ctx` first, the common case."""
         if other.ctx != self.ctx:
             raise ValueError(f"mixed contexts: {self.ctx} and {other.ctx}")
 
     def conj(self) -> "EScalar":
-        if self.ctx.kind == INERT:
-            return EScalar(self.x, -self.y, self.ctx)
-        return EScalar(self.y, self.x, self.ctx)
+        return EScalar(self.x, -self.y, self.ctx)
 
     def norm(self) -> Fraction:
         """x * sigma(x), an element of F."""
-        if self.ctx.kind == INERT:
-            return self.x * self.x - self.ctx.eps * self.y * self.y
-        return self.x * self.y
-
-    def trace(self) -> Fraction:
-        """x + sigma(x), an element of F."""
-        if self.ctx.kind == INERT:
-            return 2 * self.x
-        return self.x + self.y
+        return self.x * self.x - self.ctx.eps * self.y * self.y
 
     def is_rational(self) -> bool:
         """Whether the element is fixed by sigma (lies in F)."""
-        if self.ctx.kind == INERT:
-            return self.y == 0
-        return self.x == self.y
+        return self.y == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -204,7 +171,7 @@ class EScalar:
         # base-field elements equal their Fraction, so they hash like it
         if self.is_rational():
             return hash(self.x)
-        return hash((self.x, self.y, self.ctx.kind))
+        return hash((self.x, self.y))
 
     def __add__(self, other):
         if type(other) is EScalar:
@@ -245,22 +212,16 @@ class EScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.ctx.kind == INERT:
-            return EScalar(self.x * other.x + self.y * other.y * self.ctx.eps,
-                           self.x * other.y + self.y * other.x, self.ctx)
-        return EScalar(self.x * other.x, self.y * other.y, self.ctx)
+        return EScalar(self.x * other.x + self.y * other.y * self.ctx.eps,
+                       self.x * other.y + self.y * other.x, self.ctx)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "EScalar":
-        if self.ctx.kind == INERT:
-            n = self.norm()
-            if n == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return EScalar(self.x / n, -self.y / n, self.ctx)
-        if self.x == 0 or self.y == 0:
-            raise ZeroDivisionError("zero divisor in split algebra")
-        return EScalar(1 / self.x, 1 / self.y, self.ctx)
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return EScalar(self.x / n, -self.y / n, self.ctx)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -287,9 +248,7 @@ class EScalar:
         return out
 
     def __repr__(self):
-        if self.ctx.kind == INERT:
-            return f"({self.x}+{self.y}*sqrt({self.ctx.eps}))"
-        return f"({self.x},{self.y})"
+        return f"({self.x}+{self.y}*sqrt({self.ctx.eps}))"
 
 
 # The scalar domain: int or Fraction entries live in Q, EScalar entries in
@@ -311,18 +270,11 @@ def scalar_inverse(x):
     return x.inverse() if isinstance(x, EScalar) else Fraction(1) / Fraction(x)
 
 
-def norm_trace(z: EScalar) -> tuple[Fraction, Fraction]:
-    """(z*sigma(z), z+sigma(z))."""
-    return z.norm(), z.trace()
-
-
 def valuation_ext(z: EScalar, ctx: PLocalContext) -> int:
     """Valuation on the inert quadratic extension, normalized by v(p) = 1.
 
     Unramified, so v extends v_p without index: v(z) = v_p(N(z)) / 2.
     """
-    if ctx.kind != INERT:
-        raise ValueError("extension valuation needs the inert kind")
     if not z:
         raise InfiniteValuation("valuation of 0 is infinite")
     vn = valuation(z.norm(), ctx)
@@ -332,12 +284,7 @@ def valuation_ext(z: EScalar, ctx: PLocalContext) -> int:
 
 def eta_ext(z: EScalar, ctx: PLocalContext) -> int:
     """The unramified extension of eta to the quadratic extension:
-    (-1)^v_E(z) at an inert place; +1 at a split place (where eta' may be
-    taken unramified trivial on units and the checks below never use it)."""
-    if ctx.kind == SPLIT:
-        if not z:
-            raise InfiniteValuation("eta' undefined at 0")
-        return 1
+    (-1)^v_E(z)."""
     return -1 if valuation_ext(z, ctx) % 2 else 1
 
 

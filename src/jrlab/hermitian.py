@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg as la
-from .fields import (EScalar, PLocalContext, INERT, eta, eta_ext, is_norm, one_like,
+from .fields import (EScalar, PLocalContext, eta, eta_ext, is_norm, one_like,
                      valuation)
 from .gltilde import (InvariantPoint, Triple, d_r_of_point, extend_moments,
                       hankel_d, invariants, is_semisimple, jordan, moments,
                       pairing, stratum, stratum_of_point)
-from .poly import Polynomial, gcd, discriminant, monic_coeffs
+from .poly import Polynomial, discriminant, is_squarefree, monic_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +191,6 @@ def classify_form_local(form: HermitianForm, ctx: PLocalContext) -> dict:
     """At an odd inert unramified place the two classes are separated by
     whether the discriminant is a norm (equivalently: a self-dual lattice
     exists)."""
-    if ctx.kind != INERT:
-        raise ValueError("local classification needs an inert context")
     d = form.det()
     return {"disc_is_norm": is_norm(d, ctx), "class": "norm" if is_norm(d, ctx) else "nonnorm"}
 
@@ -278,8 +276,6 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     Returns one entry per class: the class labels per inert factor and an
     explicit representative pair.
     """
-    if ctx.kind != INERT:
-        raise ValueError("orbit inventory needs an inert context")
     zero = ctx.embed(0)
     n = a.n
     r = stratum_of_point(a)
@@ -301,7 +297,7 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
             raise ValueError(f"unknown flag {flag!r}: expected 'inert' or 'split'")
         if not _irreducible_deg_le2(P_i):
             raise ValueError("factor fails the irreducibility certificate")
-        if gcd(P_i, P_i.derivative()).degree > 0:
+        if not is_squarefree(P_i):
             raise ValueError("factor is not squarefree")
         split = splits_over_ext(P_i, ctx)
         if flag == "inert" and split:

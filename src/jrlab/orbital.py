@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg as la
-from .fields import (EScalar, INERT, PLocalContext, eta, is_integral, one_like,
+from .fields import (EScalar, PLocalContext, eta, is_integral, one_like,
                      residue, valuation, valuation_ext, zero_like)
 from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
                       dual_krylov_rows, invariants, stratum,
@@ -194,8 +194,6 @@ class OrbitalReport:
 
 def orbital_gl(X: Triple, ctx: PLocalContext) -> OrbitalReport:
     """Transfer-normalized signed lattice count for the unit function."""
-    if ctx.kind != INERT:
-        raise ValueError("the signed count is for inert places")
     lats = admissible_lattices_gl(X, ctx)
     total = 0
     for lat in lats:
@@ -244,8 +242,6 @@ def orbital_u(X: HermitianPair, ctx: PLocalContext) -> OrbitalReport:
     """Count of self-dual stable lattices containing the vector; zero when
     the form carries no self-dual lattice (empty rational fiber for the
     unit datum on that class)."""
-    if ctx.kind != INERT:
-        raise ValueError("hermitian counts are for inert places")
     cls = classify_form_local(X.form, ctx)
     if not cls["disc_is_norm"]:
         return OrbitalReport("unitary", u_invariants(X), Fraction(0), 0, ctx.p)
@@ -278,8 +274,6 @@ def toy_u_orbital(a, nu, ctx: PLocalContext) -> Fraction:
         return Fraction(1)
     scale = Fraction(1) if nu == "norm" else Fraction(ctx.p)
     v = valuation(scale * a, ctx)
-    if ctx.kind != INERT:
-        return Fraction(1) if v >= 0 else Fraction(0)
     return Fraction(1) if (v >= 0 and v % 2 == 0) else Fraction(0)
 
 

@@ -1,6 +1,7 @@
 """JSON wire formats for the exact types.
 
-Scalars travel as "num/den" strings; extension scalars as {"x","y","kind"};
+Scalars travel as "num/den" strings; extension scalars as {"x","y","kind"},
+where "kind" is always "inert" (the one extension the lab computes in);
 triples as {"A","b","c"}; invariant points as {"a","b"}; hermitian data as
 {"gram"}/{"gram","A","b"}; parabolic subspaces as {"flag","i","j"};
 chambers as {"perm"}.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import EScalar, PLocalContext
+from .fields import INERT, EScalar, PLocalContext
 from .gltilde import InvariantPoint, Triple
 from .hermitian import HermitianForm, HermitianPair
 from .cones import ParabolicSubspace
@@ -31,11 +32,11 @@ def frac_from_str(s) -> Fraction:
 
 
 def escalar_to_json(z: EScalar) -> dict:
-    return {"x": frac_to_str(z.x), "y": frac_to_str(z.y), "kind": z.ctx.kind}
+    return {"x": frac_to_str(z.x), "y": frac_to_str(z.y), "kind": INERT}
 
 
 def escalar_from_json(obj, ctx: PLocalContext) -> EScalar:
-    if obj.get("kind", ctx.kind) != ctx.kind:
+    if obj.get("kind", INERT) != INERT:
         raise ValueError("extension kind mismatch")
     return EScalar(frac_from_str(obj["x"]), frac_from_str(obj["y"]), ctx)
 

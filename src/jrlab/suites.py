@@ -11,13 +11,14 @@ import time
 from fractions import Fraction
 
 from . import linalg as la
-from .cones import (DescentDatum, DescentEngine, GTilde, ParabolicSubspace,
-                    ProductParabolic, _all_pos, _nonzero, above, between,
-                    coordinate, enumerate_parabolic_subspaces,
+from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
+                    _all_pos, _nonzero, above, between, coordinate,
+                    enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, epsilon_sign, full_group,
                     parabolic_minus, product_between, product_full,
                     projections)
 from . import chambers as ch
+from .serialize import parabolic_to_json
 
 
 def _report(suite, instances, failures, seed, t0, extra=None):
@@ -98,7 +99,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             ok = ok and all(la.dot(pih[i], pih[j]) >= 0
                             for i in range(k) for j in range(k) if i != j)
         if not ok:
-            failures.append({"check": "dual-bases", "pair": (_pjson(P), _pjson(Q))})
+            failures.append({"check": "dual-bases",
+                             "pair": (parabolic_to_json(P), parabolic_to_json(Q))})
 
     # --- sig-tau exchange ---
     for P, Q in pairs:
@@ -113,10 +115,12 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         for H, r1, r1h in _accepted(draw, per_pair, 50 * per_pair):
             instances += 2
             if g.sigma_hat_full(P, Q, H) != g.tau_hat(P, Q, r1h):
-                failures.append({"check": "exchange-hat", "pair": (_pjson(P), _pjson(Q)),
+                failures.append({"check": "exchange-hat",
+                                 "pair": (parabolic_to_json(P), parabolic_to_json(Q)),
                                  "H": [str(x) for x in H]})
             if g.tau(P, Q, H) != g.sigma(P, Q, r1):
-                failures.append({"check": "exchange", "pair": (_pjson(P), _pjson(Q)),
+                failures.append({"check": "exchange",
+                                 "pair": (parabolic_to_json(P), parabolic_to_json(Q)),
                                  "H": [str(x) for x in H]})
 
     # --- Langlands alternating sum: on the relative center space ---
@@ -135,7 +139,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             instances += 1
             val = g.langlands_sum(Q, P, H)
             if val != (1 if Q == P else 0):
-                failures.append({"check": "alternating-sum", "pair": (_pjson(Q), _pjson(P)),
+                failures.append({"check": "alternating-sum",
+                                 "pair": (parabolic_to_json(Q), parabolic_to_json(P)),
                                  "H": [str(x) for x in H]})
 
     # wall covectors of the kernel terms above each P
@@ -156,7 +161,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             instances += 1
             lhs, rhs = g.sigma_hat_expansion(P, H, X)
             if lhs != rhs:
-                failures.append({"check": "kernel-expansion", "P": _pjson(P),
+                failures.append({"check": "kernel-expansion", "P": parabolic_to_json(P),
                                  "H": [str(x) for x in H], "X": [str(x) for x in X]})
 
     # --- Gamma'/B relation on its stated domain ---
@@ -179,7 +184,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         for H, T, HT, r2hH, Hm, r2T in _accepted(draw, per_pair, 60 * per_pair):
             instances += 1
             if g.gamma_prime(P, HT, r2hH) != g.b_function(P, Hm, r2T):
-                failures.append({"check": "truncation-kernels", "P": _pjson(P),
+                failures.append({"check": "truncation-kernels", "P": parabolic_to_json(P),
                                  "H": [str(x) for x in H], "T": [str(x) for x in T]})
 
     return _report("cones", instances, failures, seed, t0, {"n": n})
@@ -192,11 +197,6 @@ def _zero_base_sum(v, n):
     if n:
         v[n - 1] -= s
     return v
-
-
-def _pjson(P: ParabolicSubspace):
-    ws, i, j = P.vflag_ij()
-    return {"flag": [sorted(w) for w in ws[1:-1]] + [sorted(ws[-1])], "i": i, "j": j}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                         expect = 1 if (P in fib and la.in_span(zP, X)) else 0
                         if tot != expect:
                             failures.append({"check": "fiber-inversion", "datum": _djson(datum),
-                                             "R": _prodjson(R), "P": _pjson(P),
+                                             "R": _prodjson(R), "P": parabolic_to_json(P),
                                              "X": [str(x) for x in X], "domain": which,
                                              "got": tot, "expect": expect})
             # -- kernel sums for orthogonal-positive families --
@@ -449,7 +449,7 @@ def _djson(d: DescentDatum):
 
 
 def _prodjson(R: ProductParabolic):
-    return [ _pjson(f) for f in R.factors ]
+    return [parabolic_to_json(f) for f in R.factors]
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from jrlab.fields import (EScalar, INERT, SPLIT, InfiniteValuation,
-                          PLocalContext, eta, is_integral, is_norm,
-                          norm_trace, residue, smallest_nonresidue, valuation,
-                          valuation_ext)
+from jrlab.fields import (EScalar, InfiniteValuation, PLocalContext, eta,
+                          is_integral, is_norm, residue, smallest_nonresidue,
+                          valuation, valuation_ext)
 from jrlab.poly import (Polynomial, discriminant, gcd, is_squarefree,
                         resultant, squarefree_part)
 
 
 CTX3 = PLocalContext(3)
 CTX5 = PLocalContext(5)
-SPLIT3 = PLocalContext(3, SPLIT)
 
 
 def test_valuation_examples():
@@ -36,7 +34,8 @@ def test_eta_examples_and_multiplicativity():
     assert eta(3, CTX3) == -1
     assert eta(2, CTX3) == 1
     assert eta(9, CTX3) == 1
-    assert eta(5, SPLIT3) == 1
+    assert eta(5, CTX5) == -1
+    assert eta(F(3, 25), CTX5) == 1
     rng = random.Random(1)
     for _ in range(200):
         x = F(rng.choice([1, 2, 4, 5])) * F(3) ** rng.randint(-4, 4)
@@ -52,7 +51,7 @@ def test_nonresidue_choice():
 
 def test_conjugation_involution_and_norm():
     rng = random.Random(2)
-    for ctx in (CTX3, SPLIT3):
+    for ctx in (CTX3, CTX5):
         for _ in range(100):
             z = EScalar(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)), ctx)
             assert z.conj().conj() == z
@@ -62,10 +61,10 @@ def test_conjugation_involution_and_norm():
 
 def test_norm_trace_examples():
     se = CTX3.sqrt_eps()
-    assert norm_trace(se) == (F(-2), F(0))
-    assert norm_trace(CTX3.embed(1)) == (F(1), F(2))
-    z = EScalar(F(4), F(7), SPLIT3)
-    assert norm_trace(z) == (F(28), F(11))
+    assert se.norm() == F(-2) and se + se.conj() == 0
+    assert CTX3.embed(1).norm() == F(1)
+    z = EScalar(F(4), F(7), CTX5)
+    assert z.norm() == F(16 - 2 * 49) and z + z.conj() == 8
 
 
 def brute_norm_values_mod(ctx, k):
@@ -93,7 +92,6 @@ def test_is_norm_against_enumeration():
         assert not is_norm(p, ctx)
         assert is_norm(p * p * 2, ctx)
         assert is_norm(F(1, 2), ctx)
-    assert is_norm(3, SPLIT3)
 
 
 def test_norm_parity_arithmetic():
@@ -111,11 +109,11 @@ def test_extension_valuation():
     assert valuation_ext(CTX3.sqrt_eps(), CTX3) == 0
 
 
-def test_split_inverse_and_zero_divisors():
-    z = EScalar(F(2), F(5), SPLIT3)
-    assert z * z.inverse() == SPLIT3.embed(1)
+def test_inverse_and_zero_divisor():
+    z = EScalar(F(2), F(5), CTX5)
+    assert z * z.inverse() == CTX5.embed(1)
     with pytest.raises(ZeroDivisionError):
-        EScalar(F(0), F(5), SPLIT3).inverse()
+        CTX5.embed(0).inverse()
 
 
 def test_residue_and_integrality():
@@ -202,14 +200,14 @@ def test_squarefree_part():
 def test_escalar_refuses_mixed_contexts():
     a, b = CTX3.embed(2) + CTX3.sqrt_eps(), CTX5.embed(3)
     for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a / b,
-               lambda: a == b, lambda: a * SPLIT3.embed(1)):
+               lambda: a == b):
         with pytest.raises(ValueError):
             op()
     # an equal context built separately is the same extension
     assert a * PLocalContext(3).embed(2) == a + a
 
 
-@pytest.mark.parametrize("ctx", [CTX3, SPLIT3], ids=["inert", "split"])
+@pytest.mark.parametrize("ctx", [CTX3, CTX5], ids=["p3", "p5"])
 def test_escalar_base_field_hashes_like_fraction(ctx):
     assert ctx.embed(3) == 3 and hash(ctx.embed(3)) == hash(3)
     assert hash(ctx.embed(F(1, 2))) == hash(F(1, 2))

@@ -171,9 +171,11 @@ ONE_J, ZERO_J = {"x": "1", "y": "0"}, {"x": "0", "y": "0"}
     ("match", {"Y1": [["1"]], "Y2": [], "form": {}}),
     ("match", {"Y1": [[ONE_J, ZERO_J], [ZERO_J]], "Y2": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]],
                "form": {"gram": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]]}}),
+    ("match", {"Y1": [[ONE_J]], "Y2": [[{"x": "1", "y": "0", "kind": "split"}]],
+               "form": {"gram": [[ONE_J]]}}),
 ], ids=["zero-denominator", "list-invariants", "list-jordan", "ragged-cayley",
         "nonsquare-cayley", "float", "bool", "n0-invariants", "n0-jordan", "match-shape",
-        "ragged-match"])
+        "ragged-match", "split-kind-match"])
 def test_cli_rejects_bad_input(command, inp, tmp_path):
     proc = run_cli([command], inp, tmp_path)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
