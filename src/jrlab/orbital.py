@@ -4,7 +4,11 @@ With the measure normalizations vol(GL_n(O)) = vol(U(O)) = 1, the unit
 orbital integrals reduce to finite lattice counts: signed by the quadratic
 character on the linear side, plain counts of self-dual lattices on the
 hermitian side.  Lattices are represented by column bases in p-normalized
-Hermite form.
+Hermite form.  The lattices between O^n and M O^n (M the moment matrix) are
+found bottom up: H^{-1} M is integral row by row from the last row, so each
+row of H is built below the rows already chosen, its entries grown p-adic
+digit by digit and dropped at the first digit that leaves a residual
+indivisible; every surviving H is confirmed by exact inversion.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg as la
-from .fields import (EScalar, PLocalContext, eta, is_integral, one_like,
-                     residue, valuation, valuation_ext, zero_like)
+from .fields import (EScalar, PLocalContext, eta, is_integral,
+                     residue, valuation, valuation_ext)
 from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
                       dual_krylov_rows, invariants, stratum,
                       transfer_factor_eta)
@@ -102,38 +105,70 @@ def hermite_normalize(B, ctx: PLocalContext) -> Lattice:
     return Lattice(tuple(tuple(row) for row in M), p)
 
 
-def _lattices_between(M, ctx: PLocalContext, residues, val):
-    """All H O^n with O^n >= H O^n >= M O^n over the ring whose residues
-    modulo p^k are residues(k): upper-triangular bases with p-power diagonal,
-    each entry above it reduced modulo its row's diagonal power; val is the
-    valuation that measures det M."""
-    n = len(M)
-    zero, one = zero_like(M[0][0]), one_like(M[0][0])
-    vdet = val(la.det(M), ctx)
-    powers = [one * Fraction(ctx.p) ** d for d in range(vdet + 1)]
-    residues = lru_cache(maxsize=None)(residues)
-    above = [(i, j) for j in range(n) for i in range(j)]
+def _lattices_between(M, ctx: PLocalContext, ext: bool):
+    """All H O^n with O^n >= H O^n >= M O^n over O, or O_E when ext:
+    upper-triangular, p-power diagonal, each entry above it reduced modulo
+    its row's diagonal, ordered by diagonal exponents, then by the residues
+    above the diagonal column by column.  With Y = H^{-1} M and p^d the
+    diagonal of row i, p^d Y_i = M_i - sum_{j>i} H_ij Y_j: a row's entries
+    survive digit t only if that residual is divisible by p^(t+1).  Integers
+    (pairs for x + y sqrt(eps)) exact modulo p^(v(det M) + 1 - exponents
+    below) decide every test, as the exponents sum to at most v(det M)."""
+    n, p, eps = len(M), ctx.p, ctx.eps
+    if not all(is_integral(x, ctx) for row in M for x in row):
+        return []
+    vdet = (valuation_ext if ext else valuation)(la.det(M), ctx)
+    coords = (lambda z: (z.x, z.y)) if ext else (lambda z: (z, 0))
+    R = [[tuple(residue(c, ctx, vdet + 1) for c in coords(x)) for x in row] for row in M]
+    digits = list(itertools.product(range(p), range(p) if ext else (0,)))
+
+    def rows(r, Ys, free):
+        """(d, entries, Y row) of every row with residual r over rows Ys."""
+        if not Ys:   # nothing to choose: r itself must be divisible by p^d
+            d = 0
+            while d < free and all(a % p ** (d + 1) == 0 == b % p ** (d + 1) for a, b in r):
+                d += 1
+            return [(k, (), [(a // p ** k, b // p ** k) for a, b in r]) for k in range(d + 1)]
+        # sum_j h_j Y_j for every choice of one digit h_j per entry
+        steps = [(hs, [(sum(h[0] * y[k][0] + eps * h[1] * y[k][1] for h, y in zip(hs, Ys)),
+                        sum(h[0] * y[k][1] + h[1] * y[k][0] for h, y in zip(hs, Ys)))
+                       for k in range(n)]) for hs in itertools.product(digits, repeat=len(Ys))]
+        level = [(((0, 0),) * len(Ys), r)]
+        out = [(0, level[0][0], r)]
+        for t in range(free):
+            q, q1, grown = p ** t, p ** (t + 1), []
+            for h, r in level:
+                for hs, st in steps:
+                    s = [(a - q * sa, b - q * sb) for (a, b), (sa, sb) in zip(r, st)]
+                    if all(a % q1 == 0 == b % q1 for a, b in s):
+                        grown.append((tuple((x + q * hx, y + q * hy)
+                                            for (x, y), (hx, hy) in zip(h, hs)), s))
+            level = grown
+            out += [(t + 1, h, [(a // q1, b // q1) for a, b in s]) for h, s in level]
+        return out
+
+    partial = [((), (), (), vdet)]      # (diagonal, entries, Y) of rows i..n-1
+    for i in range(n - 1, -1, -1):
+        partial = [((d,) + diag, (h,) + hs, (y,) + Ys, free - d)
+                   for diag, hs, Ys, free in partial for d, h, y in rows(R[i], Ys, free)]
+    make = (lambda x, y: EScalar(x, y, ctx)) if ext else (lambda x, y: Fraction(x))
     out = []
-    for diag in itertools.product(range(vdet + 1), repeat=n):
-        if sum(diag) > vdet:
-            continue
-        for entries in itertools.product(*(residues(diag[i]) for i, _ in above)):
-            H = [[zero] * n for _ in range(n)]
-            for k in range(n):
-                H[k][k] = powers[diag[k]]
-            for (i, j), c in zip(above, entries):
-                H[i][j] = c
-            HM = la.mat_mul(la.inverse(H), M)
-            if all(is_integral(x, ctx) for row in HM for x in row):
-                out.append(H)
-    return out
+    for diag, hs, _, _ in partial:
+        H = [[make(0, 0)] * n for _ in range(n)]
+        for i in range(n):
+            H[i][i] = make(p ** diag[i], 0)
+            for j, (x, y) in enumerate(hs[i], i + 1):
+                H[i][j] = make(x, y)
+        HM = la.mat_mul(la.inverse(H), M)
+        if all(is_integral(x, ctx) for row in HM for x in row):
+            out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))), H))
+    return [H for _, H in sorted(out, key=lambda e: e[0])]
 
 
 def intermediate_lattices(M, ctx: PLocalContext):
     """All H O^n with O^n >= H O^n >= M O^n, as upper-triangular p-power HNF
     matrices (M p-integral, det nonzero)."""
-    return _lattices_between(M, ctx, lambda k: [Fraction(c) for c in range(ctx.p ** k)],
-                             valuation)
+    return _lattices_between(M, ctx, ext=False)
 
 
 def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None):
@@ -209,16 +244,10 @@ def orbital_gl(X: Triple, ctx: PLocalContext) -> OrbitalReport:
 # hermitian side: self-dual lattices over the inert quadratic extension
 
 
-def _e_residues(ctx: PLocalContext, k: int):
-    """x + y sqrt(eps) for x, y in [0, p^k): representatives of O_E / p^k."""
-    return [EScalar(Fraction(x), Fraction(y), ctx)
-            for x in range(ctx.p ** k) for y in range(ctx.p ** k)]
-
-
 def intermediate_lattices_ext(M, ctx: PLocalContext):
     """Extension version of the intermediate-lattice enumeration: all
     integral HNF bases H with O_E^n >= H O_E^n >= M O_E^n."""
-    return _lattices_between(M, ctx, lambda k: _e_residues(ctx, k), valuation_ext)
+    return _lattices_between(M, ctx, ext=True)
 
 
 def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):

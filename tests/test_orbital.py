@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from jrlab import linalg as la
-from jrlab.fields import PLocalContext, eta, is_integral, valuation
-from jrlab.gltilde import InvariantPoint, Triple, act, invariants, stratum
+from jrlab.fields import (EScalar, PLocalContext, eta, is_integral, one_like,
+                          valuation, valuation_ext, zero_like)
+from jrlab.gltilde import (InvariantPoint, Triple, act, d_r_of_point, invariants,
+                           stratum)
 from jrlab.hermitian import (HermitianForm, HermitianPair, classify_form_local,
                              hankel_pair_for_point, random_unitary,
                              unitary_act)
@@ -87,8 +91,120 @@ def test_intermediate_lattices_count_submodules(p):
 
 def test_intermediate_lattices_ext_count_submodules():
     ctx = PLocalContext(3)
-    for exps in ((1, 0), (2, 0), (1, 1), (2, 1), (1, 0, 0)):
+    for exps in ((1, 0), (2, 0), (1, 1), (2, 1), (1, 0, 0), (1, 1, 0)):
         _check_submodule_count(intermediate_lattices_ext, ctx, ctx.embed, exps, 9)
+
+
+def _brute_force_lattices(M, ctx, residues, val):
+    """Reference enumeration: every upper-triangular H with p-power
+    diagonal (exponents summing to at most v(det M)) and entries above it
+    running through residues(d) of their row's exponent d, in that order,
+    kept when H^{-1} M is integral."""
+    n = len(M)
+    zero, one = zero_like(M[0][0]), one_like(M[0][0])
+    vdet = val(la.det(M), ctx)
+    above = [(i, j) for j in range(n) for i in range(j)]
+    out = []
+    for diag in itertools.product(range(vdet + 1), repeat=n):
+        if sum(diag) > vdet:
+            continue
+        for entries in itertools.product(*(residues(diag[i]) for i, _ in above)):
+            H = [[zero] * n for _ in range(n)]
+            for k in range(n):
+                H[k][k] = one * F(ctx.p) ** diag[k]
+            for (i, j), c in zip(above, entries):
+                H[i][j] = c
+            HM = la.mat_mul(la.inverse(H), M)
+            if all(is_integral(x, ctx) for row in HM for x in row):
+                out.append(H)
+    return out
+
+
+def _random_sandwich(rng, ctx, n, ext, v):
+    """A p-integral n x n matrix U diag(p^e) V with v(det) = v: U and V have
+    entries with denominators prime to p (over E both coordinates are
+    drawn), and the exponents e are a random split of v."""
+    p = ctx.p
+    val = valuation_ext if ext else valuation
+    coord = lambda: F(rng.randint(-p * p, p * p), rng.choice([1, 2, 7]))
+    entry = lambda: EScalar(coord(), coord(), ctx) if ext else coord()
+    while True:
+        cuts = sorted(rng.randint(0, v) for _ in range(n - 1))
+        e = [b - a for a, b in zip([0] + cuts, cuts + [v])]
+        U, V = ([[entry() for _ in range(n)] for _ in range(n)] for _ in range(2))
+        M = la.mat_mul(U, [[x * p ** e[i] for x in row] for i, row in enumerate(V)])
+        d = la.det(M)
+        if d and val(d, ctx) == v:
+            return M
+
+
+def test_intermediate_lattices_match_the_brute_force():
+    """Same lattices in the same order as the reference enumeration, over
+    O and O_E, at n = 1..3 and p = 3, 5."""
+    rng = random.Random(44)
+    # (n, ext) -> (largest v(det M) at p = 3, at p = 5, matrices per p);
+    # the matrices run through v(det M) = 0, 1, ..., vmax, 0, 1, ...
+    sizes = {(1, False): (4, 3, 5), (2, False): (3, 2, 8), (3, False): (2, 2, 6),
+             (1, True): (4, 3, 5), (2, True): (2, 2, 6), (3, True): (1, 1, 3)}
+    seen = 0
+    for (n, ext), (v3, v5, count) in sizes.items():
+        for p, vmax in ((3, v3), (5, v5)):
+            ctx = PLocalContext(p)
+            if ext:
+                fast = intermediate_lattices_ext
+                residues = lambda k: [EScalar(x, y, ctx) for x in range(p ** k)
+                                      for y in range(p ** k)]
+            else:
+                fast = intermediate_lattices
+                residues = lambda k: [F(c) for c in range(p ** k)]
+            for k in range(count):
+                M = _random_sandwich(rng, ctx, n, ext, k % (vmax + 1))
+                ref = _brute_force_lattices(M, ctx, residues,
+                                            valuation_ext if ext else valuation)
+                got = fast(M, ctx)
+                assert got == ref, (p, n, ext, M)
+                assert [type(x) for H in got for row in H for x in row] == \
+                    [type(x) for H in ref for row in H for x in row]
+                seen += len(ref)
+    assert seen > 150
+
+
+@st.composite
+def sandwich_cases(draw):
+    """M = A diag(3^e) B with 1 <= v(det M) <= 3 (2 at n = 3) and two
+    integral matrices U, V with unit determinant, n = 1..3, over O or (ext)
+    O_E at p = 3."""
+    n, ext = draw(st.integers(1, 3)), draw(st.booleans())
+    val = valuation_ext if ext else valuation
+
+    def matrix():
+        def entry():
+            x = F(draw(st.integers(-4, 4)))
+            return EScalar(x, F(draw(st.integers(-4, 4))), CTX) if ext else x
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        d = la.det(A)
+        assume(d)
+        return A, val(d, CTX)
+
+    e = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    (A, _), (B, _) = matrix(), matrix()
+    M = la.mat_mul(A, [[x * 3 ** k for x in row] for k, row in zip(e, B)])
+    assume(1 <= val(la.det(M), CTX) <= (2 if n == 3 else 3))
+    (U, u), (V, w) = matrix(), matrix()
+    assume(u == w == 0)
+    return M, U, V, intermediate_lattices_ext if ext else intermediate_lattices
+
+
+@settings(max_examples=80, deadline=None)
+@given(sandwich_cases())
+def test_intermediate_lattices_see_only_the_lattice(case):
+    """M V spans the lattice M spans when V is unimodular, so the list is
+    the same; U M spans an isomorphic one, so the count is."""
+    M, U, V, enumerate_ = case
+    found = enumerate_(M, CTX)
+    event(f"{len(found)} lattices")
+    assert enumerate_(la.mat_mul(M, V), CTX) == found
+    assert len(enumerate_(la.mat_mul(U, M), CTX)) == len(found)
 
 
 def test_sandwich_index_is_exact():
@@ -121,6 +237,30 @@ def test_hand_checked_n2_counts():
     Xh = gl_representative_of_point(InvariantPoint((F(0), F(-1)), (F(3), F(0))))
     rh = orbital_gl(Xh, CTX)
     assert rh.lattice_count == 4 and rh.value == 0
+
+
+# p = 3, n = 2 points (a, b) with v(d_2) = 3 and 4, and (gl value, gl
+# lattices, u value, u lattices, disc is a norm) as the brute-force
+# enumeration gave them.  Odd v(d_2) puts the form off the norm class.
+DEEP_POINTS = [
+    (((0, 12), (-3, 9)), 3, (0, 4, 0, 0, False)),
+    (((3, 12), (12, 0)), 3, (0, 4, 0, 0, False)),
+    (((1, 2), (18, 0)), 4, (3, 3, 3, 3, True)),
+    (((-1, 1), (-36, -27)), 4, (1, 5, 1, 1, True)),
+    (((-2, 2), (-36, 27)), 4, (3, 3, 3, 3, True)),
+]
+
+
+@pytest.mark.parametrize("point, v, pinned", DEEP_POINTS)
+def test_sides_agree_at_deep_valuation(point, v, pinned):
+    a = InvariantPoint(tuple(map(F, point[0])), tuple(map(F, point[1])))
+    assert valuation(d_r_of_point(a, 2), CTX) == v
+    gl = orbital_gl(gl_representative_of_point(a), CTX)
+    Xu = hankel_pair_for_point(a, CTX)
+    u = orbital_u(Xu, CTX)
+    norm = classify_form_local(Xu.form, CTX)["disc_is_norm"]
+    assert (gl.value, gl.lattice_count, u.value, u.lattice_count, norm) == pinned
+    assert gl.value == u.value if norm else gl.value == u.value == 0
 
 
 def test_orbital_gl_representative_independence():
