@@ -11,7 +11,7 @@ an ordered pair (a, b) standing for the functional H_a - H_b.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cones import _all_pos
@@ -20,23 +20,18 @@ from .cones import _all_pos
 @dataclass(frozen=True)
 class Chamber:
     perm: tuple
+    rank: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
         if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
             raise ValueError("chamber must be a permutation of 1..m")
+        # rank[a - 1] is the position of coordinate a in the order
+        object.__setattr__(self, "rank", tuple(sorted(range(self.m), key=self.perm.__getitem__)))
 
     @property
     def m(self) -> int:
         return len(self.perm)
-
-    def position(self, a: int) -> int:
-        return self.perm.index(a)
-
-    def positive_roots(self):
-        """Sigma(P): the pairs (a, b) with a before b."""
-        return {(self.perm[i], self.perm[j])
-                for i in range(self.m) for j in range(i + 1, self.m)}
 
     def simple_roots(self):
         """Delta_P: adjacent pairs in the order."""
@@ -51,12 +46,16 @@ def all_chambers(m: int):
 
 
 def sigma_set(P2: Chamber, P1: Chamber):
-    """Sigma(P2|P1): roots positive for P1 and negative for P2."""
-    return P1.positive_roots() - P2.positive_roots()
+    """Sigma(P2|P1): roots positive for P1 and negative for P2, i.e. the
+    pairs in P1's order that P2 reverses."""
+    p, r = P1.perm, P2.rank
+    return {(a, b) for i, a in enumerate(p) for b in p[i + 1:] if r[a - 1] > r[b - 1]}
 
 
 def distance(P2: Chamber, P1: Chamber) -> int:
-    return len(sigma_set(P2, P1))
+    """The number of inversions of P2's ranks read in P1's order."""
+    seq = [P2.rank[a - 1] for a in P1.perm]
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
 
 
 def neighbours(P: Chamber):
@@ -68,24 +67,28 @@ def neighbours(P: Chamber):
     return out
 
 
+def _steps(P: Chamber, rank):
+    """The neighbours of P one step closer to the chamber with these ranks:
+    those across an adjacent pair that it reverses."""
+    p = P.perm
+    return [Chamber(p[:i] + (p[i + 1], p[i]) + p[i + 2:])
+            for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
+
+
 # Largest rank at which minimal galleries are enumerated.
 GALLERY_MAX_RANK = 5
 
 
 def minimal_galleries(P1: Chamber, P2: Chamber):
-    """All galleries from P1 to P2 of minimal length (depth-first over
-    distance-decreasing steps)."""
+    """All galleries from P1 to P2 of minimal length (depth-first over the
+    steps towards P2, in neighbour order)."""
     if P1.m > GALLERY_MAX_RANK:
         raise ValueError(f"gallery enumeration guard exceeded: m={P1.m} > {GALLERY_MAX_RANK}")
-    if P1 == P2:
-        return [[P1]]
-    out = []
-    d = distance(P2, P1)
-    for Q in neighbours(P1):
-        if distance(P2, Q) == d - 1:
-            for tail in minimal_galleries(Q, P2):
-                out.append([P1] + tail)
-    return out
+
+    def walk(P):
+        steps = _steps(P, P2.rank)
+        return [[P] + tail for Q in steps for tail in walk(Q)] if steps else [[P]]
+    return walk(P1)
 
 
 def gallery_walls(gallery):
@@ -100,28 +103,27 @@ def gallery_walls(gallery):
     return walls
 
 
-# Largest rank at which convexity is enumerated (all minimal galleries
-# between all pairs of members).
+# Largest rank at which convexity is checked, and so the largest rank of the
+# chambers suite (each check tests |S|^2 (m - 1) steps).
 CONVEXITY_MAX_RANK = 4
 
 
 def is_convex(S) -> bool:
-    """Every minimal gallery between members stays inside."""
+    """Every minimal gallery between members stays inside.  The chambers on
+    the minimal galleries into Q are the closure of S under steps towards
+    Q, so it suffices that every step towards a member from a member lands
+    in S."""
     S = list(S)
     if S and S[0].m > CONVEXITY_MAX_RANK:
         raise ValueError(f"convexity guard exceeded: m={S[0].m} > {CONVEXITY_MAX_RANK}")
     inside = set(S)
-    for P in S:
-        for Q in S:
-            for gal in minimal_galleries(P, Q):
-                if any(c not in inside for c in gal):
-                    return False
-    return True
+    return all(C in inside for Q in S for P in S for C in _steps(P, Q.rank))
 
 
 def h_plus(alpha, m: int):
     """All chambers with alpha positive."""
-    return [P for P in all_chambers(m) if alpha in P.positive_roots()]
+    a, b = alpha
+    return [P for P in all_chambers(m) if P.rank[a - 1] < P.rank[b - 1]]
 
 
 def keycoxeter_step(P: Chamber, P1: Chamber, P2: Chamber) -> int:
@@ -147,10 +149,9 @@ def langlands_type_rep(S, P: Chamber, Q) -> Chamber:
     if not members:
         raise ValueError("no member of the family lies below the parabolic")
     found = []
-    pos = P.positive_roots()
     for C in members:
         rel = [ab for ab in C.simple_roots() if _same_block(ab, blocks)]
-        if all(ab in pos for ab in rel):
+        if all(P.rank[a - 1] < P.rank[b - 1] for a, b in rel):
             found.append(C)
     if len(found) != 1:
         raise AssertionError(f"expected a unique representative, got {len(found)}")
@@ -163,13 +164,21 @@ def _same_block(ab, blocks) -> bool:
 
 
 def chamber_in_parabolic(C: Chamber, blocks) -> bool:
-    """Whether the chamber's order refines the ordered block partition."""
-    order = []
-    for blk in blocks:
-        order += sorted(blk, key=C.position)
-    if sorted(set(sum((tuple(b) for b in blocks), ()))) != list(range(1, C.m + 1)):
+    """Whether the chamber's order refines the ordered block partition:
+    each block's ranks lie below the next block's."""
+    if not all(blocks) or sorted(a for blk in blocks for a in blk) != list(range(1, C.m + 1)):
         raise ValueError("blocks must partition 1..m")
-    return tuple(order) == C.perm
+    ranks = [[C.rank[a - 1] for a in blk] for blk in blocks]
+    return all(max(lo) < min(hi) for lo, hi in zip(ranks, ranks[1:]))
+
+
+def _coarsenings(C: Chamber):
+    """The 2^(m-1) ordered set partitions above C: its order cut into
+    consecutive blocks, each block sorted as in `all_parabolics`."""
+    p = C.perm
+    for mask in range(2 ** (len(p) - 1)):
+        cuts = [0] + [i + 1 for i in range(len(p) - 1) if mask >> i & 1] + [len(p)]
+        yield tuple(tuple(sorted(p[i:j])) for i, j in zip(cuts, cuts[1:]))
 
 
 def all_parabolics(m: int):
@@ -187,8 +196,10 @@ def all_parabolics(m: int):
 
 
 def parabolics_above(S, m: int):
-    """The ordered set partitions of 1..m lying above some chamber of S."""
-    return [b for b in all_parabolics(m) if any(chamber_in_parabolic(P, b) for P in S)]
+    """The ordered set partitions of 1..m lying above some chamber of S, in
+    `all_parabolics` order."""
+    above = {b for P in S for b in _coarsenings(P)}
+    return [b for b in all_parabolics(m) if b in above]
 
 
 def epsilon_parabolic(blocks, m: int) -> int:
@@ -298,8 +309,11 @@ def check_orthogonal_positive(fam) -> bool:
 
 def family_projection(fam, blocks, m: int):
     """Y_Q for a parabolic above some member chamber: blockwise average of
-    any contained chamber's point (independence asserted)."""
-    YQ = project_family([Y for P, Y in fam.items() if chamber_in_parabolic(P, blocks)],
+    any contained chamber's point (independence asserted).  The chambers
+    below are the products of the blocks' orderings."""
+    below = (Chamber(sum(orders, ())) for orders in
+             itertools.product(*(itertools.permutations(blk) for blk in blocks)))
+    YQ = project_family([fam[P] for P in below if P in fam],
                         [[x - 1 for x in blk] for blk in blocks])
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")

@@ -128,13 +128,16 @@ def det(A):
             sign = -sign
         pv = M[j][j]
         acc = pv if acc is None else acc * pv
-        pv_inv = scalar_inverse(pv)
+        if j + 1 < n:
+            pv_inv = scalar_inverse(pv)
         for i in range(j + 1, n):
             if not M[i][j]:
                 continue
             f = M[i][j] * pv_inv
             M[i] = [a - f * b for a, b in zip(M[i], M[j])]
-    return acc * sign if acc is not None else Fraction(sign)
+    if acc is None:
+        return Fraction(1)
+    return acc if sign == 1 else -acc
 
 
 def rref(A):

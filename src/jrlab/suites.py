@@ -457,6 +457,8 @@ def _prodjson(R: ProductParabolic):
 
 
 def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
+    if m > ch.CONVEXITY_MAX_RANK:
+        raise ValueError(f"convexity guard exceeded: m={m} > {ch.CONVEXITY_MAX_RANK}")
     t0 = time.time()
     rng = random.Random(seed)
     failures = []
@@ -485,8 +487,6 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     # wall sets along every minimal gallery
     for P1 in chambers:
         for P2 in chambers:
-            if ch.distance(P2, P1) > m + 2 and m > 4:
-                continue
             for gal in ch.minimal_galleries(P1, P2):
                 instances += 1
                 walls = ch.gallery_walls(gal)

@@ -1,8 +1,11 @@
+import functools
+import itertools
 import random
 from collections import deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
                             chamber_in_parabolic, check_orthogonal_positive,
@@ -10,9 +13,181 @@ from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
                             gallery_walls, h_plus, in_positive_dual_cone,
                             is_convex, keycoxeter_step, langlands_type_rep,
                             minimal_galleries, neighbours,
-                            pairwise_orthogonal_positive, phi, psi_analytic,
-                            psi_geometric, sigma_set, weyl_orbit_family)
+                            pairwise_orthogonal_positive, parabolics_above, phi,
+                            project_family, psi_analytic, psi_geometric,
+                            sigma_set, weyl_orbit_family)
 from jrlab.suites import chambers_suite
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: root sets, distance-recomputing galleries, every
+# gallery between every pair, and scans over all chambers or parabolics
+
+
+def _positive_roots(P):
+    return {(P.perm[i], P.perm[j]) for i in range(P.m) for j in range(i + 1, P.m)}
+
+
+def ref_sigma_set(P2, P1):
+    return _positive_roots(P1) - _positive_roots(P2)
+
+
+def ref_distance(P2, P1):
+    return len(ref_sigma_set(P2, P1))
+
+
+def ref_minimal_galleries(P1, P2):
+    if P1 == P2:
+        return [[P1]]
+    out = []
+    d = ref_distance(P2, P1)
+    for Q in neighbours(P1):
+        if ref_distance(P2, Q) == d - 1:
+            for tail in ref_minimal_galleries(Q, P2):
+                out.append([P1] + tail)
+    return out
+
+
+def ref_is_convex(S):
+    S = list(S)
+    inside = set(S)
+    for P in S:
+        for Q in S:
+            for gal in ref_minimal_galleries(P, Q):
+                if any(c not in inside for c in gal):
+                    return False
+    return True
+
+
+def ref_chamber_in_parabolic(C, blocks):
+    order = []
+    for blk in blocks:
+        order += sorted(blk, key=C.perm.index)
+    if sorted(set(sum((tuple(b) for b in blocks), ()))) != list(range(1, C.m + 1)):
+        raise ValueError("blocks must partition 1..m")
+    return tuple(order) == C.perm
+
+
+def ref_parabolics_above(S, m):
+    return [b for b in all_parabolics(m) if any(ref_chamber_in_parabolic(P, b) for P in S)]
+
+
+def ref_family_projection(fam, blocks, m):
+    YQ = project_family([Y for P, Y in fam.items() if ref_chamber_in_parabolic(P, blocks)],
+                        [[x - 1 for x in blk] for blk in blocks])
+    if YQ is None:
+        raise ValueError("no chamber of the family below this parabolic")
+    return YQ
+
+
+def _cut(perm, cuts):
+    """The ordered set partition cutting perm before the given positions."""
+    ends = [0] + sorted(cuts) + [len(perm)]
+    return tuple(tuple(sorted(perm[i:j])) for i, j in zip(ends, ends[1:]))
+
+
+def ref_coarsenings(C):
+    return {_cut(C.perm, cuts) for k in range(C.m)
+            for cuts in itertools.combinations(range(1, C.m), k)}
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_rank_predicates_match_references_on_all_pairs(m):
+    for P1 in all_chambers(m):
+        for P2 in all_chambers(m):
+            assert sigma_set(P2, P1) == ref_sigma_set(P2, P1)
+            assert distance(P2, P1) == ref_distance(P2, P1)
+            assert minimal_galleries(P1, P2) == ref_minimal_galleries(P1, P2)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_parabolic_predicates_match_references(m):
+    chambers, paras = all_chambers(m), all_parabolics(m)
+    for C in chambers:
+        for b in paras:
+            assert chamber_in_parabolic(C, b) == ref_chamber_in_parabolic(C, b)
+        assert parabolics_above([C], m) == ref_parabolics_above([C], m)
+    rng = random.Random(40 + m)
+    for _ in range(30):
+        S = rng.sample(chambers, rng.randint(0, len(chambers)))
+        assert parabolics_above(S, m) == ref_parabolics_above(S, m)
+        fam = pairwise_orthogonal_positive(m, rng)
+        part = {P: fam[P] for P in S}
+        for b in paras:
+            assert family_projection(fam, b, m) == ref_family_projection(fam, b, m)
+            try:
+                want = ref_family_projection(part, b, m)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    family_projection(part, b, m)
+            else:
+                assert family_projection(part, b, m) == want
+
+
+def test_convexity_matches_reference():
+    roots = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    for alpha in roots:
+        assert is_convex(h_plus(alpha, 4)) == ref_is_convex(h_plus(alpha, 4)) is True
+    for alpha, beta in itertools.combinations(roots, 2):
+        S = sorted(set(h_plus(alpha, 4)) & set(h_plus(beta, 4)), key=lambda c: c.perm)
+        assert is_convex(S) == ref_is_convex(S) is True
+    rng = random.Random(41)
+    seen = set()
+    for k in range(240):
+        m = 3 + k % 2
+        chambers = all_chambers(m)
+        roots = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+        if k % 3 == 0:
+            S = set(rng.sample(chambers, rng.randint(1, len(chambers))))
+        else:
+            S = set(chambers)
+            for _ in range(rng.randint(0, 3)):
+                S &= set(h_plus(rng.choice(roots), m))
+            if k % 3 == 1:
+                S ^= {rng.choice(chambers)}
+        S = sorted(S, key=lambda c: c.perm)
+        rng.shuffle(S)
+        want = ref_is_convex(S)
+        assert is_convex(S) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+_m = st.shared(st.integers(2, 6), key="m")
+_perm = _m.flatmap(lambda m: st.permutations(range(1, m + 1))).map(Chamber)
+
+
+def _inversions(P2, P1):
+    """Pairs of coordinates the two orders put the other way round."""
+    return sum((P1.perm.index(a) < P1.perm.index(b)) != (P2.perm.index(a) < P2.perm.index(b))
+               for a, b in itertools.combinations(range(1, P1.m + 1), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perm, _perm, _perm)
+def test_distance_is_a_metric(P, P1, P2):
+    m = P.m
+    d = distance(P2, P1)
+    assert d == distance(P1, P2) == len(sigma_set(P2, P1)) == _inversions(P2, P1)
+    assert distance(P, P.opposite()) == m * (m - 1) // 2
+    assert distance(P2, P) <= distance(P1, P) + d
+    assert all(distance(Q, P) == 1 for Q in neighbours(P))
+
+
+@functools.lru_cache(maxsize=None)
+def _parabolics(m):
+    return all_parabolics(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perm, _perm, st.data())
+def test_chamber_in_parabolic_means_coarsening(C, Q, data):
+    cuts = data.draw(st.sets(st.integers(1, C.m - 1))) if C.m > 1 else set()
+    b = data.draw(st.sampled_from([_cut(Q.perm, cuts), data.draw(st.sampled_from(_parabolics(C.m)))]))
+    assert chamber_in_parabolic(Q, _cut(Q.perm, cuts))
+    coarse = ref_coarsenings(C)
+    assert chamber_in_parabolic(C, b) == (b in coarse)
+    assert parabolics_above([C], C.m) == [p for p in _parabolics(C.m) if p in coarse]
 
 
 def test_sigma_set_and_distance():
@@ -174,3 +349,8 @@ def test_psi_empty():
 def test_chambers_suite_s3():
     rep = chambers_suite(3, seed=2, families=40)
     assert not rep["failures"]
+
+
+def test_chambers_suite_refuses_ranks_above_the_convexity_guard():
+    with pytest.raises(ValueError, match="convexity guard"):
+        chambers_suite(5, families=1)

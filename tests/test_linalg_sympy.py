@@ -65,6 +65,19 @@ def test_det_and_charpoly_agree_with_sympy(n):
         assert list(la.charpoly(A).coeffs) == want
 
 
+def test_det_inverts_only_pivots_with_rows_below(monkeypatch):
+    calls = []
+    monkeypatch.setattr(la, "scalar_inverse", lambda x: calls.append(x) or 1 / x)
+    x = F(-3, 7)
+    assert la.det([[x]]) is x and not calls
+    assert la.det([[0, 1], [1, 0]]) == -1 and calls == [1]
+    rng = random.Random(705)
+    for n in SIZES:
+        A = _matrix(rng, n, n)
+        calls.clear()
+        assert la.det(A) == _frac(_sym(A).det()) and len(calls) == n - 1
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_nullspace_agrees_with_sympy(n):
     rng = random.Random(710 + n)
