@@ -110,9 +110,9 @@ CONVEXITY_MAX_RANK = 4
 
 def is_convex(S) -> bool:
     """Every minimal gallery between members stays inside.  The chambers on
-    the minimal galleries into Q are the closure of S under steps towards
-    Q, so it suffices that every step towards a member from a member lands
-    in S."""
+    the minimal galleries from members into a member Q form the closure of
+    S under steps towards Q, which stays in S exactly when every single
+    step from a member towards Q lands in S."""
     S = list(S)
     if S and S[0].m > CONVEXITY_MAX_RANK:
         raise ValueError(f"convexity guard exceeded: m={S[0].m} > {CONVEXITY_MAX_RANK}")
