@@ -7,8 +7,10 @@ new objects; nothing is mutated in place by callers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .fields import one_like, scalar_inverse
+from .fields import EScalar, one_like, scalar_inverse
 from .poly import Polynomial
 
 
@@ -50,12 +52,36 @@ def mat_mul(A, B):
 
 
 def _dot(u, v):
+    """sum(a * b).  When both vectors are all Fraction, or all EScalar of one
+    context, each is scaled to integers over a common denominator and the
+    integer products are summed: one normalisation instead of one a term."""
+    t = type(u[0]) if u else None
+    if t is Fraction and all(type(a) is Fraction for a in u) \
+            and all(type(b) is Fraction for b in v):
+        du, dv = lcm(*[a.denominator for a in u]), lcm(*[b.denominator for b in v])
+        return Fraction(sum(map(mul, _scaled(u, du), _scaled(v, dv))), du * dv)
+    if t is EScalar:
+        ctx = u[0].ctx
+        if all(type(a) is EScalar and a.ctx is ctx for a in u) \
+                and all(type(b) is EScalar and b.ctx is ctx for b in v):
+            ux, uy, vx, vy = [a.x for a in u], [a.y for a in u], [b.x for b in v], [b.y for b in v]
+            du = lcm(*[c.denominator for c in ux + uy])
+            dv = lcm(*[c.denominator for c in vx + vy])
+            ux, uy, vx, vy = _scaled(ux, du), _scaled(uy, du), _scaled(vx, dv), _scaled(vy, dv)
+            x = sum(map(mul, ux, vx)) + ctx.eps * sum(map(mul, uy, vy))
+            y = sum(map(mul, ux, vy)) + sum(map(mul, uy, vx))
+            return EScalar(Fraction(x, du * dv), Fraction(y, du * dv), ctx)
     it = iter(zip(u, v))
     a, b = next(it)
     s = a * b
     for a, b in it:
         s = s + a * b
     return s
+
+
+def _scaled(fracs, d):
+    """The integers d * f, for Fractions f whose denominators divide d."""
+    return [f.numerator * (d // f.denominator) for f in fracs]
 
 
 def mat_vec(A, v):
