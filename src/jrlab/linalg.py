@@ -2,15 +2,20 @@
 
 Matrices are lists of lists (rows); vectors are lists.  Everything returns
 new objects; nothing is mutated in place by callers.
+
+The kernels run on integers: dot products of Fraction (or one-context
+EScalar) vectors sum integer products over one common denominator; det and
+rref (so inverse, solve, nullspace, rank) eliminate fraction-free on rows
+scaled into Z or Z[sqrt(eps)]; charpoly is Berkowitz's division-free one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import floordiv, mul, sub
 
-from .fields import EScalar, one_like, scalar_inverse
+from .fields import EScalar, one_like
 from .poly import Polynomial
 
 
@@ -54,19 +59,16 @@ def mat_mul(A, B):
 def _dot(u, v):
     """sum(a * b).  When both vectors are all Fraction, or all EScalar of one
     context, each is scaled to integers over a common denominator and the
-    integer products are summed: one normalisation instead of one a term."""
+    integer products are summed: one normalisation instead of one per term."""
     t = type(u[0]) if u else None
-    if t is Fraction and all(type(a) is Fraction for a in u) \
-            and all(type(b) is Fraction for b in v):
+    if t is Fraction and all(type(a) is Fraction for w in (u, v) for a in w):
         du, dv = lcm(*[a.denominator for a in u]), lcm(*[b.denominator for b in v])
         return Fraction(sum(map(mul, _scaled(u, du), _scaled(v, dv))), du * dv)
     if t is EScalar:
         ctx = u[0].ctx
-        if all(type(a) is EScalar and a.ctx is ctx for a in u) \
-                and all(type(b) is EScalar and b.ctx is ctx for b in v):
+        if all(type(a) is EScalar and a.ctx is ctx for w in (u, v) for a in w):
             ux, uy, vx, vy = [a.x for a in u], [a.y for a in u], [b.x for b in v], [b.y for b in v]
-            du = lcm(*[c.denominator for c in ux + uy])
-            dv = lcm(*[c.denominator for c in vx + vy])
+            du, dv = lcm(*[c.denominator for c in ux + uy]), lcm(*[c.denominator for c in vx + vy])
             ux, uy, vx, vy = _scaled(ux, du), _scaled(uy, du), _scaled(vx, dv), _scaled(vy, dv)
             x = sum(map(mul, ux, vx)) + ctx.eps * sum(map(mul, uy, vy))
             y = sum(map(mul, ux, vy)) + sum(map(mul, uy, vx))
@@ -132,66 +134,89 @@ def block_diag(blocks, zero):
     return out
 
 
+def _coords(A):
+    """A with each row scaled to integer coordinates, the product of the row
+    scales, and the context (None over Q).  Over E an entry x + y sqrt(eps)
+    becomes the pair (x, y) in Z[sqrt(eps)]; contexts are checked as by
+    EScalar arithmetic."""
+    z = next((a for row in A for a in row if type(a) is EScalar), None)
+    if z is None:
+        ds = [lcm(*[a.denominator for a in row]) for row in A]
+        return [_scaled(row, d) for row, d in zip(A, ds)], prod(ds), None
+    rows = [[z._coerce(a) for a in row] for row in A]
+    ds = [lcm(*[c.denominator for a in row for c in (a.x, a.y)]) for row in rows]
+    return [list(zip(_scaled([a.x for a in row], d), _scaled([a.y for a in row], d)))
+            for row, d in zip(rows, ds)], prod(ds), z.ctx
+
+
+def _ring(ctx):
+    """(zero, one, product, difference, exact quotient) on the coordinates of
+    `_coords`; over E a quotient is by way of the conjugate and the norm."""
+    if ctx is None:
+        return 0, 1, mul, sub, floordiv
+    e = ctx.eps
+    emul = lambda a, b: (a[0] * b[0] + e * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    ediv = lambda a, b: tuple(c // (b[0] * b[0] - e * b[1] * b[1]) for c in emul(a, (b[0], -b[1])))
+    return (0, 0), (1, 0), emul, lambda a, b: (a[0] - b[0], a[1] - b[1]), ediv
+
+
+def _quotient(a, d, ctx):
+    """a / d as a scalar, for coordinates a and d."""
+    if ctx is None:
+        return Fraction(a, d)
+    e, n = ctx.eps, d[0] * d[0] - ctx.eps * d[1] * d[1]
+    return EScalar(Fraction(a[0] * d[0] - e * a[1] * d[1], n),
+                   Fraction(a[1] * d[0] - a[0] * d[1], n), ctx)
+
+
+def _bareiss(M, ctx, below):
+    """Fraction-free elimination (Bareiss 1968) of the coordinate matrix M in
+    place: pivot p clears its column from the rows below (and, unless
+    `below`, above), each entry becoming (p a - f b) / (previous pivot), an
+    exact quotient.  Returns the pivot columns, the last pivot and the sign
+    of the row swaps."""
+    zero, prev, mul_, sub_, div = _ring(ctx)
+    pivots, sign = [], 1
+    for j in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][j] != zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv], sign = M[piv], M[r], -sign
+        p, top = M[r][j], M[r]
+        for i in range(r + 1 if below else 0, len(M)):
+            if i != r:
+                f, lo = M[i][j], j if i > r else 0
+                M[i][lo:] = [div(sub_(mul_(p, a), mul_(f, b)), prev)
+                             for a, b in zip(M[i][lo:], top[lo:])]
+        prev = p
+        pivots.append(j)
+    return pivots, prev, sign
+
+
 def det(A):
-    """Determinant by Gaussian elimination with field division: every
-    nonzero pivot must be invertible (Q or the inert extension)."""
+    """Determinant by fraction-free elimination on integer coordinates
+    (`_bareiss`): the last pivot over the product of the row scales.  No
+    scalar is inverted, and a 1 x 1 matrix returns its entry."""
     n, m = dims(A)
     assert n == m, "determinant of a non-square matrix"
-    M = [list(row) for row in A]
-    sign = 1
-    acc = None
-    for j in range(n):
-        piv = None
-        for i in range(j, n):
-            if M[i][j]:
-                piv = i
-                break
-        if piv is None:
-            z = M[0][0] * 0
-            return z
-        if piv != j:
-            M[j], M[piv] = M[piv], M[j]
-            sign = -sign
-        pv = M[j][j]
-        acc = pv if acc is None else acc * pv
-        if j + 1 < n:
-            pv_inv = scalar_inverse(pv)
-        for i in range(j + 1, n):
-            if not M[i][j]:
-                continue
-            f = M[i][j] * pv_inv
-            M[i] = [a - f * b for a, b in zip(M[i], M[j])]
-    if acc is None:
-        return Fraction(1)
-    return acc if sign == 1 else -acc
+    if n < 2:
+        return A[0][0] if n else Fraction(1)
+    M, d, ctx = _coords(A)
+    pivots, p, sign = _bareiss(M, ctx, True)
+    p = p if len(pivots) == n else _ring(ctx)[0]
+    return _quotient(p, sign * d if ctx is None else (sign * d, 0), ctx)
 
 
 def rref(A):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    n, m = dims(A)
-    M = [list(row) for row in A]
-    pivots = []
-    r = 0
-    for j in range(m):
-        piv = None
-        for i in range(r, n):
-            if M[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = scalar_inverse(M[r][j])
-        M[r] = [a * inv for a in M[r]]
-        for i in range(n):
-            if i != r and M[i][j]:
-                f = M[i][j]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(j)
-        r += 1
-        if r == n:
-            break
-    return M, pivots
+    """Reduced row echelon form; returns (R, pivot_columns).  Scaling A's
+    rows to integer coordinates leaves the form unchanged; fraction-free
+    Gauss-Jordan elimination (`_bareiss`) ends with every pivot equal to
+    the last one, which divides out."""
+    M, _, ctx = _coords(A)
+    pivots, p, _ = _bareiss(M, ctx, False)
+    return [[_quotient(a, p, ctx) for a in row] for row in M], pivots
 
 
 def rank(A):
@@ -228,34 +253,30 @@ def solve(A, b):
 def inverse(A):
     n, m = dims(A)
     assert n == m
-    one = _one(A)
-    M = [list(row) + [one if i == j else one * 0 for j in range(n)]
-         for i, row in enumerate(A)]
-    R, pivots = rref(M)
+    R, pivots = rref([list(row) + e for row, e in zip(A, identity(n, _one(A)))])
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in R[:n]]
 
 
 def charpoly(A) -> Polynomial:
-    """Monic characteristic polynomial det(tI - A) by the trace recursion
-    (Faddeev-LeVerrier); only divisions by small integers occur."""
+    """Monic characteristic polynomial det(tI - A) by Berkowitz's
+    division-free recursion (Inf. Process. Lett. 18, 1984): the polynomial
+    of each leading (r+1) x (r+1) block is a Toeplitz matrix, built from
+    the new row R, column C and corner a as 1, -a, -R C, -R A_r C, ...,
+    times the polynomial of the r x r block A_r."""
     n, m = dims(A)
     assert n == m
-    if n == 0:
-        return Polynomial([1])
-    coeffs = [_one(A)]      # descending: t^n coefficient first
-    M = A                   # M_k = A (M_{k-1} + c_{k-1} I), M_1 = A
-    for k in range(1, n + 1):
-        tr = M[0][0]
-        for i in range(1, n):
-            tr = tr + M[i][i]
-        c = tr * Fraction(-1, k)
-        coeffs.append(c)
-        if k < n:
-            M = mat_mul(A, [[x + c if i == j else x for j, x in enumerate(row)]
-                            for i, row in enumerate(M)])
-    return Polynomial(list(reversed(coeffs)))
+    one = _one(A) if n else 1
+    c = [one]                   # descending: t^r coefficient first
+    for r in range(n):
+        Ar, R, v = [row[:r] for row in A[:r]], A[r][:r], [row[r] for row in A[:r]]
+        q = [one, -A[r][r]]
+        for k in range(r):
+            q.append(-_dot(R, v))
+            v = [_dot(row, v) for row in Ar] if k + 1 < r else v
+        c = [one] + [_dot(q[i::-1], c) for i in range(1, r + 2)]
+    return Polynomial(c[::-1])
 
 
 def poly_apply(p: Polynomial, A):
