@@ -10,6 +10,7 @@ an ordered pair (a, b) standing for the functional H_a - H_b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,8 +182,9 @@ def _coarsenings(C: Chamber):
         yield tuple(tuple(sorted(p[i:j])) for i, j in zip(cuts, cuts[1:]))
 
 
+@functools.cache
 def all_parabolics(m: int):
-    """Ordered set partitions of 1..m."""
+    """Ordered set partitions of 1..m, built once per m (a shared tuple)."""
     def parts(items):
         if not items:
             yield []
@@ -192,7 +194,7 @@ def all_parabolics(m: int):
                 remaining = [x for x in items if x not in blk]
                 for tail in parts(remaining):
                     yield [blk] + tail
-    return [tuple(p) for p in parts(list(range(1, m + 1)))]
+    return tuple(tuple(p) for p in parts(list(range(1, m + 1))))
 
 
 def parabolics_above(S, m: int):

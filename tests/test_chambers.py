@@ -100,6 +100,13 @@ def test_rank_predicates_match_references_on_all_pairs(m):
             assert minimal_galleries(P1, P2) == ref_minimal_galleries(P1, P2)
 
 
+def test_all_parabolics_is_built_once_and_shared_immutably():
+    paras = all_parabolics(4)
+    assert paras is all_parabolics(4) and type(paras) is tuple and len(paras) == 75
+    assert all(type(b) is tuple for b in paras)
+    assert len(all_parabolics(3)) == 13 and all_parabolics(1) == (((1,),),)
+
+
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_parabolic_predicates_match_references(m):
     chambers, paras = all_chambers(m), all_parabolics(m)
