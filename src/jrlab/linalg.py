@@ -234,7 +234,7 @@ def nullspace(A):
         v = [one * 0 for _ in range(m)]
         v[f] = one
         for r_i, p in enumerate(pivots):
-            v[p] = -R[r_i][f] * one
+            v[p] = -R[r_i][f]
         basis.append(v)
     return basis
 

@@ -1,6 +1,6 @@
 """`linalg._dot` against the term-by-term loop it replaces on Fraction and
 EScalar vectors: equal values of the same type (and context), and no
-silent mixing of contexts."""
+silent mixing of contexts there or in the elimination kernels."""
 
 from fractions import Fraction as F
 
@@ -84,6 +84,9 @@ def test_mixed_contexts_still_raise():
         la.mat_mul([[a, a]], [[a], [b]])
     with pytest.raises(ValueError):
         la.mat_mul([[a, b]], [[a], [a]])
+    for f in (la.det, la.inverse, la.rref, la.charpoly):
+        with pytest.raises(ValueError):
+            f([[a, a], [b, a]])
     # equal contexts that are distinct objects mix, as they always did
     twin = EScalar(2, 1, PLocalContext(3))
     _same(la.dot([a, twin], [a, a]), ref_dot([a, twin], [a, a]))
