@@ -82,7 +82,8 @@ def _dot(u, v):
 
 
 def _scaled(fracs, d):
-    """The integers d * f, for Fractions f whose denominators divide d."""
+    """The integers d * f, for rationals f (int or Fraction) whose
+    denominators divide d."""
     return [f.numerator * (d // f.denominator) for f in fracs]
 
 
