@@ -3,15 +3,16 @@
 Matrices are lists of lists (rows); vectors are lists.  Everything returns
 new objects; nothing is mutated in place by callers.
 
-The kernels run on integers: dot products of Fraction (or one-context
-EScalar) vectors sum integer products over one common denominator; det and
-rref (so inverse, solve, nullspace, rank) eliminate fraction-free on rows
-scaled into Z or Z[sqrt(eps)]; charpoly is Berkowitz's division-free one.
+The kernels run on integers: dot products, over Q or over E, sum integer
+products over one common denominator; det and rref (so inverse, solve,
+nullspace, rank) eliminate fraction-free on rows scaled into Z or
+Z[sqrt(eps)]; charpoly is Berkowitz's division-free one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from operator import floordiv, mul, sub
 
@@ -29,7 +30,8 @@ def zeros(r, c):
 
 
 def identity(n, one=Fraction(1)):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+    zero = one * 0
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def dims(A):
@@ -57,28 +59,28 @@ def mat_mul(A, B):
 
 
 def _dot(u, v):
-    """sum(a * b).  When both vectors are all Fraction, or all EScalar of one
-    context, each is scaled to integers over a common denominator and the
-    integer products are summed: one normalisation instead of one per term."""
-    t = type(u[0]) if u else None
-    if t is Fraction and all(type(a) is Fraction for w in (u, v) for a in w):
-        du, dv = lcm(*[a.denominator for a in u]), lcm(*[b.denominator for b in v])
-        return Fraction(sum(map(mul, _scaled(u, du), _scaled(v, dv))), du * dv)
-    if t is EScalar:
-        ctx = u[0].ctx
-        if all(type(a) is EScalar and a.ctx is ctx for w in (u, v) for a in w):
-            ux, uy, vx, vy = [a.x for a in u], [a.y for a in u], [b.x for b in v], [b.y for b in v]
-            du, dv = lcm(*[c.denominator for c in ux + uy]), lcm(*[c.denominator for c in vx + vy])
-            ux, uy, vx, vy = _scaled(ux, du), _scaled(uy, du), _scaled(vx, dv), _scaled(vy, dv)
-            x = sum(map(mul, ux, vx)) + ctx.eps * sum(map(mul, uy, vy))
-            y = sum(map(mul, ux, vy)) + sum(map(mul, uy, vx))
-            return EScalar(Fraction(x, du * dv), Fraction(y, du * dv), ctx)
-    it = iter(zip(u, v))
-    a, b = next(it)
-    s = a * b
-    for a, b in it:
-        s = s + a * b
-    return s
+    """sum(a * b) with one normalisation instead of one per term: each vector
+    is scaled to integers over a common denominator.  Ints and Fractions sum
+    over Q (to an int when all are ints); with an EScalar among the entries,
+    all are coerced into its context and the x and sqrt(eps) parts summed."""
+    z = u[0] if u else None
+    if type(z) is not EScalar or not all(type(a) is EScalar and a.ctx is z.ctx
+                                         for a in chain(u, v)):
+        types = {*map(type, u), *map(type, v)}
+        if EScalar not in types:
+            if Fraction not in types:
+                return sum(map(mul, u, v))
+            du, dv = lcm(*[a.denominator for a in u]), lcm(*[b.denominator for b in v])
+            return Fraction(sum(map(mul, _scaled(u, du), _scaled(v, dv))), du * dv)
+        z = next(a for a in chain(u, v) if type(a) is EScalar)
+        u, v = ([z._coerce(a) for a in w] for w in (u, v))
+    ctx = z.ctx
+    ux, uy, vx, vy = [a.x for a in u], [a.y for a in u], [b.x for b in v], [b.y for b in v]
+    du, dv = lcm(*[c.denominator for c in ux + uy]), lcm(*[c.denominator for c in vx + vy])
+    ux, uy, vx, vy = _scaled(ux, du), _scaled(uy, du), _scaled(vx, dv), _scaled(vy, dv)
+    x = sum(map(mul, ux, vx)) + ctx.eps * sum(map(mul, uy, vy))
+    y = sum(map(mul, ux, vy)) + sum(map(mul, uy, vx))
+    return EScalar(Fraction(x, du * dv), Fraction(y, du * dv), ctx)
 
 
 def _scaled(fracs, d):

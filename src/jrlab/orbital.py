@@ -8,7 +8,9 @@ Hermite form.  The lattices between O^n and M O^n (M the moment matrix) are
 found bottom up: H^{-1} M is integral row by row from the last row, so each
 row of H is built below the rows already chosen, its entries grown p-adic
 digit by digit and dropped at the first digit that leaves a residual
-indivisible; every surviving H is confirmed by exact inversion.
+indivisible; every surviving H is confirmed by exact inversion.  Whether
+the lattice L^{-1} H O^n (L the dual-Krylov rows) is admissible is then
+decided on H itself, and only the lattices kept are given a basis L^{-1} H.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ def hermite_normalize(B, ctx: PLocalContext) -> Lattice:
     return Lattice(tuple(tuple(row) for row in M), p)
 
 
+def _integral(A, ctx: PLocalContext) -> bool:
+    """Whether every entry of the matrix A is p-integral."""
+    return all(is_integral(x, ctx) for row in A for x in row)
+
+
 def _lattices_between(M, ctx: PLocalContext, ext: bool):
     """All H O^n with O^n >= H O^n >= M O^n over O, or O_E when ext:
     upper-triangular, p-power diagonal, each entry above it reduced modulo
@@ -115,7 +122,7 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
     (pairs for x + y sqrt(eps)) exact modulo p^(v(det M) + 1 - exponents
     below) decide every test, as the exponents sum to at most v(det M)."""
     n, p, eps = len(M), ctx.p, ctx.eps
-    if not all(is_integral(x, ctx) for row in M for x in row):
+    if not _integral(M, ctx):
         return []
     vdet = (valuation_ext if ext else valuation)(la.det(M), ctx)
     coords = (lambda z: (z.x, z.y)) if ext else (lambda z: (z, 0))
@@ -159,8 +166,7 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
             H[i][i] = make(p ** diag[i], 0)
             for j, (x, y) in enumerate(hs[i], i + 1):
                 H[i][j] = make(x, y)
-        HM = la.mat_mul(la.inverse(H), M)
-        if all(is_integral(x, ctx) for row in HM for x in row):
+        if _integral(la.mat_mul(la.inverse(H), M), ctx):
             out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))), H))
     return [H for _, H in sorted(out, key=lambda e: e[0])]
 
@@ -171,13 +177,19 @@ def intermediate_lattices(M, ctx: PLocalContext):
     return _lattices_between(M, ctx, ext=False)
 
 
-def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None):
-    """Bases B of the lattices stable under the matrix, containing the
-    vector and integral against the covector, that pass keep(B) if given.
-    With K the Krylov basis and L the dual-Krylov rows, L B lies between
-    M O^n, M = L K the moment matrix, and O^n: so B = L^{-1} H for the H
-    that lattices_between(M, ctx) enumerates.  There are none when M is
-    not p-integral: c A^k b lies in O for every admissible lattice."""
+def _admissible_bases(X: Triple, ctx: PLocalContext, selfdual: bool):
+    """Bases B = L^{-1} H of the lattices stable under A, containing b and
+    integral against c, and self-dual for the form when selfdual (over O_E).
+    With L the dual-Krylov rows and K the Krylov basis, L B lies between
+    M O^n and O^n, M = L K the moment matrix, so H = L B runs through the
+    lattices the enumerator finds.  Each test is one on H:
+    - c B = H[0], the first row of L B, integral as H is;
+    - B^{-1} b = (H^{-1} M) e_1, as L b is M's first column, and the
+      enumerator has confirmed H^{-1} M integral (it finds no H when M is
+      not: c A^k b lies in O for every admissible lattice);
+    - B^{-1} A B = H^{-1} C H with C = L A L^{-1};
+    - B* G B = H* M^{-1} H for the Gram matrix G, as L = K* G when A is
+      self-adjoint, so that L^{-1}* G L^{-1} = (K* G K)^{-1} = M^{-1}."""
     n = X.n
     if stratum(X) != n:
         raise ValueError("admissible lattices need a regular semisimple element")
@@ -185,30 +197,24 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, lattices_between, keep=None
     M = la.mat_mul(L, basis_matrix(X))
     if la.det(M) != d_r(X, n):
         raise AssertionError("the moment matrix does not have determinant d_n")
-    if not all(is_integral(x, ctx) for row in M for x in row):
-        return []
     Li = la.inverse(L)
+    C = la.mat_mul(L, la.mat_mul(X.A, Li))
+    Mi = la.inverse(M) if selfdual else None
     out = []
-    for H in lattices_between(M, ctx):
-        B = la.mat_mul(Li, H)
-        if keep is not None and not keep(B):
-            continue
-        Bi = la.inverse(B)
-        AB = la.mat_mul(Bi, la.mat_mul(X.A, B))
-        if not all(is_integral(x, ctx) for row in AB for x in row):
-            continue
-        if not all(is_integral(x, ctx) for x in la.mat_vec(Bi, X.b)):
-            continue
-        if not all(is_integral(x, ctx) for x in la.vec_mat(X.c, B)):
-            continue
-        out.append(B)
+    for H in (intermediate_lattices_ext if selfdual else intermediate_lattices)(M, ctx):
+        if selfdual:
+            gram = la.mat_mul(la.conj_transpose(H), la.mat_mul(Mi, H))
+            if not _integral(gram, ctx) or valuation_ext(la.det(gram), ctx) != 0:
+                continue
+        if _integral(la.mat_mul(la.inverse(H), la.mat_mul(C, H)), ctx):
+            out.append(la.mat_mul(Li, H))
     return out
 
 
 def admissible_lattices_gl(X: Triple, ctx: PLocalContext) -> list[Lattice]:
     """All lattices stable under the matrix, containing the vector and
     integral against the covector, in p-normalized Hermite form."""
-    return [hermite_normalize(B, ctx) for B in _admissible_bases(X, ctx, intermediate_lattices)]
+    return [hermite_normalize(B, ctx) for B in _admissible_bases(X, ctx, False)]
 
 
 @dataclass(frozen=True)
@@ -253,18 +259,8 @@ def intermediate_lattices_ext(M, ctx: PLocalContext):
 def selfdual_admissible_lattices(X: HermitianPair, ctx: PLocalContext):
     """Self-dual stable lattices containing the vector: the admissible
     lattices of the linear triple (A, b, sigma(b)^T Gram) over the extension
-    whose Gram matrix is unimodular.  As A is self-adjoint, the triple's
-    moment matrix is the Gram matrix K* Gram K of the Krylov basis."""
-    G = X.form.gram
-
-    def unimodular(B):
-        gr = la.mat_mul(la.conj_transpose(B), la.mat_mul(G, B))
-        if not all(is_integral(x, ctx) for row in gr for x in row):
-            return False
-        d = la.det(gr)
-        return bool(d) and valuation_ext(d, ctx) == 0
-
-    return _admissible_bases(X.triple, ctx, intermediate_lattices_ext, unimodular)
+    whose Gram matrix is unimodular."""
+    return _admissible_bases(X.triple, ctx, True)
 
 
 def orbital_u(X: HermitianPair, ctx: PLocalContext) -> OrbitalReport:

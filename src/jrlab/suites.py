@@ -280,7 +280,8 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                 for which, basis in (("generic", zR), ("rigid", _intersect_span(zP, zR))):
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
-                    hat_covs = _live([c for Q, _ in below for c in g._sigma_hat_cov(Q, P)], basis)
+                    hat_covs = _live([c for Q, _ in below for c in g._sigma_hat_cov(Q, P)],
+                                     [eng.to_ambient(b) for b in basis])
                     factor_covs = [(k, _live(eng.gi[k]._sigma_cov(rf, qf),
                                              [eng.to_factor(b, k) for b in basis]))
                                    for _, Qm in below

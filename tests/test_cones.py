@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrlab import linalg as la
+from jrlab import linalg as la, suites
 from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
                          ParabolicSubspace, _all_pos, _nonzero, above, between,
                          enumerate_parabolic_subspaces,
@@ -159,6 +159,25 @@ def test_cones_suite_small():
 def test_descent_suite_small():
     rep = descent_suite(2, seed=11, samples=6)
     assert not rep["failures"], rep["failures"][:2]
+
+
+def test_descent_suite_draws_reach_every_target(monkeypatch):
+    """No sampler of the n = 3 descent suite comes back short.  The
+    fiber-inversion wall filter must pair the hat covectors with the domain
+    in ambient coordinates: read on the minus coordinates, covectors that
+    vanish on the whole domain pass as live, and 20 domains got no draw."""
+    short, original = [], suites._accepted
+
+    def accepted(draw, target, tries):
+        got = list(original(draw, target, tries))
+        if len(got) < target:
+            short.append((target, len(got)))
+        return got
+
+    monkeypatch.setattr("jrlab.suites._accepted", accepted)
+    rep = descent_suite(3, seed=0, samples=1)
+    assert not rep["failures"] and rep["instances"] == 10465
+    assert short == []
 
 
 @st.composite

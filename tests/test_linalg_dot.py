@@ -1,6 +1,7 @@
-"""`linalg._dot` against the term-by-term loop it replaces on Fraction and
-EScalar vectors: equal values of the same type (and context), and no
-silent mixing of contexts there or in the elimination kernels."""
+"""`linalg._dot` against the term-by-term loop it replaces on int, Fraction
+and EScalar vectors and their mixes: equal values of the same type (and
+context), and no silent mixing of contexts there or in the elimination
+kernels."""
 
 from fractions import Fraction as F
 
@@ -63,6 +64,15 @@ def test_dot_over_the_inert_extension_matches_the_loop(p, data):
     _same(la.dot(u, v), ref_dot(u, v))
 
 
+@pytest.mark.parametrize("rational", [st.integers(-50, 50), _frac], ids=["int", "Fraction"])
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(sorted(CTXS)), data=st.data())
+def test_dot_over_rationals_mixed_with_the_extension_matches_the_loop(rational, p, data):
+    ctx = CTXS[p]
+    u, v = data.draw(_pairs(st.one_of(rational, st.builds(EScalar, _frac, _frac, st.just(ctx)))))
+    _same(la._dot(u, v), ref_dot(u, v))
+
+
 def test_dot_edge_cases():
     ctx = CTXS[3]
     _same(la._dot([F(3, 7)], [F(-7, 3)]), F(-1))
@@ -84,6 +94,8 @@ def test_mixed_contexts_still_raise():
         la.mat_mul([[a, a]], [[a], [b]])
     with pytest.raises(ValueError):
         la.mat_mul([[a, b]], [[a], [a]])
+    with pytest.raises(ValueError):
+        la.dot([F(1), a], [b, 2])
     for f in (la.det, la.inverse, la.rref, la.charpoly):
         with pytest.raises(ValueError):
             f([[a, a], [b, a]])

@@ -8,12 +8,12 @@ from hypothesis import assume, event, given, settings, strategies as st
 from jrlab import linalg as la
 from jrlab.fields import (EScalar, PLocalContext, eta, is_integral, one_like,
                           valuation, valuation_ext, zero_like)
-from jrlab.gltilde import (InvariantPoint, Triple, act, d_r_of_point, invariants,
-                           stratum)
+from jrlab.gltilde import (InvariantPoint, Triple, act, basis_matrix, d_r,
+                           d_r_of_point, dual_krylov_rows, invariants, stratum)
 from jrlab.hermitian import (HermitianForm, HermitianPair, classify_form_local,
                              hankel_pair_for_point, random_unitary,
                              unitary_act)
-from jrlab.orbital import (Lattice, admissible_lattices_gl, fl_check,
+from jrlab.orbital import (Lattice, _admissible_bases, admissible_lattices_gl, fl_check,
                            gl_representative_of_point, hermite_normalize,
                            intermediate_lattices, intermediate_lattices_ext,
                            is_instable, orbital_gl,
@@ -217,7 +217,6 @@ def test_sandwich_index_is_exact():
                        [F(rng.randint(-3, 3)) for _ in range(n)])
             if stratum(X) == n:
                 break
-        from jrlab.gltilde import basis_matrix, d_r, dual_krylov_rows
         K = basis_matrix(X)
         L = dual_krylov_rows(X, n)
         M = la.mat_mul(L, K)
@@ -261,6 +260,102 @@ def test_sides_agree_at_deep_valuation(point, v, pinned):
     norm = classify_form_local(Xu.form, CTX)["disc_is_norm"]
     assert (gl.value, gl.lattice_count, u.value, u.lattice_count, norm) == pinned
     assert gl.value == u.value if norm else gl.value == u.value == 0
+
+
+def _reference_bases(X, ctx, lattices_between, keep=None):
+    """The filter `_admissible_bases` replaced, as the reference: it builds
+    B = L^{-1} H for every sandwich lattice H and tests B itself (keep(B),
+    A-stability, b in B O^n, c B integral)."""
+    n = X.n
+    if stratum(X) != n:
+        raise ValueError("admissible lattices need a regular semisimple element")
+    L = dual_krylov_rows(X, n)
+    M = la.mat_mul(L, basis_matrix(X))
+    if la.det(M) != d_r(X, n):
+        raise AssertionError("the moment matrix does not have determinant d_n")
+    if not all(is_integral(x, ctx) for row in M for x in row):
+        return []
+    Li = la.inverse(L)
+    out = []
+    for H in lattices_between(M, ctx):
+        B = la.mat_mul(Li, H)
+        if keep is not None and not keep(B):
+            continue
+        Bi = la.inverse(B)
+        AB = la.mat_mul(Bi, la.mat_mul(X.A, B))
+        if not all(is_integral(x, ctx) for row in AB for x in row):
+            continue
+        if not all(is_integral(x, ctx) for x in la.mat_vec(Bi, X.b)):
+            continue
+        if not all(is_integral(x, ctx) for x in la.vec_mat(X.c, B)):
+            continue
+        out.append(B)
+    return out
+
+
+def _reference_unimodular(G, ctx):
+    """keep(B) of the reference's self-dual count: B* G B is integral with
+    unit determinant."""
+    def keep(B):
+        gr = la.mat_mul(la.conj_transpose(B), la.mat_mul(G, B))
+        if not all(is_integral(x, ctx) for row in gr for x in row):
+            return False
+        d = la.det(gr)
+        return bool(d) and valuation_ext(d, ctx) == 0
+    return keep
+
+
+def _outcome(f, *args):
+    """f's bases with their entry types, or the exception it raised."""
+    try:
+        return [(B, [type(x) for row in B for x in row]) for B in f(*args)]
+    except (ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+def _reference_points():
+    """(p, point) for the comparison: the points of two `fl_check` runs, the
+    pinned deep points, p = 5 points at v(d_2) = 0..4 and non-integral
+    moment data."""
+    point = lambda r: InvariantPoint(tuple(map(F, r["a"]["a"])), tuple(map(F, r["a"]["b"])))
+    runs = [fl_check(1, CTX, 6), fl_check(2, CTX, 2, seed=110, samples=20)]
+    out = [(3, point(r)) for rep in runs for r in rep["results"]]
+    out += [(3, InvariantPoint(tuple(map(F, a)), tuple(map(F, b)))) for (a, b), _, _ in DEEP_POINTS]
+    rng, ctx5, want = random.Random(46), PLocalContext(5), set(range(5))
+    while want:
+        a = InvariantPoint(*((F(rng.randint(-25, 25)), F(rng.randint(-25, 25))) for _ in range(2)))
+        d = d_r_of_point(a, 2)
+        if d and valuation(d, ctx5) in want:
+            want.discard(valuation(d, ctx5))
+            out.append((5, a))
+    out += [(3, InvariantPoint((F(0),), (F(1, 9),))),
+            (3, InvariantPoint((F(0), F(1)), (F(1, 3), F(0))))]
+    return out
+
+
+def test_admissible_bases_match_the_b_level_reference():
+    """Deciding admissibility on the sandwich lattice H gives the same bases
+    in the same order, and the same exceptions, as testing B = L^{-1} H."""
+    points = _reference_points()
+    assert {valuation(d_r_of_point(a, 2), PLocalContext(5)) for p, a in points if p == 5} \
+        == set(range(5))
+    kept = 0
+    for p, a in points:
+        ctx = PLocalContext(p)
+        Xgl = gl_representative_of_point(a)
+        assert _outcome(_admissible_bases, Xgl, ctx, False) == \
+            _outcome(_reference_bases, Xgl, ctx, intermediate_lattices)
+        Xu = hankel_pair_for_point(a, ctx)
+        got = _outcome(_admissible_bases, Xu.triple, ctx, True)
+        assert got == _outcome(_reference_bases, Xu.triple, ctx, intermediate_lattices_ext,
+                               _reference_unimodular(Xu.form.gram, ctx))
+        kept += len(got)
+    assert kept > 40
+    # a non-regular triple raises the same error on both
+    X = Triple([[F(1), F(0)], [F(0), F(1)]], [F(1), F(0)], [F(1), F(0)])
+    raised = _outcome(_admissible_bases, X, CTX, False)
+    assert raised == _outcome(_reference_bases, X, CTX, intermediate_lattices)
+    assert raised[0] is ValueError
 
 
 def test_orbital_gl_representative_independence():
