@@ -8,10 +8,11 @@ Run: python3 demos/demo_chambers.py
 import random
 from fractions import Fraction as F
 
-from jrlab.chambers import (Chamber, all_chambers, distance, gallery_walls,
-                            h_plus, is_convex, minimal_galleries,
-                            pairwise_orthogonal_positive, psi_analytic,
-                            psi_geometric, sigma_set, in_positive_dual_cone)
+from jrlab.chambers import (Chamber, all_chambers, distance, family_projection,
+                            gallery_walls, h_plus, is_convex, minimal_galleries,
+                            pairwise_orthogonal_positive, parabolics_above,
+                            psi_analytic, psi_geometric, sigma_set,
+                            in_positive_dual_cone)
 
 m = 3
 P = Chamber((1, 2, 3))
@@ -40,5 +41,8 @@ Lam = [F(0)] * m
 for pos, a in enumerate(S[0].perm):
     Lam[a - 1] = F([30, 20, 10][pos])
 assert in_positive_dual_cone(Lam, S[0])
-print("\npsi (geometric):", psi_geometric(S, H, fam, m))
+# the geometric sum reads the family's projections Y_Q onto the parabolics
+# above a member, scaled by lcm(1..m) to integer vectors
+proj = {blocks: family_projection(fam, blocks, m) for blocks in parabolics_above(S, m)}
+print("\npsi (geometric):", psi_geometric(proj, H, m))
 print("psi (analytic) :", psi_analytic(S, Lam, H, fam))

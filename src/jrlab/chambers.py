@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +42,17 @@ class Chamber:
     def opposite(self) -> "Chamber":
         return Chamber(tuple(reversed(self.perm)))
 
+    def swap(self, i: int) -> "Chamber":
+        """The adjacent chamber across the pair at positions i, i + 1, built
+        from this one's perm and rank without sorting or validating again."""
+        p, rank = self.perm, list(self.rank)
+        a, b = p[i], p[i + 1]
+        rank[a - 1], rank[b - 1] = i + 1, i
+        C = object.__new__(Chamber)
+        object.__setattr__(C, "perm", p[:i] + (b, a) + p[i + 2:])
+        object.__setattr__(C, "rank", tuple(rank))
+        return C
+
 
 def all_chambers(m: int):
     return [Chamber(p) for p in itertools.permutations(range(1, m + 1))]
@@ -60,20 +72,24 @@ def distance(P2: Chamber, P1: Chamber) -> int:
 
 
 def neighbours(P: Chamber):
-    out = []
-    for i in range(P.m - 1):
-        q = list(P.perm)
-        q[i], q[i + 1] = q[i + 1], q[i]
-        out.append(Chamber(tuple(q)))
-    return out
+    return [P.swap(i) for i in range(P.m - 1)]
 
 
 def _steps(P: Chamber, rank):
     """The neighbours of P one step closer to the chamber with these ranks:
     those across an adjacent pair that it reverses."""
     p = P.perm
-    return [Chamber(p[:i] + (p[i + 1], p[i]) + p[i + 2:])
-            for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
+    return [P.swap(i) for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
+
+
+def wall(P1: Chamber, P2: Chamber):
+    """The root crossed from P1 into the adjacent chamber P2, the one member
+    of Sigma(P2|P1): P1's pair at the one position P2 swaps."""
+    p, q = P1.perm, P2.perm
+    i = next((k for k, (a, b) in enumerate(zip(p, q)) if a != b), None)
+    if i is None or len(p) != len(q) or q != p[:i] + (p[i + 1], p[i]) + p[i + 2:]:
+        raise ValueError("chambers are not adjacent")
+    return p[i], p[i + 1]
 
 
 # Largest rank at which minimal galleries are enumerated.
@@ -95,13 +111,7 @@ def minimal_galleries(P1: Chamber, P2: Chamber):
 def gallery_walls(gallery):
     """The roots crossed along a gallery, as the set {alpha_i} with
     Sigma(P_{i+1}|P_i) = {alpha_i}."""
-    walls = []
-    for A, B in zip(gallery, gallery[1:]):
-        s = sigma_set(B, A)
-        if len(s) != 1:
-            raise ValueError("consecutive chambers are not adjacent")
-        walls.append(next(iter(s)))
-    return walls
+    return [wall(A, B) for A, B in zip(gallery, gallery[1:])]
 
 
 # Largest rank at which convexity is checked, and so the largest rank of the
@@ -130,11 +140,8 @@ def h_plus(alpha, m: int):
 def keycoxeter_step(P: Chamber, P1: Chamber, P2: Chamber) -> int:
     """The distance step d(P2,P) - d(P1,P) for P2 adjacent to P1: -1 when the
     crossed wall separates P from P1, +1 otherwise."""
-    s = sigma_set(P2, P1)
-    if len(s) != 1:
-        raise ValueError("chambers are not adjacent")
-    alpha = next(iter(s))
-    return -1 if alpha in sigma_set(P, P1) else 1
+    a, b = wall(P1, P2)
+    return -1 if P.rank[a - 1] > P.rank[b - 1] else 1
 
 
 def langlands_type_rep(S, P: Chamber, Q) -> Chamber:
@@ -234,16 +241,25 @@ def chamber_weights(C: Chamber):
     return weight_covectors(blocks, C.m)
 
 
-def project_family(points, index_blocks):
-    """The orthogonal projection onto the split-center space of an ordered
-    set partition, given as blocks of vector positions: blockwise averages.
-    Every point must project to one vector, which is returned (None when
-    there are no points)."""
+def projection_scale(m: int) -> int:
+    """lcm(1..m): a multiple of every block size, so scale times a block
+    average of integers is an integer."""
+    return math.lcm(*range(1, m + 1))
+
+
+def project_family(points, index_blocks, scale: int):
+    """scale times the orthogonal projection onto the split-center space of
+    an ordered set partition, given as blocks of vector positions: block
+    sums times scale / |block| (scale must be a multiple of every block
+    size).  Every point must project to one vector, which is returned (None
+    when there are no points)."""
+    if any(scale % len(idx) for idx in index_blocks):
+        raise ValueError("scale must be a multiple of every block size")
     vals = set()
     for Y in points:
         out = [0] * len(Y)
         for idx in index_blocks:
-            avg = Fraction(sum(Y[i] for i in idx), len(idx))
+            avg = sum(Y[i] for i in idx) * (scale // len(idx))
             for i in idx:
                 out[i] = avg
         vals.add(tuple(out))
@@ -299,7 +315,7 @@ def check_orthogonal_positive(fam) -> bool:
         for P2 in neighbours(P1):
             if P2 not in fam:
                 continue
-            (a, b), = sigma_set(P2, P1)
+            a, b = wall(P1, P2)
             # the difference must be a nonnegative multiple of e_a - e_b
             diff = [x - y for x, y in zip(fam[P1], fam[P2])]
             r = diff[a - 1]
@@ -310,13 +326,14 @@ def check_orthogonal_positive(fam) -> bool:
 
 
 def family_projection(fam, blocks, m: int):
-    """Y_Q for a parabolic above some member chamber: blockwise average of
-    any contained chamber's point (independence asserted).  The chambers
-    below are the products of the blocks' orderings."""
+    """D Y_Q, D = projection_scale(m), for a parabolic above some member
+    chamber: blockwise average of any contained chamber's point
+    (independence asserted), an integer vector for an integer family.  The
+    chambers below are the products of the blocks' orderings."""
     below = (Chamber(sum(orders, ())) for orders in
              itertools.product(*(itertools.permutations(blk) for blk in blocks)))
     YQ = project_family([fam[P] for P in below if P in fam],
-                        [[x - 1 for x in blk] for blk in blocks])
+                        [[x - 1 for x in blk] for blk in blocks], projection_scale(m))
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")
     return YQ
@@ -326,14 +343,13 @@ def family_projection(fam, blocks, m: int):
 # psi sums
 
 
-def psi_geometric(S, H, fam, m: int) -> int:
-    """Sum over parabolics above some member: sign times the weight cone
-    indicator at H - Y_Q."""
-    total = 0
-    for blocks in parabolics_above(S, m):
-        arg = [h - y for h, y in zip(H, family_projection(fam, blocks, m))]
-        total += epsilon_parabolic(blocks, m) * tau_hat(blocks, arg, m)
-    return total
+def psi_geometric(projections, H, m: int) -> int:
+    """Sum over the parabolics Q above some member of a family: sign times
+    the weight cone indicator at H - Y_Q, read at D H - D Y_Q.
+    `projections` maps each such Q to D Y_Q (`family_projection`)."""
+    HD = [projection_scale(m) * h for h in H]
+    return sum(epsilon_parabolic(blocks, m) * tau_hat(blocks, [h - y for h, y in zip(HD, YD)], m)
+               for blocks, YD in projections.items())
 
 
 def epsilon_lambda(P: Chamber, Lam) -> int:

@@ -10,10 +10,10 @@ inequalities throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 
 from . import linalg as la
 
@@ -111,6 +111,7 @@ class ParabolicSubspace:
         return not self.chain
 
 
+@functools.cache
 def full_group(n: int) -> ParabolicSubspace:
     return ParabolicSubspace(n, ())
 
@@ -153,20 +154,22 @@ def enumerate_parabolic_subspaces(n: int, levi_blocks=None):
     return out
 
 
+# The intervals are pure functions of frozen parabolics: each is built once
+# and shared as a tuple, as `chambers.all_parabolics` is.
+
+@functools.cache
 def between(P: ParabolicSubspace, Q: ParabolicSubspace):
     """All S with P contained in S contained in Q (as groups)."""
     if not P.le(Q):
         raise ValueError("containment violated")
     extra = [m for m in P.chain if m not in set(Q.chain)]
     base = set(Q.chain)
-    out = []
-    for k in range(len(extra) + 1):
-        for combo in itertools.combinations(extra, k):
-            members = sorted(base | set(combo), key=len)
-            out.append(ParabolicSubspace(P.n, tuple(members)))
-    return out
+    return tuple(ParabolicSubspace(P.n, tuple(sorted(base | set(combo), key=len)))
+                 for k in range(len(extra) + 1)
+                 for combo in itertools.combinations(extra, k))
 
 
+@functools.cache
 def above(P: ParabolicSubspace):
     """All parabolic subspaces containing P."""
     return between(P, full_group(P.n))
@@ -226,8 +229,9 @@ def _pull_back(w, support):
 
 
 # The two sign tests: every covector is an integer vector, and points are
-# ints or Fractions.  A strict sign is invariant under positive scaling, so
-# covectors are stored scaled to integers.
+# ints (the descent and chamber suites scale their rational points where
+# they are built) or Fractions.  A strict sign is invariant under positive
+# scaling, so covectors are stored scaled to integers.
 
 def _all_pos(covs, H) -> int:
     """1 when every covector is strictly positive at H, else 0."""
@@ -254,6 +258,13 @@ def _nonzero(covs, points) -> bool:
     return True
 
 
+def signed_count(terms, H) -> int:
+    """The sum of the signs of the terms (sign, covs, hat_covs, Y) whose
+    covectors covs are all positive at H and hat_covs all at H - Y."""
+    return sum(sign for sign, covs, hat_covs, Y in terms
+               if _all_pos(covs, H) and _all_pos(hat_covs, [h - y for h, y in zip(H, Y)]))
+
+
 # ---------------------------------------------------------------------------
 # the root/weight machinery for one ambient space
 
@@ -261,7 +272,7 @@ def _nonzero(covs, points) -> bool:
 def _memo(method):
     """Cache a method's results on its instance, so the cache goes with the
     instance (a class-level cache would keep every instance alive)."""
-    @wraps(method)
+    @functools.wraps(method)
     def cached(self, *args):
         key = (method, *args)
         try:
@@ -626,10 +637,11 @@ def enumerate_product_parabolics(datum: DescentDatum):
     return [ProductParabolic(t) for t in itertools.product(*per_factor)]
 
 
+@functools.cache
 def product_between(R: ProductParabolic, S: ProductParabolic):
     """All T with R contained in T contained in S, factorwise."""
     per = [between(a, b) for a, b in zip(R.factors, S.factors)]
-    return [ProductParabolic(t) for t in itertools.product(*per)]
+    return tuple(ProductParabolic(t) for t in itertools.product(*per))
 
 
 def product_full(datum: DescentDatum) -> ProductParabolic:
@@ -661,13 +673,14 @@ class DescentEngine:
         lut = dict(zip(self.minus, H))
         return [lut[c] for c in self.datum.parts[k]] + [0]
 
-    def _to_minus(self, R: ProductParabolic, vectors):
-        """vectors(factor space, factor) for every factor of R, placed on the
-        minus coordinates (their distinguished-line entries are dropped)."""
+    def _to_minus(self, vectors, *Rs: ProductParabolic):
+        """vectors(factor space, *factors) for every factor of the product
+        parabolics Rs, placed on the minus coordinates (their
+        distinguished-line entries are dropped)."""
         out = []
-        for k, f in enumerate(R.factors):
+        for k, fs in enumerate(zip(*(R.factors for R in Rs))):
             pos = [self.minus.index(c) for c in self.datum.parts[k]]
-            for vec in vectors(self.gi[k], f):
+            for vec in vectors(self.gi[k], *fs):
                 v = [0] * len(self.minus)
                 for i, x in zip(pos, vec):
                     v[i] = x
@@ -686,16 +699,13 @@ class DescentEngine:
     def sigma_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
         return self._product(GTilde.sigma, R, S, H)
 
-    def sigma_prod_full(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        return self._product(GTilde.sigma_full, R, S, H)
-
     def sigma_hat_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
         return self._product(GTilde.sigma_hat_full, R, S, H)
 
     def pi_hat_raw_prod(self, R: ProductParabolic):
         """Raw factor weights pulled back to the minus coordinates (their
         distinguished-line entries are always zero)."""
-        return self._to_minus(R, GTilde.pi_hat_raw)
+        return self._to_minus(GTilde.pi_hat_raw, R)
 
     # -- subspaces ---------------------------------------------------------------
 
@@ -706,7 +716,15 @@ class DescentEngine:
         return [[b[c - 1] for c in self.minus] for b in self.g.z_basis(P)]
 
     def z_basis_product(self, R: ProductParabolic):
-        return self._to_minus(R, GTilde.z_basis)
+        return self._to_minus(GTilde.z_basis, R)
+
+    @_memo
+    def z_normals_ambient(self, P: ParabolicSubspace):
+        """Integer covectors on the minus coordinates that all vanish at X
+        exactly when X lies in the span of z_basis_ambient(P) (a zero row
+        stands in for an empty basis, whose span is 0)."""
+        zP = self.z_basis_ambient(P) or [[0] * len(self.minus)]
+        return [_scale_int(v) for v in la.nullspace(zP)]
 
     # -- the descent kernel ------------------------------------------------------
 
@@ -725,33 +743,50 @@ class DescentEngine:
             covs.append(_pull_back(w, {self.g.N - 1} | {l - 1 for p in parts for l in p}))
         return covs
 
-    def sigma_descent(self, P, T, H) -> int:
-        return _all_pos(self.sigma_descent_cov(P, T), H)
+    @_memo
+    def _lifted(self, cov, R: ProductParabolic, S: ProductParabolic):
+        """The factor covectors cov(factor space, r, s) of R inside S on the
+        ambient space: the product indicator is 1 where all are positive."""
+        return [self.to_ambient(v) for v in self._to_minus(cov, R, S)]
 
-    def b_function_descent(self, P: ParabolicSubspace, H, X) -> int:
-        """Ambient kernel in the descent realization (for the splitting of
-        the product kernel over the rigid fiber)."""
-        return self.g._kernel(P, H, X, self.g.sigma_hat, self.sigma_descent)
+    def family_plan(self, R: ProductParabolic, points):
+        """The family identities of R as `signed_count` terms, built once
+        per family.  `points` maps each closure member Q to Y_Q scaled by
+        one positive integer D; the terms are read at ambient points scaled
+        by D.  Returns the wall filter as (covectors, Y) pairs that must not
+        vanish at H - Y, then the fiber sum with shifts, its resummation
+        (sum over S above R of sign(R, S) sigma^_prod(R, S) times the family
+        kernel of S), the family kernel of R (sum over T above R and the
+        fiber of T) and its splitting into the rigid members' kernels."""
+        G, top, zero = full_group(self.datum.n), product_full(self.datum), [0] * self.g.N
+        fbar, fib, f0 = self.families(R)
+        sups = product_between(R, top)
+        hat = lambda Q: self.g._sigma_hat_cov(Q, G)
 
-    def b_family(self, R: ProductParabolic, H, points) -> int:
-        """The family kernel: double alternating sum over the product groups
-        above R and the fiber members of each, with the family's points
-        shifting the hat arguments.  `points` maps each relevant ambient
-        member to its vector; H lives on the minus coordinates."""
-        G = full_group(self.datum.n)
-        Ha = self.to_ambient(H)
-        total = 0
-        for T in product_between(R, product_full(self.datum)):
-            sig = self.sigma_prod_full(R, T, H)
-            if not sig:
-                continue
-            _, fibT, _ = self.families(T)
-            inner = 0
-            for Q in fibT:
-                arg = [a - b for a, b in zip(Ha, points[Q])]
-                inner += epsilon_sign(Q, G) * self.g.sigma_hat(Q, G, arg)
-            total += sig * inner
-        return total
+        def kernel(S):
+            return [(epsilon_sign(Q, G), self._lifted(GTilde._sigma_full_cov, S, T),
+                     hat(Q), points[Q])
+                    for T in product_between(S, top) for Q in self.families(T)[1]]
+
+        fiber = [(epsilon_sign(P, G), [], hat(P), points[P]) for P in fib]
+        resummed = [(epsilon_sign(R, S) * e, self._lifted(GTilde._sigma_hat_full_cov, R, S) + covs,
+                     hc, Y) for S in sups for e, covs, hc, Y in kernel(S)]
+        split = [(epsilon_sign(T, G), self.sigma_descent_cov(P, T), hat(T), points[P])
+                 for P in f0 for T in above(P)]
+        # the wall filter, grouped by shift: every hat covector at its
+        # shifted argument, the interiors of the split terms, and every
+        # product sigma covector of the groups above R
+        walls = {Q: list(hat(Q)) for Q in fbar}
+        walls[None] = [c for S in sups for T in product_between(S, top)
+                       for cov in (GTilde._sigma_full_cov, GTilde._sigma_hat_full_cov)
+                       for c in self._lifted(cov, S, T)]
+        for P in f0:
+            for T in above(P):
+                walls[None] += self.sigma_descent_cov(P, T)
+                walls[P] += hat(T)
+        walls = [(list({tuple(c): c for c in covs}.values()), zero if Q is None else points[Q])
+                 for Q, covs in walls.items()]
+        return walls, fiber, resummed, kernel(R), split
 
     def same_space(self, A, B) -> bool:
         if len(A) != len(B):

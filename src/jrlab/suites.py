@@ -8,15 +8,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from fractions import Fraction
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _nonzero, above, between, coordinate,
+                    _all_pos, _nonzero, _scale_int, above, between, coordinate,
                     enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, epsilon_sign, full_group,
-                    parabolic_minus, product_between, product_full,
-                    projections)
+                    parabolic_minus, product_full, projections, signed_count)
 from . import chambers as ch
 from .serialize import parabolic_to_json
 
@@ -274,10 +272,11 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     failures.append({"check": "fiber-family", "datum": _djson(datum),
                                      "R": _prodjson(R), "H": H})
             # -- pointwise inversion over the fiber (vanishing off the rigid set) --
+            images = {Q: parabolic_minus(Q, datum) for Q in fbar}
             for P in fbar:
-                zP = eng.z_basis_ambient(P)
-                below = [(Q, parabolic_minus(Q, datum)) for Q in fbar if Q.le(P)]
-                for which, basis in (("generic", zR), ("rigid", _intersect_span(zP, zR))):
+                below = [(Q, images[Q]) for Q in fbar if Q.le(P)]
+                rigid = _intersect_span(eng.z_basis_ambient(P), zR)
+                for which, basis in (("generic", zR), ("rigid", rigid)):
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
                     hat_covs = _live([c for Q, _ in below for c in g._sigma_hat_cov(Q, P)],
@@ -301,7 +300,9 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                         instances += 1
                         tot = sum(epsilon_sign(Q, P) * eng.sigma_prod(R, Qm, X)
                                   * g.sigma_hat(Q, P, Xa) for Q, Qm in below)
-                        expect = 1 if (P in fib and la.in_span(zP, X)) else 0
+                        # X in span(z_P): every normal covector vanishes at X
+                        expect = int(P in fib and not any(la.dot(c, X)
+                                                          for c in eng.z_normals_ambient(P)))
                         if tot != expect:
                             failures.append({"check": "fiber-inversion", "datum": _djson(datum),
                                              "R": _prodjson(R), "P": parabolic_to_json(P),
@@ -311,7 +312,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             if f0:
                 fam = _orth_positive_family(rng, eng, R, f0)
                 if fam is not None:
-                    inst, fails = _family_checks(rng, eng, R, fbar, fib, f0, fam, samples)
+                    inst, fails = _family_checks(rng, eng, R, fam, samples)
                     instances += inst
                     failures += fails
     return _report("descent", instances, failures, seed, t0, {"n": n})
@@ -333,13 +334,13 @@ def _live(covs, basis):
 
 
 def _intersect_span(A, B):
-    """Basis of span(A) intersect span(B)."""
+    """Basis of span(A) intersect span(B), as integer vectors."""
     if not A or not B:
         return []
     rel = la.nullspace([list(col) for col in zip(*(A + B))])
     basis = []
     for t in rel:
-        v = la.vec_mat(t[:len(A)], A)
+        v = list(_scale_int(la.vec_mat(t[:len(A)], A)))
         # reduce to an independent set
         if any(v) and not la.in_span(basis, v):
             basis.append(v)
@@ -349,9 +350,12 @@ def _intersect_span(A, B):
 def _orth_positive_family(rng, eng: DescentEngine, R, f0):
     """Nonnegative pair-weights over the block set of the rigid fiber's
     common Levi; returns {P: ambient point} or None when the block sets
-    disagree (which would violate the convexity lemma)."""
+    disagree (which would violate the convexity lemma).  The points are
+    scaled by s = `chambers.projection_scale(n + 1)`, a multiple of every
+    block size, so they are integers."""
     datum = eng.datum
     N = datum.n + 1
+    s = ch.projection_scale(N)
     blocksets = {tuple(sorted(tuple(sorted(b)) for b in P.blocks())) for P in f0}
     if len(blocksets) != 1:
         return None
@@ -365,81 +369,59 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
         v = [0] * N
         for b in order:
             for l in b:
-                v[coordinate(l, N)] += base[b]
+                v[coordinate(l, N)] += s * base[b]
         for x, y in itertools.combinations(order, 2):
             bx, by = blocks.index(x), blocks.index(y)
             w = c[min(bx, by), max(bx, by)] * (1 if bx < by else -1)
             # u_{first} - u_{second} with the pair weight
             for l in x:
-                v[coordinate(l, N)] += Fraction(w, len(x))
+                v[coordinate(l, N)] += w * (s // len(x))
             for l in y:
-                v[coordinate(l, N)] -= Fraction(w, len(y))
+                v[coordinate(l, N)] -= w * (s // len(y))
         fam[P] = v
     return fam
 
 
-def _family_checks(rng, eng: DescentEngine, R, fbar, fib, f0, fam, samples):
+def _family_checks(rng, eng: DescentEngine, R, fam, samples):
     """The resummation identity for the family kernel and the generic-point
-    splitting of the product kernel into the rigid members' kernels."""
+    splitting of the product kernel into the rigid members' kernels, on the
+    terms of `DescentEngine.family_plan`.  The family's points and every
+    Y_Q are scaled by D = s^2 (s from `_orth_positive_family`, and once more
+    by `project_family`), and so is the ambient image of each sample H;
+    the failure records print H itself."""
     datum = eng.datum
-    g = eng.g
     N = datum.n + 1
-    G = full_group(datum.n)
+    s = ch.projection_scale(N)
     m = len(eng.minus)
     failures = []
     instances = 0
     zR = eng.z_basis_product(R)
 
-    def point(Q):
-        """Y_Q: the block projection of any rigid member's point inside Q."""
-        return ch.project_family([Y for P, Y in fam.items() if P.le(Q)],
-                                 [[coordinate(l, N) for l in b] for b in Q.blocks()])
-
-    # points Y_Q for every Q in the closure family
+    # Y_Q, the block projection of any rigid member's point inside Q, for
+    # every Q in the closure family
     ys = {}
-    for Q in fbar:
-        ys[Q] = point(Q)
+    for Q in eng.families(R)[0]:
+        ys[Q] = ch.project_family([Y for P, Y in fam.items() if P.le(Q)],
+                                  [[coordinate(l, N) for l in b] for b in Q.blocks()], s)
         if ys[Q] is None:
             return 0, [{"check": "family-structure", "datum": _djson(datum),
                         "R": _prodjson(R), "note": "closure member without rigid member"}]
-    # sub-families for every product group above R, with their points
-    Hsup = product_full(datum)
-    sups = product_between(R, Hsup)
-    pts = dict(ys)
-    for T in sups:
-        for Q in eng.families(T)[1]:
-            if Q not in pts:
-                pts[Q] = point(Q)
-    product_covs = [(k, eng.gi[k]._sigma_full_cov(sf, tf) + eng.gi[k]._sigma_hat_full_cov(sf, tf))
-                    for S in sups for T in product_between(S, Hsup)
-                    for k, (sf, tf) in enumerate(zip(S.factors, T.factors))]
+    walls, fiber, resummed, kernel, split = eng.family_plan(R, ys)
 
     def draw():
         H = _sample_span(rng, zR, m, lo=-25, hi=25)
-        Ha = eng.to_ambient(H)
-        shifted = {Q: la.vec_sub(Ha, ys[Q]) for Q in fbar}
-        # wall filter: every hat-covector at its shifted argument, the
-        # interiors of the ambient kernels on the splitting side (relative
-        # sigma at H, absolute hat at H shifted by the rigid member's point),
-        # and every product sigma-covector at H
-        keep = (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
-                and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
-                        and _nonzero(g._sigma_hat_cov(T, G), [shifted[P]])
-                        for P in f0 for T in above(P))
-                and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs))
-        return (H, Ha, shifted) if keep else None
+        Ha = [s * s * x for x in eng.to_ambient(H)]
+        keep = all(_nonzero(covs, [la.vec_sub(Ha, Y)]) for covs, Y in walls)
+        return (H, Ha) if keep else None
 
-    for H, Ha, shifted in _accepted(draw, samples, 60 * samples):
+    for H, Ha in _accepted(draw, samples, 60 * samples):
         instances += 1
         # resummation: fiber sum with shifts = signed sum of family kernels
-        lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, shifted[P]) for P in fib)
-        rhs = sum(epsilon_sign(R, S) * eng.sigma_hat_prod(R, S, H) * eng.b_family(S, H, pts)
-                  for S in sups)
-        if lhs != rhs:
+        if signed_count(fiber, Ha) != signed_count(resummed, Ha):
             failures.append({"check": "family-resummation", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
         # generic splitting into rigid members' kernels
-        if eng.b_family(R, H, pts) != sum(eng.b_function_descent(P, Ha, ys[P]) for P in f0):
+        if signed_count(kernel, Ha) != signed_count(split, Ha):
             failures.append({"check": "family-splitting", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
     return instances, failures
@@ -522,17 +504,17 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
             failures.append({"check": "family-consistency"})
             return None
         H = [rng.randint(-15, 15) for _ in range(m)]
-        # wall filter on the parabolics above a member
-        cands = ch.parabolics_above(S, m)
-        keep = all(_nonzero(ch.weight_covectors(blocks, m),
-                            [la.vec_sub(H, ch.family_projection(fam, blocks, m))])
-                   for blocks in cands)
-        return (S, fam, H, cands) if keep else None
+        # wall filter on the parabolics above a member, at D H - D Y_Q
+        proj = {b: ch.family_projection(fam, b, m) for b in ch.parabolics_above(S, m)}
+        HD = [ch.projection_scale(m) * h for h in H]
+        keep = all(_nonzero(ch.weight_covectors(blocks, m), [la.vec_sub(HD, YD)])
+                   for blocks, YD in proj.items())
+        return (S, fam, H, proj) if keep else None
 
-    for S, fam, H, cands in _accepted(draw, families, 50 * families):
+    for S, fam, H, proj in _accepted(draw, families, 50 * families):
         # representative lemma on a random parabolic above a member
         P = rng.choice(S)
-        blocks = rng.choice(cands)
+        blocks = rng.choice(list(proj))
         instances += 1
         try:
             P1 = ch.langlands_type_rep(S, P, blocks)
@@ -546,7 +528,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = base[pos]
         instances += 1
-        v1 = ch.psi_geometric(S, H, fam, m)
+        v1 = ch.psi_geometric(proj, H, m)
         v2 = ch.psi_analytic(S, Lam, H, fam)
         if v1 != v2:
             failures.append({"check": "psi-equality", "S": [c.perm for c in S], "H": H})

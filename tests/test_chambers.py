@@ -9,19 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
                             chamber_in_parabolic, check_orthogonal_positive,
-                            distance, epsilon_lambda, family_projection,
+                            distance, epsilon_lambda, epsilon_parabolic,
+                            family_projection,
                             gallery_walls, h_plus, in_positive_dual_cone,
                             is_convex, keycoxeter_step, langlands_type_rep,
                             minimal_galleries, neighbours,
                             pairwise_orthogonal_positive, parabolics_above, phi,
-                            project_family, psi_analytic, psi_geometric,
-                            sigma_set, weyl_orbit_family)
+                            project_family, projection_scale, psi_analytic,
+                            psi_geometric, sigma_set, tau_hat,
+                            weyl_orbit_family)
 from jrlab.suites import chambers_suite
 
 
 # ---------------------------------------------------------------------------
 # brute-force references: root sets, distance-recomputing galleries, every
-# gallery between every pair, and scans over all chambers or parabolics
+# gallery between every pair, scans over all chambers or parabolics, and the
+# earlier root-set walls and Fraction-point psi sum
 
 
 def _positive_roots(P):
@@ -74,10 +77,45 @@ def ref_parabolics_above(S, m):
 
 def ref_family_projection(fam, blocks, m):
     YQ = project_family([Y for P, Y in fam.items() if ref_chamber_in_parabolic(P, blocks)],
-                        [[x - 1 for x in blk] for blk in blocks])
+                        [[x - 1 for x in blk] for blk in blocks], projection_scale(m))
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")
     return YQ
+
+
+def ref_gallery_walls(gallery):
+    """Sigma(P_{i+1}|P_i) = {alpha_i} read off the root sets."""
+    walls = []
+    for A, B in zip(gallery, gallery[1:]):
+        s = sigma_set(B, A)
+        if len(s) != 1:
+            raise ValueError("consecutive chambers are not adjacent")
+        walls.append(next(iter(s)))
+    return walls
+
+
+def ref_keycoxeter_step(P, P1, P2):
+    s = sigma_set(P2, P1)
+    if len(s) != 1:
+        raise ValueError("chambers are not adjacent")
+    return -1 if next(iter(s)) in sigma_set(P, P1) else 1
+
+
+def ref_psi_geometric(S, H, fam, m):
+    """The psi sum at H - Y_Q, Y_Q the Fraction block averages of the point
+    of a member below Q."""
+    total = 0
+    for blocks in ref_parabolics_above(S, m):
+        Y = fam[next(P for P in S if ref_chamber_in_parabolic(P, blocks))]
+        YQ = [F(sum(Y[b - 1] for b in blk), len(blk)) for blk in blocks for a in blk]
+        order = [a for blk in blocks for a in blk]
+        arg = [H[a - 1] - YQ[order.index(a)] for a in range(1, m + 1)]
+        total += epsilon_parabolic(blocks, m) * tau_hat(blocks, arg, m)
+    return total
+
+
+def _projections(S, fam, m):
+    return {b: family_projection(fam, b, m) for b in parabolics_above(S, m)}
 
 
 def _cut(perm, cuts):
@@ -98,6 +136,46 @@ def test_rank_predicates_match_references_on_all_pairs(m):
             assert sigma_set(P2, P1) == ref_sigma_set(P2, P1)
             assert distance(P2, P1) == ref_distance(P2, P1)
             assert minimal_galleries(P1, P2) == ref_minimal_galleries(P1, P2)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
+def test_swapped_chambers_equal_the_validated_ones(m):
+    for C in all_chambers(m):
+        steps = []
+        for i in range(m - 1):
+            q = list(C.perm)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            D, want = C.swap(i), Chamber(q)
+            assert (D.perm, D.rank) == (want.perm, want.rank) and hash(D) == hash(want)
+            steps.append(want)
+        assert neighbours(C) == steps
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_walls_match_the_root_set_reference(m):
+    chambers = all_chambers(m)
+    for P1 in chambers:
+        for P2 in chambers:
+            for gal in minimal_galleries(P1, P2):
+                assert gallery_walls(gal) == ref_gallery_walls(gal)
+            # any pair as a two-chamber gallery: adjacent or a raise
+            try:
+                want = ref_gallery_walls([P1, P2])
+            except ValueError:
+                with pytest.raises(ValueError, match="not adjacent"):
+                    gallery_walls([P1, P2])
+            else:
+                assert gallery_walls([P1, P2]) == want
+            for P in chambers[:6]:
+                try:
+                    want = ref_keycoxeter_step(P, P1, P2)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not adjacent"):
+                        keycoxeter_step(P, P1, P2)
+                else:
+                    assert keycoxeter_step(P, P1, P2) == want
+    with pytest.raises(ValueError):
+        gallery_walls([Chamber((1, 2)), Chamber((2, 1, 3))])
 
 
 def test_all_parabolics_is_built_once_and_shared_immutably():
@@ -314,7 +392,7 @@ def test_psi_identities():
             if not any(chamber_in_parabolic(P, blocks) for P in S):
                 continue
             YQ = family_projection(fam, blocks, m)
-            arg = [F(h) - y for h, y in zip(H, YQ)]
+            arg = [projection_scale(m) * h - y for h, y in zip(H, YQ)]
             for w in weight_covectors(blocks, m):
                 if sum(a * x for a, x in zip(w, arg)) == 0:
                     return False
@@ -338,7 +416,7 @@ def test_psi_identities():
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = F(base[pos])
         assert in_positive_dual_cone(Lam, P)
-        v1 = psi_geometric(S, H, fam, m)
+        v1 = psi_geometric(_projections(S, fam, m), H, m)
         v2 = psi_analytic(S, Lam, H, fam)
         assert v1 == v2
         from jrlab.chambers import chamber_weights
@@ -350,7 +428,23 @@ def test_psi_identities():
 
 def test_psi_empty():
     fam = {P: [F(0)] * 3 for P in all_chambers(3)}
-    assert psi_geometric([], [F(1), F(2), F(0)], fam, 3) == 0
+    assert psi_geometric(_projections([], fam, 3), [F(1), F(2), F(0)], 3) == 0
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_psi_geometric_matches_the_fraction_reference(m):
+    """On integer points scaled by lcm(1..m), walls included."""
+    rng = random.Random(50 + m)
+    chambers = all_chambers(m)
+    for _ in range(60):
+        S = rng.sample(chambers, rng.randint(0, len(chambers)))
+        fam = pairwise_orthogonal_positive(m, rng)
+        proj = _projections(S, fam, m)
+        assert all(type(y) is int for Y in proj.values() for y in Y)
+        assert list(proj) == parabolics_above(S, m)
+        for _ in range(4):
+            H = [rng.randint(-4, 4) for _ in range(m)]
+            assert psi_geometric(proj, H, m) == ref_psi_geometric(S, H, fam, m)
 
 
 def test_chambers_suite_s3():
@@ -361,3 +455,24 @@ def test_chambers_suite_s3():
 def test_chambers_suite_refuses_ranks_above_the_convexity_guard():
     with pytest.raises(ValueError, match="convexity guard"):
         chambers_suite(5, families=1)
+
+
+def test_chamber_suite_filters_the_points_psi_reads(monkeypatch):
+    """The psi draws' wall filter tests the points D H - D Y_Q at which
+    psi_geometric reads its cones."""
+    from jrlab import chambers, suites
+    seen, read = set(), []
+    nonzero, tau = suites._nonzero, chambers.tau_hat
+
+    def recording_nonzero(covs, points):
+        seen.update(tuple(p) for p in points)
+        return nonzero(covs, points)
+
+    def recording_tau_hat(blocks, H, m):
+        read.append(tuple(H))
+        return tau(blocks, H, m)
+
+    monkeypatch.setattr(suites, "_nonzero", recording_nonzero)
+    monkeypatch.setattr(chambers, "tau_hat", recording_tau_hat)
+    chambers_suite(3, seed=1, families=20)
+    assert read and set(read) <= seen

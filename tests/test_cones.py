@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction as F
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jrlab import linalg as la, suites
+from jrlab.chambers import project_family, projection_scale
 from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
                          ParabolicSubspace, _all_pos, _nonzero, above, between,
-                         enumerate_parabolic_subspaces,
+                         coordinate, enumerate_parabolic_subspaces,
                          enumerate_product_parabolics, epsilon_sign,
-                         full_group, parabolic_minus, product_full,
-                         projections)
-from jrlab.suites import cones_suite, descent_suite
+                         full_group, parabolic_minus, product_between,
+                         product_full, projections, signed_count)
+from jrlab.suites import cones_suite, descent_data, descent_suite
 
 
 def test_enumeration_counts():
@@ -121,6 +123,26 @@ def test_parabolic_minus_worked_example():
                         DescentDatum(2, frozenset({1}), ((2,),)))
 
 
+def test_parabolic_intervals_are_built_once_and_shared_immutably():
+    for n in (1, 2, 3):
+        ps = enumerate_parabolic_subspaces(n)
+        assert full_group(n) is full_group(n) == ParabolicSubspace(n, ())
+        for P in ps:
+            assert above(P) is above(P) and type(above(P)) is tuple
+            for Q in ps:
+                if not P.le(Q):
+                    continue
+                iv = between(P, Q)
+                assert iv is between(P, Q) and type(iv) is tuple and len(set(iv)) == len(iv)
+                assert set(iv) == {S for S in ps if P.le(S) and S.le(Q)}
+    for datum in descent_data(3):
+        top = product_full(datum)
+        for R in enumerate_product_parabolics(datum):
+            iv = product_between(R, top)
+            assert iv is product_between(R, top) and type(iv) is tuple
+            assert set(iv) == {T for T in enumerate_product_parabolics(datum) if R.le(T)}
+
+
 def test_families_structure():
     datum = DescentDatum(2, frozenset(), ((1, 2),))
     eng = DescentEngine(datum)
@@ -212,3 +234,178 @@ def test_sign_helpers_agree_with_rational_dot(case):
         assert _all_pos(covs, point) == (1 if all(v > 0 for v in vals) else 0)
         assert _nonzero(covs, [point]) == all(v != 0 for v in vals)
     assert _nonzero(covs, [H, [lam * h for h in H]]) == _nonzero(covs, [H])
+
+
+# ---------------------------------------------------------------------------
+# the family kernels as evaluated before `DescentEngine.family_plan`, on
+# Fraction points: the references for the plan's terms
+
+
+def ref_b_function_descent(eng, P, H, X):
+    """Ambient kernel in the descent realization."""
+    return eng.g._kernel(P, H, X, eng.g.sigma_hat,
+                         lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
+
+
+def ref_b_family(eng, R, H, points):
+    """The family kernel: double alternating sum over the product groups
+    above R and the fiber members of each, with the family's points
+    shifting the hat arguments; H lives on the minus coordinates."""
+    G = full_group(eng.datum.n)
+    Ha = eng.to_ambient(H)
+    total = 0
+    for T in product_between(R, product_full(eng.datum)):
+        sig = eng._product(GTilde.sigma_full, R, T, H)
+        if not sig:
+            continue
+        _, fibT, _ = eng.families(T)
+        inner = 0
+        for Q in fibT:
+            arg = [a - b for a, b in zip(Ha, points[Q])]
+            inner += epsilon_sign(Q, G) * eng.g.sigma_hat(Q, G, arg)
+        total += sig * inner
+    return total
+
+
+def ref_wall_filter(eng, R, H, points):
+    """The family checks' wall filter at H, one covector family at a time."""
+    g, G, top = eng.g, full_group(eng.datum.n), product_full(eng.datum)
+    fbar, _, f0 = eng.families(R)
+    Ha = eng.to_ambient(H)
+    shifted = {Q: la.vec_sub(Ha, points[Q]) for Q in fbar}
+    product_covs = [(k, eng.gi[k]._sigma_full_cov(sf, tf) + eng.gi[k]._sigma_hat_full_cov(sf, tf))
+                    for S in product_between(R, top) for T in product_between(S, top)
+                    for k, (sf, tf) in enumerate(zip(S.factors, T.factors))]
+    return (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
+            and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
+                    and _nonzero(g._sigma_hat_cov(T, G), [shifted[P]])
+                    for P in f0 for T in above(P))
+            and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs))
+
+
+def ref_orth_positive_family(rng, eng, R, f0):
+    """The orthogonal-positive family on Fraction points."""
+    N = eng.datum.n + 1
+    blocksets = {tuple(sorted(tuple(sorted(b)) for b in P.blocks())) for P in f0}
+    if len(blocksets) != 1:
+        return None
+    blocks = [frozenset(b) for b in next(iter(blocksets))]
+    c = {(i, j): rng.randint(0, 5)
+         for i in range(len(blocks)) for j in range(i + 1, len(blocks))}
+    base = {frozenset(b): rng.randint(-4, 4) for b in blocks}
+    fam = {}
+    for P in f0:
+        order = [frozenset(b) for b in P.blocks()]
+        v = [0] * N
+        for b in order:
+            for l in b:
+                v[coordinate(l, N)] += base[b]
+        for x, y in itertools.combinations(order, 2):
+            bx, by = blocks.index(x), blocks.index(y)
+            w = c[min(bx, by), max(bx, by)] * (1 if bx < by else -1)
+            for l in x:
+                v[coordinate(l, N)] += F(w, len(x))
+            for l in y:
+                v[coordinate(l, N)] -= F(w, len(y))
+        fam[P] = v
+    return fam
+
+
+def ref_intersect_span(A, B):
+    """Basis of span(A) intersect span(B), on Fraction vectors."""
+    if not A or not B:
+        return []
+    rel = la.nullspace([list(col) for col in zip(*(A + B))])
+    basis = []
+    for t in rel:
+        v = la.vec_mat(t[:len(A)], A)
+        if any(v) and not la.in_span(basis, v):
+            basis.append(v)
+    return basis
+
+
+def ref_point(fam, Q, N):
+    """Y_Q: the Fraction block averages of a rigid member's point inside Q."""
+    Y = next(Y for P, Y in fam.items() if P.le(Q))
+    out = [0] * N
+    for b in Q.blocks():
+        idx = [coordinate(l, N) for l in b]
+        for i in idx:
+            out[i] = F(sum(Y[j] for j in idx), len(idx))
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_family_plan_matches_the_fraction_kernels(n):
+    """Every family of descent_data(n), at seeded points on and off the
+    walls: the plan's integer terms at D H give the Fraction kernels at H."""
+    rng = random.Random(60 + n)
+    N = n + 1
+    s = projection_scale(N)
+    families = 0
+    for datum in descent_data(n):
+        eng = DescentEngine(datum)
+        G, top = full_group(n), product_full(datum)
+        for R in enumerate_product_parabolics(datum):
+            fbar, fib, f0 = eng.families(R)
+            state = rng.getstate()
+            fam = suites._orth_positive_family(rng, eng, R, f0) if f0 else None
+            if fam is None:
+                continue
+            families += 1
+            twin = random.Random()
+            twin.setstate(state)
+            ref = ref_orth_positive_family(twin, eng, R, f0)
+            assert fam == {P: [s * y for y in Y] for P, Y in ref.items()}
+            assert all(type(y) is int for Y in fam.values() for y in Y)
+            ys = {Q: ref_point(ref, Q, N) for Q in fbar}
+            scaled = {Q: project_family([Y for P, Y in fam.items() if P.le(Q)],
+                                        [[coordinate(l, N) for l in b] for b in Q.blocks()], s)
+                      for Q in fbar}
+            assert all(type(y) is int for Y in scaled.values() for y in Y)
+            assert all([F(y, s * s) for y in scaled[Q]] == ys[Q] for Q in fbar)
+            walls, fiber, resummed, kernel, split = eng.family_plan(R, scaled)
+            for k in range(4):
+                H = ([rng.randint(-3, 3) for _ in eng.minus] if k % 2 else
+                     suites._sample_span(rng, eng.z_basis_product(R), len(eng.minus), -3, 3))
+                Ha = eng.to_ambient(H)
+                HD = [s * s * x for x in Ha]
+                assert signed_count(fiber, HD) == sum(
+                    epsilon_sign(P, G) * eng.g.sigma_hat(P, G, la.vec_sub(Ha, ys[P])) for P in fib)
+                assert signed_count(resummed, HD) == sum(
+                    epsilon_sign(R, S) * eng.sigma_hat_prod(R, S, H) * ref_b_family(eng, S, H, ys)
+                    for S in product_between(R, top))
+                assert signed_count(kernel, HD) == ref_b_family(eng, R, H, ys)
+                assert signed_count(split, HD) == sum(
+                    ref_b_function_descent(eng, P, Ha, ys[P]) for P in f0)
+                assert (all(_nonzero(covs, [la.vec_sub(HD, Y)]) for covs, Y in walls)
+                        == ref_wall_filter(eng, R, H, ys))
+    assert families == {1: 3, 2: 28, 3: 267}[n]
+
+
+def test_z_normals_decide_span_membership():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        for datum in descent_data(n):
+            eng = DescentEngine(datum)
+            for P in eng.families(enumerate_product_parabolics(datum)[0])[0]:
+                zP = eng.z_basis_ambient(P)
+                normals = eng.z_normals_ambient(P)
+                assert all(type(c) is int for v in normals for c in v)
+                for k in range(6):
+                    X = (suites._sample_span(rng, zP, len(eng.minus), -3, 3) if k % 2
+                         else [rng.randint(-2, 2) for _ in eng.minus])
+                    assert (not any(la.dot(c, X) for c in normals)) == la.in_span(zP, X)
+
+
+def test_rigid_domains_are_the_fraction_bases_as_integer_vectors():
+    for n in (1, 2, 3):
+        for datum in descent_data(n):
+            eng = DescentEngine(datum)
+            for R in enumerate_product_parabolics(datum):
+                zR = eng.z_basis_product(R)
+                for P in eng.families(R)[0]:
+                    zP = eng.z_basis_ambient(P)
+                    basis = suites._intersect_span(zP, zR)
+                    assert basis == ref_intersect_span(zP, zR)
+                    assert all(type(x) is int for v in basis for x in v)

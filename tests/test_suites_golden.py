@@ -17,6 +17,8 @@ GOLDEN = [
      {"suite": "cones", "instances": 168, "failures": [], "seed": 7, "n": 2}),
     (lambda: descent_suite(2, seed=1, samples=8),
      {"suite": "descent", "instances": 1184, "failures": [], "seed": 1, "n": 2}),
+    (lambda: descent_suite(3, seed=1, samples=4),
+     {"suite": "descent", "instances": 12868, "failures": [], "seed": 1, "n": 3}),
     (lambda: chambers_suite(3, seed=1, families=50),
      {"suite": "chambers", "instances": 300, "failures": [], "seed": 1, "m": 3}),
 ]
@@ -28,23 +30,26 @@ def run_golden(k):
     return rep
 
 
-@pytest.mark.parametrize("k", range(len(GOLDEN)), ids=["cones", "descent", "chambers"])
+@pytest.mark.parametrize("k", range(len(GOLDEN)), ids=["cones", "descent", "descent-n3", "chambers"])
 def test_suite_report_is_pinned(k):
     assert run_golden(k) == GOLDEN[k][1]
 
 
 def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
-    """Every covector reaching a sign test is an integer vector and every
-    point coordinate an int or a Fraction (a float would come from a
-    division such as sum(...) / len(...) on int points)."""
+    """Every covector reaching a sign test is an integer vector.  Every
+    point coordinate is an int in the descent and chambers suites, which
+    scale their rational points to integers, and an int or a Fraction in
+    the cones suite (a float would come from a division such as
+    sum(...) / len(...) on int points)."""
     calls = []
+    point_types = [(int, Fraction)]
 
     def check(covs, points):
         calls.append(1)
         for cov in covs:
             assert all(type(c) is int for c in cov), cov
         for H in points:
-            assert all(type(x) in (int, Fraction) for x in H), H
+            assert all(type(x) in point_types[0] for x in H), H
 
     all_pos, nonzero = cones._all_pos, cones._nonzero
 
@@ -61,5 +66,7 @@ def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, fn)
     for k in range(len(GOLDEN)):
+        point_types[0] = (int, Fraction) if GOLDEN[k][1]["suite"] == "cones" else (int,)
+        calls.clear()
         assert run_golden(k) == GOLDEN[k][1]
-    assert calls
+        assert calls
