@@ -385,10 +385,10 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
 def _family_checks(rng, eng: DescentEngine, R, fam, samples):
     """The resummation identity for the family kernel and the generic-point
     splitting of the product kernel into the rigid members' kernels, on the
-    terms of `DescentEngine.family_plan`.  The family's points and every
-    Y_Q are scaled by D = s^2 (s from `_orth_positive_family`, and once more
-    by `project_family`), and so is the ambient image of each sample H;
-    the failure records print H itself."""
+    terms of `DescentEngine.family_plan`.  The family's points come scaled
+    by s (`_orth_positive_family`) and `project_family` scales by s again,
+    so every Y_Q, and the ambient image of each sample H with it, is scaled
+    by s^2; the failure records print H itself."""
     datum = eng.datum
     N = datum.n + 1
     s = ch.projection_scale(N)
