@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as F
 
 from jrlab.cones import (GTilde, between, enumerate_parabolic_subspaces,
-                         epsilon_sign, full_group, projections)
+                         epsilon_sign, full_group, pi_hat_raw, projections)
 
 n = 2
 g = GTilde(n)
@@ -23,7 +23,7 @@ print("  ...")
 # The flag weights: one per flag member, prefix sums and negated suffix sums.
 B = subspaces[-1]
 print("\na maximal-chain member:", [sorted(m) for m in B.chain])
-print("flag weights:", [[str(x) for x in v] for v in g.pi_hat_raw(B)])
+print("flag weights:", [[str(x) for x in v] for v in pi_hat_raw(B)])
 
 # The two families of cone indicators exchange through the two oblique
 # projections of the ambient space.

@@ -142,8 +142,11 @@ def cmd_match(args):
     return EXIT_PASS
 
 
-def _suite_exit(report) -> int:
-    return EXIT_PASS if not report["failures"] else EXIT_FAIL
+def _verdict(args, records, fails: int, total: int) -> int:
+    """Emit the records under a `PASS k/total` or `FAIL k/total` summary,
+    k = total - fails, and return the matching exit code."""
+    _emit(args, records, f"{'FAIL' if fails else 'PASS'} {total - fails}/{total}")
+    return EXIT_FAIL if fails else EXIT_PASS
 
 
 def cmd_fl(args):
@@ -154,10 +157,7 @@ def cmd_fl(args):
     ctx = PLocalContext(args.p)
     rep = fl_check(args.n, ctx, args.budget_valuation, seed=args.seed,
                    samples=args.instances)
-    records = rep["results"]
-    k, total = len(records) - len(rep["failures"]), len(records)
-    _emit(args, records, f"PASS {k}/{total}" if not rep["failures"] else f"FAIL {k}/{total}")
-    return _suite_exit(rep)
+    return _verdict(args, rep["results"], len(rep["failures"]), len(rep["results"]))
 
 
 def cmd_toy(args):
@@ -168,10 +168,7 @@ def cmd_toy(args):
         vals.append(Fraction(args.p) ** w)
         vals.append(2 * Fraction(args.p) ** w)
     rep = toy_transfer_check(ctx, vals)
-    k = rep["values"] - len(rep["failures"])
-    _emit(args, rep["failures"] or [rep],
-          f"PASS {k}/{rep['values']}" if not rep["failures"] else f"FAIL {k}/{rep['values']}")
-    return EXIT_PASS if not rep["failures"] else EXIT_FAIL
+    return _verdict(args, rep["failures"] or [rep], len(rep["failures"]), rep["values"])
 
 
 def cmd_cones(args):
@@ -182,11 +179,8 @@ def cmd_cones(args):
     rep = cones_suite(args.n, points=args.grid, seed=args.seed)
     rep2 = descent_suite(min(args.n, BUDGETS["descent_n"]), seed=args.seed,
                          samples=max(4, args.instances // 8))
-    both = [rep, rep2]
-    fails = len(rep["failures"]) + len(rep2["failures"])
-    inst = rep["instances"] + rep2["instances"]
-    _emit(args, both, f"PASS {inst - fails}/{inst}" if not fails else f"FAIL {inst - fails}/{inst}")
-    return EXIT_PASS if not fails else EXIT_FAIL
+    return _verdict(args, [rep, rep2], len(rep["failures"]) + len(rep2["failures"]),
+                    rep["instances"] + rep2["instances"])
 
 
 def cmd_chambers(args):
@@ -195,10 +189,7 @@ def cmd_chambers(args):
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
     rep = chambers_suite(args.m, seed=args.seed, families=args.instances)
-    k = rep["instances"] - len(rep["failures"])
-    _emit(args, [rep], f"PASS {k}/{rep['instances']}" if not rep["failures"]
-          else f"FAIL {k}/{rep['instances']}")
-    return _suite_exit(rep)
+    return _verdict(args, [rep], len(rep["failures"]), rep["instances"])
 
 
 def _common_options(ap, suppress=False):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
@@ -267,197 +267,197 @@ def signed_count(terms, H) -> int:
 
 # ---------------------------------------------------------------------------
 # the root/weight machinery for one ambient space
+#
+# The weight sets and their integer covectors are pure functions of frozen
+# parabolics: each is built once and shared as a tuple of tuples, as the
+# intervals are.  The ambient dimension is read off P.n.
 
 
-def _memo(method):
-    """Cache a method's results on its instance, so the cache goes with the
-    instance (a class-level cache would keep every instance alive)."""
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (method, *args)
-        try:
-            return self._cache[key]
-        except KeyError:
-            out = self._cache[key] = method(self, *args)
-            return out
-    return cached
+def z_basis(P: ParabolicSubspace):
+    return [_indicator(b, P.n + 1) for b in P.mblocks()]
+
+
+def a_basis(P: ParabolicSubspace):
+    return [_indicator(b, P.n + 1) for b in P.blocks()]
+
+
+def z_rel_basis(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """Basis of the complement of z_Q inside z_P cut out by the raw
+    Q-weights (P contained in Q)."""
+    zb = z_basis(P)
+    if not zb:
+        return []
+    rows = [[la.dot(d, z) for z in zb] for d in pi_hat_raw(Q)]
+    out = [la.vec_mat(t, zb) for t in la.nullspace(rows)] if rows else zb
+    assert len(out) == P.dim_z() - Q.dim_z()
+    return out
+
+
+@functools.cache
+def pi_hat_raw(P: ParabolicSubspace):
+    """Indicator-sum covectors: one per chain member (the flag-determinant
+    weights), in chain order."""
+    vset = set(range(1, P.n + 1))
+    return tuple(tuple(-x for x in _indicator(vset - m, P.n + 1)) if E0 in m
+                 else tuple(_indicator(m, P.n + 1)) for m in P.chain)
+
+
+# -- classical root/weight sets for the extended group ------------------------
+
+
+def _walls(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """(b1, b2, union of the blocks through b1, enclosing Q-block) for
+    each pair of adjacent P-blocks lying in a common Q-block."""
+    if not P.le(Q):
+        raise ValueError("containment violated")
+    blocks = P.blocks()
+    prefix: frozenset = frozenset()
+    for b1, b2 in zip(blocks, blocks[1:]):
+        prefix = prefix | b1
+        for qb in Q.blocks():
+            if b1 <= qb and b2 <= qb:
+                yield b1, b2, prefix, qb
+                break
+
+
+@functools.cache
+def delta(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """Relative simple roots as centroid differences of adjacent blocks
+    lying in a common coarse block."""
+    return tuple(tuple(Fraction(x, len(b1)) - Fraction(y, len(b2))
+                       for x, y in zip(_indicator(b1, P.n + 1), _indicator(b2, P.n + 1)))
+                 for b1, b2, _, _ in _walls(P, Q))
+
+
+@functools.cache
+def delta_hat(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """Relative fundamental weights: prefix indicators recentred inside
+    the enclosing coarse block."""
+    return tuple(tuple(a - Fraction(len(prefix & qb), len(qb)) * x
+                       for a, x in zip(_indicator(prefix & qb, P.n + 1),
+                                       _indicator(qb, P.n + 1)))
+                 for _, _, prefix, qb in _walls(P, Q))
+
+
+# -- quotient-restricted representatives (for the duality statements) ---------
+
+
+def _restrict_project(P, Q, raw_list):
+    """Orthogonal projections onto the relative center space: the
+    representative inside the subspace of the functional's restriction
+    (independent of the chosen ambient covector)."""
+    S = z_rel_basis(P, Q)
+    if not S:
+        return tuple((0,) * (P.n + 1) for _ in raw_list)
+    Gm = [[la.dot(a, b) for b in S] for a in S]
+    return tuple(tuple(la.vec_mat(la.solve(Gm, [la.dot(s, raw) for s in S]), S))
+                 for raw in raw_list)
+
+
+@functools.cache
+def pi(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """Relative simple roots restricted to the center space (in-subspace
+    representatives)."""
+    return _restrict_project(P, Q, delta(P, Q))
+
+
+@functools.cache
+def pi_hat(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """Leftover flag weights restricted to the center space (in-subspace
+    representatives)."""
+    raw_q = set(pi_hat_raw(Q))
+    return _restrict_project(P, Q, [v for v in pi_hat_raw(P) if v not in raw_q])
+
+
+# -- integer covectors ---------------------------------------------------------
+#
+# Realization of the quotient weights as ambient covectors: the plain
+# family drops the distinguished coordinate from the roots (the
+# convention of setting the distinguished basis weight to zero), the hat
+# family pulls the classical weights back through the projection that
+# concentrates the coordinate sum on the distinguished line
+# (w becomes w - w(e0) * (1,..,1)).  Under this pair the tau/sigma
+# exchange relations hold at every ambient point, as does the
+# Gamma'/B-kernel relation; the alternating-sum identities mixing the
+# two families hold on their center-space domains and on the slice where
+# the base-coordinate sums of the arguments vanish (where the two
+# possible pullbacks of the roots agree).
+
+
+@functools.cache
+def _tau_cov(P, Q):
+    return tuple(_pull_back(w, ()) for w in delta(P, Q))
+
+
+@functools.cache
+def _tau_hat_cov(P, Q):
+    return tuple(_pull_back(w, ()) for w in delta_hat(P, Q))
+
+
+@functools.cache
+def _sigma_cov(P, Q):
+    return tuple(_pull_back(w, {P.n}) for w in delta(P, Q))
+
+
+@functools.cache
+def _sigma_full_cov(P, Q):
+    # roots pulled back through the second oblique projection (partner
+    # of the full-correction hat realization in the dual alternating
+    # sums)
+    return tuple(_pull_back(w, range(P.n + 1)) for w in delta(P, Q))
+
+
+@functools.cache
+def _sigma_hat_cov(P, Q):
+    # the correction spreads over the super group's distinguished block
+    # only, so the covectors factor through the Levi decomposition of Q;
+    # for the full group this is the all-ones correction.
+    support = {coordinate(l, P.n + 1) for l in Q.e0_block()}
+    return tuple(_pull_back(w, support) for w in delta_hat(P, Q))
+
+
+@functools.cache
+def _sigma_hat_full_cov(P, Q):
+    # all-ones correction regardless of the pair: the pullback of the
+    # relative weights through the second oblique projection of the
+    # whole space (this is the realization entering the product-side
+    # resummation identities).
+    return tuple(_pull_back(w, range(P.n + 1)) for w in delta_hat(P, Q))
 
 
 class GTilde:
-    """Weight data and cone characteristic functions for one ambient
-    dimension; everything relevant to a pair of nested parabolic subspaces is
-    computed once and cached as integer covectors."""
+    """Cone characteristic functions, alternating sums and truncation
+    kernels for one ambient dimension, read off the shared integer
+    covectors."""
 
     def __init__(self, n: int):
         self.n = n
         self.N = n + 1
-        self._cache = {}
-
-    # -- subspace bases ------------------------------------------------------
-
-    def z_basis(self, P: ParabolicSubspace):
-        return [_indicator(b, self.N) for b in P.mblocks()]
-
-    def a_basis(self, P: ParabolicSubspace):
-        return [_indicator(b, self.N) for b in P.blocks()]
-
-    def z_rel_basis(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Basis of the complement of z_Q inside z_P cut out by the raw
-        Q-weights (P contained in Q)."""
-        zb = self.z_basis(P)
-        raw_q = self.pi_hat_raw(Q)
-        if not zb:
-            return []
-        rows = [[la.dot(d, z) for z in zb] for d in raw_q]
-        out = [la.vec_mat(t, zb) for t in la.nullspace(rows)] if rows else zb
-        assert len(out) == P.dim_z() - Q.dim_z()
-        return out
-
-    # -- raw weights ----------------------------------------------------------
-
-    @_memo
-    def pi_hat_raw(self, P: ParabolicSubspace):
-        """Indicator-sum covectors: one per chain member (the flag-determinant
-        weights), in chain order."""
-        vset = set(range(1, self.n + 1))
-        return [[-x for x in _indicator(vset - m, self.N)] if E0 in m
-                else _indicator(m, self.N) for m in P.chain]
-
-    # -- classical root/weight sets for the extended group --------------------
-
-    @staticmethod
-    def _walls(P: ParabolicSubspace, Q: ParabolicSubspace):
-        """(b1, b2, union of the blocks through b1, enclosing Q-block) for
-        each pair of adjacent P-blocks lying in a common Q-block."""
-        if not P.le(Q):
-            raise ValueError("containment violated")
-        blocks = P.blocks()
-        prefix: frozenset = frozenset()
-        for b1, b2 in zip(blocks, blocks[1:]):
-            prefix = prefix | b1
-            for qb in Q.blocks():
-                if b1 <= qb and b2 <= qb:
-                    yield b1, b2, prefix, qb
-                    break
-
-    def delta(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Relative simple roots as centroid differences of adjacent blocks
-        lying in a common coarse block."""
-        return [[Fraction(x, len(b1)) - Fraction(y, len(b2))
-                 for x, y in zip(_indicator(b1, self.N), _indicator(b2, self.N))]
-                for b1, b2, _, _ in self._walls(P, Q)]
-
-    @_memo
-    def delta_hat(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Relative fundamental weights: prefix indicators recentred inside
-        the enclosing coarse block."""
-        return [[a - Fraction(len(prefix & qb), len(qb)) * x
-                 for a, x in zip(_indicator(prefix & qb, self.N), _indicator(qb, self.N))]
-                for _, _, prefix, qb in self._walls(P, Q)]
-
-    # -- quotient-restricted representatives (for the duality statements) -------
-
-    def _restrict_project(self, P, Q, raw_list):
-        """Orthogonal projections onto the relative center space: the
-        representative inside the subspace of the functional's restriction
-        (independent of the chosen ambient covector)."""
-        S = self.z_rel_basis(P, Q)
-        if not S:
-            return [[0] * self.N for _ in raw_list]
-        Gm = [[la.dot(a, b) for b in S] for a in S]
-        return [la.vec_mat(la.solve(Gm, [la.dot(s, raw) for s in S]), S)
-                for raw in raw_list]
-
-    @_memo
-    def pi(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Relative simple roots restricted to the center space (in-subspace
-        representatives)."""
-        return self._restrict_project(P, Q, self.delta(P, Q))
-
-    @_memo
-    def pi_hat(self, P: ParabolicSubspace, Q: ParabolicSubspace):
-        """Leftover flag weights restricted to the center space (in-subspace
-        representatives)."""
-        raw_p = self.pi_hat_raw(P)
-        raw_q = self.pi_hat_raw(Q)
-        qset = {tuple(v) for v in raw_q}
-        rest = [v for v in raw_p if tuple(v) not in qset]
-        return self._restrict_project(P, Q, rest)
-
-    # -- integer-covector caches ----------------------------------------------
-    #
-    # Realization of the quotient weights as ambient covectors: the plain
-    # family drops the distinguished coordinate from the roots (the
-    # convention of setting the distinguished basis weight to zero), the hat
-    # family pulls the classical weights back through the projection that
-    # concentrates the coordinate sum on the distinguished line
-    # (w becomes w - w(e0) * (1,..,1)).  Under this pair the tau/sigma
-    # exchange relations hold at every ambient point, as does the
-    # Gamma'/B-kernel relation; the alternating-sum identities mixing the
-    # two families hold on their center-space domains and on the slice where
-    # the base-coordinate sums of the arguments vanish (where the two
-    # possible pullbacks of the roots agree).
-
-    @_memo
-    def _tau_cov(self, P, Q):
-        return [_pull_back(w, ()) for w in self.delta(P, Q)]
-
-    @_memo
-    def _tau_hat_cov(self, P, Q):
-        return [_pull_back(w, ()) for w in self.delta_hat(P, Q)]
-
-    @_memo
-    def _sigma_cov(self, P, Q):
-        return [_pull_back(w, {self.N - 1}) for w in self.delta(P, Q)]
-
-    @_memo
-    def _sigma_full_cov(self, P, Q):
-        # roots pulled back through the second oblique projection (partner
-        # of the full-correction hat realization in the dual alternating
-        # sums)
-        return [_pull_back(w, range(self.N)) for w in self.delta(P, Q)]
-
-    @_memo
-    def _sigma_hat_cov(self, P, Q):
-        # the correction spreads over the super group's distinguished block
-        # only, so the covectors factor through the Levi decomposition of Q;
-        # for the full group this is the all-ones correction.
-        support = {coordinate(l, self.N) for l in Q.e0_block()}
-        return [_pull_back(w, support) for w in self.delta_hat(P, Q)]
-
-    @_memo
-    def _sigma_hat_full_cov(self, P, Q):
-        # all-ones correction regardless of the pair: the pullback of the
-        # relative weights through the second oblique projection of the
-        # whole space (this is the realization entering the product-side
-        # resummation identities).
-        return [_pull_back(w, range(self.N)) for w in self.delta_hat(P, Q)]
 
     # -- characteristic functions ----------------------------------------------
 
     def tau(self, P, Q, H) -> int:
-        return _all_pos(self._tau_cov(P, Q), H)
+        return _all_pos(_tau_cov(P, Q), H)
 
     def tau_hat(self, P, Q, H) -> int:
-        return _all_pos(self._tau_hat_cov(P, Q), H)
+        return _all_pos(_tau_hat_cov(P, Q), H)
 
     def sigma(self, P, Q, H) -> int:
-        return _all_pos(self._sigma_cov(P, Q), H)
+        return _all_pos(_sigma_cov(P, Q), H)
 
     def sigma_hat(self, P, Q, H) -> int:
-        return _all_pos(self._sigma_hat_cov(P, Q), H)
+        return _all_pos(_sigma_hat_cov(P, Q), H)
 
     def sigma_hat_full(self, P, Q, H) -> int:
-        return _all_pos(self._sigma_hat_full_cov(P, Q), H)
+        return _all_pos(_sigma_hat_full_cov(P, Q), H)
 
     def sigma_full(self, P, Q, H) -> int:
-        return _all_pos(self._sigma_full_cov(P, Q), H)
+        return _all_pos(_sigma_full_cov(P, Q), H)
 
     def wall_covectors(self, P, Q):
         """All covectors entering the four characteristic functions (used to
         filter wall-generic sample points)."""
-        return (self._tau_cov(P, Q) + self._tau_hat_cov(P, Q)
-                + self._sigma_cov(P, Q) + self._sigma_hat_cov(P, Q))
+        return _tau_cov(P, Q) + _tau_hat_cov(P, Q) + _sigma_cov(P, Q) + _sigma_hat_cov(P, Q)
 
     # -- alternating sums --------------------------------------------------------
 
@@ -648,16 +648,18 @@ def product_full(datum: DescentDatum) -> ProductParabolic:
     return ProductParabolic(tuple(full_group(len(p)) for p in datum.parts))
 
 
+@dataclass(frozen=True)
 class DescentEngine:
     """Evaluation helpers tying the ambient side and the product side of a
-    descent datum together: common coordinates are the minus-part labels."""
+    descent datum together: common coordinates are the minus-part labels.
+    Engines over equal data are equal, so they share the cached families
+    and covectors."""
 
-    def __init__(self, datum: DescentDatum):
-        self.datum = datum
-        self.g = GTilde(datum.n)
-        self.gi = [GTilde(len(p)) for p in datum.parts]
-        self.minus = datum.minus_coords()
-        self._cache = {}
+    datum: DescentDatum
+    minus: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "minus", tuple(self.datum.minus_coords()))
 
     # -- point embeddings ------------------------------------------------------
 
@@ -674,13 +676,13 @@ class DescentEngine:
         return [lut[c] for c in self.datum.parts[k]] + [0]
 
     def _to_minus(self, vectors, *Rs: ProductParabolic):
-        """vectors(factor space, *factors) for every factor of the product
-        parabolics Rs, placed on the minus coordinates (their
-        distinguished-line entries are dropped)."""
+        """vectors(*factors) for every factor of the product parabolics Rs,
+        placed on the minus coordinates (their distinguished-line entries
+        are dropped)."""
         out = []
         for k, fs in enumerate(zip(*(R.factors for R in Rs))):
             pos = [self.minus.index(c) for c in self.datum.parts[k]]
-            for vec in vectors(self.gi[k], *fs):
+            for vec in vectors(*fs):
                 v = [0] * len(self.minus)
                 for i, x in zip(pos, vec):
                     v[i] = x
@@ -689,23 +691,24 @@ class DescentEngine:
 
     # -- product-side functions -------------------------------------------------
 
-    def _product(self, indicator, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        """The product over the factors of a GTilde indicator at H."""
+    def _product(self, cov, R: ProductParabolic, S: ProductParabolic, H) -> int:
+        """The product over the factors of the indicators of the covectors
+        cov(r, s) at H."""
         out = 1
         for k, (a, b) in enumerate(zip(R.factors, S.factors)):
-            out *= indicator(self.gi[k], a, b, self.to_factor(H, k))
+            out *= _all_pos(cov(a, b), self.to_factor(H, k))
         return out
 
     def sigma_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        return self._product(GTilde.sigma, R, S, H)
+        return self._product(_sigma_cov, R, S, H)
 
     def sigma_hat_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        return self._product(GTilde.sigma_hat_full, R, S, H)
+        return self._product(_sigma_hat_full_cov, R, S, H)
 
     def pi_hat_raw_prod(self, R: ProductParabolic):
         """Raw factor weights pulled back to the minus coordinates (their
         distinguished-line entries are always zero)."""
-        return self._to_minus(GTilde.pi_hat_raw, R)
+        return self._to_minus(pi_hat_raw, R)
 
     # -- subspaces ---------------------------------------------------------------
 
@@ -713,22 +716,22 @@ class DescentEngine:
         """Center-space basis of an ambient parabolic subspace, restricted to
         the minus coordinates (entries elsewhere vanish for groups above the
         distinguished Levi)."""
-        return [[b[c - 1] for c in self.minus] for b in self.g.z_basis(P)]
+        return [[b[c - 1] for c in self.minus] for b in z_basis(P)]
 
     def z_basis_product(self, R: ProductParabolic):
-        return self._to_minus(GTilde.z_basis, R)
+        return self._to_minus(z_basis, R)
 
-    @_memo
+    @functools.cache
     def z_normals_ambient(self, P: ParabolicSubspace):
         """Integer covectors on the minus coordinates that all vanish at X
         exactly when X lies in the span of z_basis_ambient(P) (a zero row
         stands in for an empty basis, whose span is 0)."""
         zP = self.z_basis_ambient(P) or [[0] * len(self.minus)]
-        return [_scale_int(v) for v in la.nullspace(zP)]
+        return tuple(_scale_int(v) for v in la.nullspace(zP))
 
     # -- the descent kernel ------------------------------------------------------
 
-    @_memo
+    @functools.cache
     def sigma_descent_cov(self, P: ParabolicSubspace, T: ParabolicSubspace):
         """Relative root covectors with each wall touching the distinguished
         block corrected over (the factor of its other side) + (the
@@ -736,18 +739,18 @@ class DescentEngine:
         This is the realization under which the product kernel splits into
         the rigid members' kernels."""
         covs = []
-        for w in self.g.delta(P, T):
+        for w in delta(P, T):
             # the other side of the wall is where w has the opposite sign
             # to its distinguished entry
             parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
-            covs.append(_pull_back(w, {self.g.N - 1} | {l - 1 for p in parts for l in p}))
-        return covs
+            covs.append(_pull_back(w, {self.datum.n} | {l - 1 for p in parts for l in p}))
+        return tuple(covs)
 
-    @_memo
+    @functools.cache
     def _lifted(self, cov, R: ProductParabolic, S: ProductParabolic):
-        """The factor covectors cov(factor space, r, s) of R inside S on the
-        ambient space: the product indicator is 1 where all are positive."""
-        return [self.to_ambient(v) for v in self._to_minus(cov, R, S)]
+        """The factor covectors cov(r, s) of R inside S on the ambient
+        space: the product indicator is 1 where all are positive."""
+        return tuple(tuple(self.to_ambient(v)) for v in self._to_minus(cov, R, S))
 
     def family_plan(self, R: ProductParabolic, points):
         """The family identities of R as `signed_count` terms, built once
@@ -758,18 +761,17 @@ class DescentEngine:
         (sum over S above R of sign(R, S) sigma^_prod(R, S) times the family
         kernel of S), the family kernel of R (sum over T above R and the
         fiber of T) and its splitting into the rigid members' kernels."""
-        G, top, zero = full_group(self.datum.n), product_full(self.datum), [0] * self.g.N
+        G, top, zero = full_group(self.datum.n), product_full(self.datum), [0] * (self.datum.n + 1)
         fbar, fib, f0 = self.families(R)
         sups = product_between(R, top)
-        hat = lambda Q: self.g._sigma_hat_cov(Q, G)
+        hat = lambda Q: _sigma_hat_cov(Q, G)
 
         def kernel(S):
-            return [(epsilon_sign(Q, G), self._lifted(GTilde._sigma_full_cov, S, T),
-                     hat(Q), points[Q])
+            return [(epsilon_sign(Q, G), self._lifted(_sigma_full_cov, S, T), hat(Q), points[Q])
                     for T in product_between(S, top) for Q in self.families(T)[1]]
 
         fiber = [(epsilon_sign(P, G), [], hat(P), points[P]) for P in fib]
-        resummed = [(epsilon_sign(R, S) * e, self._lifted(GTilde._sigma_hat_full_cov, R, S) + covs,
+        resummed = [(epsilon_sign(R, S) * e, self._lifted(_sigma_hat_full_cov, R, S) + covs,
                      hc, Y) for S in sups for e, covs, hc, Y in kernel(S)]
         split = [(epsilon_sign(T, G), self.sigma_descent_cov(P, T), hat(T), points[P])
                  for P in f0 for T in above(P)]
@@ -778,7 +780,7 @@ class DescentEngine:
         # product sigma covector of the groups above R
         walls = {Q: list(hat(Q)) for Q in fbar}
         walls[None] = [c for S in sups for T in product_between(S, top)
-                       for cov in (GTilde._sigma_full_cov, GTilde._sigma_hat_full_cov)
+                       for cov in (_sigma_full_cov, _sigma_hat_full_cov)
                        for c in self._lifted(cov, S, T)]
         for P in f0:
             for T in above(P):
@@ -797,7 +799,7 @@ class DescentEngine:
 
     # -- families ------------------------------------------------------------------
 
-    @_memo
+    @functools.cache
     def families(self, R: ProductParabolic):
         """(closure family, fiber family, rigid fiber family) of the ambient
         parabolic subspaces above the distinguished Levi, sorted by the
@@ -814,4 +816,4 @@ class DescentEngine:
                 fib.append(P)
                 if self.same_space(self.z_basis_ambient(P), zR):
                     f0.append(P)
-        return fbar, fib, f0
+        return tuple(fbar), tuple(fib), tuple(f0)

@@ -53,24 +53,7 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial"):
         if self.is_zero() or other.is_zero():
             return Polynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -78,12 +61,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        return Polynomial([a * c for a in self.coeffs])
 
     def divmod(self, other: "Polynomial"):
         if other.is_zero():

@@ -11,10 +11,12 @@ import time
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _nonzero, _scale_int, above, between, coordinate,
+                    _all_pos, _nonzero, _scale_int, _sigma_cov, _sigma_hat_cov,
+                    a_basis, above, between, coordinate,
                     enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, epsilon_sign, full_group,
-                    parabolic_minus, product_full, projections, signed_count)
+                    parabolic_minus, pi, pi_hat, product_full, projections,
+                    signed_count, z_basis, z_rel_basis)
 from . import chambers as ch
 from .serialize import parabolic_to_json
 
@@ -83,18 +85,17 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     # --- newRoots: exact dual bases, obtuse/acute (no sampling) ---
     for P, Q in pairs:
         instances += 1
-        pi = g.pi(P, Q)
-        pih = g.pi_hat(P, Q)
-        k = len(pi)
-        ok = len(pih) == k
+        roots, weights = pi(P, Q), pi_hat(P, Q)
+        k = len(roots)
+        ok = len(weights) == k
         if ok and k:
-            M = [[la.dot(a, b) for b in pih] for a in pi]
+            M = [[la.dot(a, b) for b in weights] for a in roots]
             ones = sum(1 for row in M for x in row if x == 1)
             zeros = sum(1 for row in M for x in row if x == 0)
             ok = ones == k and ones + zeros == k * k
-            ok = ok and all(la.dot(pi[i], pi[j]) <= 0
+            ok = ok and all(la.dot(roots[i], roots[j]) <= 0
                             for i in range(k) for j in range(k) if i != j)
-            ok = ok and all(la.dot(pih[i], pih[j]) >= 0
+            ok = ok and all(la.dot(weights[i], weights[j]) >= 0
                             for i in range(k) for j in range(k) if i != j)
         if not ok:
             failures.append({"check": "dual-bases",
@@ -123,7 +124,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
 
     # --- Langlands alternating sum: on the relative center space ---
     for Q, P in pairs:
-        S = g.z_rel_basis(Q, P)
+        S = z_rel_basis(Q, P)
         covs = []
         for R in between(Q, P):
             covs += g.wall_covectors(Q, R) + g.wall_covectors(R, P)
@@ -164,8 +165,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
 
     # --- Gamma'/B relation on its stated domain ---
     for P in ps:
-        zb = g.z_basis(P)
-        ab = g.a_basis(P)
+        zb = z_basis(P)
+        ab = a_basis(P)
         apg = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
         covs = kernel_covs[P]
 
@@ -243,10 +244,10 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     rng = random.Random(seed)
     failures = []
     instances = 0
+    g = GTilde(n)
+    G = full_group(n)
     for datum in descent_data(n):
         eng = DescentEngine(datum)
-        g = eng.g
-        G = full_group(datum.n)
         m = len(eng.minus)
         Hfull = product_full(datum)
         for R in enumerate_product_parabolics(datum):
@@ -254,7 +255,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             zR = eng.z_basis_product(R)
             rawR = eng.pi_hat_raw_prod(R)
             # -- closure-family sum = closed-cone indicator --
-            covs = [c for P in fbar for c in g._sigma_hat_cov(P, G)]
+            covs = [c for P in fbar for c in _sigma_hat_cov(P, G)]
             neg_rawR = [[-x for x in c] for c in rawR]
             for H, Ha in _accepted(_minus_draw(rng, eng, covs, rawR), samples, 40 * samples):
                 instances += 1
@@ -263,7 +264,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     failures.append({"check": "closure-family", "datum": _djson(datum),
                                      "R": _prodjson(R), "H": H})
             # -- fiber-family sum = signed product cone --
-            covs = [c for P in fib for c in g._sigma_hat_cov(P, G)]
+            covs = [c for P in fib for c in _sigma_hat_cov(P, G)]
             for H, Ha in _accepted(_minus_draw(rng, eng, covs), samples, 40 * samples):
                 instances += 1
                 lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fib)
@@ -279,9 +280,9 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                 for which, basis in (("generic", zR), ("rigid", rigid)):
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
-                    hat_covs = _live([c for Q, _ in below for c in g._sigma_hat_cov(Q, P)],
+                    hat_covs = _live([c for Q, _ in below for c in _sigma_hat_cov(Q, P)],
                                      [eng.to_ambient(b) for b in basis])
-                    factor_covs = [(k, _live(eng.gi[k]._sigma_cov(rf, qf),
+                    factor_covs = [(k, _live(_sigma_cov(rf, qf),
                                              [eng.to_factor(b, k) for b in basis]))
                                    for _, Qm in below
                                    for k, (rf, qf) in enumerate(zip(R.factors, Qm.factors))]

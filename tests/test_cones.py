@@ -7,14 +7,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrlab import linalg as la, suites
+from jrlab import cones, linalg as la, suites
 from jrlab.chambers import project_family, projection_scale
 from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
-                         ParabolicSubspace, _all_pos, _nonzero, above, between,
-                         coordinate, enumerate_parabolic_subspaces,
+                         ParabolicSubspace, _all_pos, _nonzero,
+                         _sigma_full_cov, _sigma_hat_cov,
+                         _sigma_hat_full_cov, above, between, coordinate,
+                         enumerate_parabolic_subspaces,
                          enumerate_product_parabolics, epsilon_sign,
-                         full_group, parabolic_minus, product_between,
-                         product_full, projections, signed_count)
+                         full_group, parabolic_minus, pi, pi_hat_raw,
+                         product_between, product_full, projections,
+                         signed_count, z_basis)
 from jrlab.suites import cones_suite, descent_data, descent_suite
 
 
@@ -65,17 +68,16 @@ def test_borel_weight_display():
     prefix-sum weights and negated suffix sums, with pure coordinate
     functionals among the restricted roots."""
     n = 3
-    g = GTilde(n)
     # flag 1 < 12 < 123 with (i, j) = (2, 2)
     ws = [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})]
     B = ParabolicSubspace.from_vflag(ws, 2, 2, n)
-    raw = [tuple(v) for v in g.pi_hat_raw(B)]
+    raw = [tuple(v) for v in pi_hat_raw(B)]
     e = lambda *ls: tuple(F(1) if k + 1 in ls else F(0) for k in range(n)) + (F(0),)
     neg = lambda v: tuple(-x for x in v)
     assert set(raw) == {e(1), e(1, 2), neg(e(3))}
     # restricted roots in subspace representatives: eps1-eps2, eps2, -eps3
     G = full_group(n)
-    flat = {tuple(v) for v in g.pi(B, G)}
+    flat = {tuple(v) for v in pi(B, G)}
     assert flat == {(F(1), F(-1), F(0), F(0)),
                     (F(0), F(1), F(0), F(0)),
                     (F(0), F(0), F(-1), F(0))}
@@ -87,7 +89,7 @@ def test_rho_cross_check():
         for P in enumerate_parabolic_subspaces(n):
             ru = g.rho_underline(P)
             rd = g.rho_difference(P)
-            for zb in g.z_basis(P):
+            for zb in z_basis(P):
                 assert la.dot(ru, zb) == la.dot(rd, zb)
         assert g.rho_underline(full_group(n)) == [F(0)] * (n + 1)
 
@@ -143,6 +145,52 @@ def test_parabolic_intervals_are_built_once_and_shared_immutably():
             assert set(iv) == {T for T in enumerate_product_parabolics(datum) if R.le(T)}
 
 
+def test_covector_caches_are_shared_immutably():
+    """Every cone-layer cache is keyed on frozen arguments alone: engines
+    over equal data share entries, a second run of the suites at another
+    seed builds nothing, and every cached value is a hashable tuple."""
+    caches = [f for f in (*vars(cones).values(), *vars(DescentEngine).values())
+              if hasattr(f, "cache_info")]
+    assert {f.__name__ for f in caches} >= {
+        "pi_hat_raw", "delta", "delta_hat", "pi", "pi_hat", "_tau_cov", "_tau_hat_cov",
+        "_sigma_cov", "_sigma_full_cov", "_sigma_hat_cov", "_sigma_hat_full_cov",
+        "families", "z_normals_ambient", "sigma_descent_cov", "_lifted"}
+    cones_suite(2, points=60, seed=1)
+    descent_suite(2, seed=1, samples=4)
+    sizes = [f.cache_info().currsize for f in caches]
+    cones_suite(2, points=60, seed=2)
+    descent_suite(2, seed=2, samples=4)
+    assert [f.cache_info().currsize for f in caches] == sizes
+
+    def shared(build, *args):
+        value = build(*args)
+        assert value is build(*args) and type(value) is tuple
+        hash(value)      # raises on a list at any depth
+
+    for P in enumerate_parabolic_subspaces(2):
+        shared(cones.pi_hat_raw, P)
+        for Q in above(P):
+            for build in (cones.delta, cones.delta_hat, cones.pi, cones.pi_hat,
+                          cones._tau_cov, cones._tau_hat_cov, cones._sigma_cov,
+                          cones._sigma_full_cov, cones._sigma_hat_cov,
+                          cones._sigma_hat_full_cov):
+                shared(build, P, Q)
+    for datum in descent_data(2):
+        engine = lambda: DescentEngine(datum)
+        top = product_full(datum)
+        for R in enumerate_product_parabolics(datum):
+            fbar, _, f0 = engine().families(R)
+            shared(lambda R: engine().families(R), R)
+            for S in product_between(R, top):
+                for cov in (_sigma_full_cov, _sigma_hat_full_cov):
+                    shared(lambda *a: engine()._lifted(*a), cov, R, S)
+            for P in fbar:
+                shared(lambda P: engine().z_normals_ambient(P), P)
+            for P in f0:
+                for T in above(P):
+                    shared(lambda P, T: engine().sigma_descent_cov(P, T), P, T)
+
+
 def test_families_structure():
     datum = DescentDatum(2, frozenset(), ((1, 2),))
     eng = DescentEngine(datum)
@@ -157,8 +205,8 @@ def test_families_structure():
 
 
 def test_gtilde_is_freed_after_a_suite(monkeypatch):
-    """The covector caches live on their GTilde, so a suite's GTilde goes
-    away with the suite."""
+    """The covector caches are keyed on parabolics alone, so a suite's
+    GTilde goes away with the suite."""
     refs = []
     init = GTilde.__init__
 
@@ -243,8 +291,9 @@ def test_sign_helpers_agree_with_rational_dot(case):
 
 def ref_b_function_descent(eng, P, H, X):
     """Ambient kernel in the descent realization."""
-    return eng.g._kernel(P, H, X, eng.g.sigma_hat,
-                         lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
+    g = GTilde(eng.datum.n)
+    return g._kernel(P, H, X, g.sigma_hat,
+                     lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
 
 
 def ref_b_family(eng, R, H, points):
@@ -255,30 +304,30 @@ def ref_b_family(eng, R, H, points):
     Ha = eng.to_ambient(H)
     total = 0
     for T in product_between(R, product_full(eng.datum)):
-        sig = eng._product(GTilde.sigma_full, R, T, H)
+        sig = eng._product(_sigma_full_cov, R, T, H)
         if not sig:
             continue
         _, fibT, _ = eng.families(T)
         inner = 0
         for Q in fibT:
             arg = [a - b for a, b in zip(Ha, points[Q])]
-            inner += epsilon_sign(Q, G) * eng.g.sigma_hat(Q, G, arg)
+            inner += epsilon_sign(Q, G) * GTilde(eng.datum.n).sigma_hat(Q, G, arg)
         total += sig * inner
     return total
 
 
 def ref_wall_filter(eng, R, H, points):
     """The family checks' wall filter at H, one covector family at a time."""
-    g, G, top = eng.g, full_group(eng.datum.n), product_full(eng.datum)
+    G, top = full_group(eng.datum.n), product_full(eng.datum)
     fbar, _, f0 = eng.families(R)
     Ha = eng.to_ambient(H)
     shifted = {Q: la.vec_sub(Ha, points[Q]) for Q in fbar}
-    product_covs = [(k, eng.gi[k]._sigma_full_cov(sf, tf) + eng.gi[k]._sigma_hat_full_cov(sf, tf))
+    product_covs = [(k, _sigma_full_cov(sf, tf) + _sigma_hat_full_cov(sf, tf))
                     for S in product_between(R, top) for T in product_between(S, top)
                     for k, (sf, tf) in enumerate(zip(S.factors, T.factors))]
-    return (all(_nonzero(g._sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
+    return (all(_nonzero(_sigma_hat_cov(Q, G), [shifted[Q]]) for Q in fbar)
             and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
-                    and _nonzero(g._sigma_hat_cov(T, G), [shifted[P]])
+                    and _nonzero(_sigma_hat_cov(T, G), [shifted[P]])
                     for P in f0 for T in above(P))
             and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs))
 
@@ -371,7 +420,7 @@ def test_family_plan_matches_the_fraction_kernels(n):
                 Ha = eng.to_ambient(H)
                 HD = [s * s * x for x in Ha]
                 assert signed_count(fiber, HD) == sum(
-                    epsilon_sign(P, G) * eng.g.sigma_hat(P, G, la.vec_sub(Ha, ys[P])) for P in fib)
+                    epsilon_sign(P, G) * GTilde(n).sigma_hat(P, G, la.vec_sub(Ha, ys[P])) for P in fib)
                 assert signed_count(resummed, HD) == sum(
                     epsilon_sign(R, S) * eng.sigma_hat_prod(R, S, H) * ref_b_family(eng, S, H, ys)
                     for S in product_between(R, top))

@@ -1,9 +1,12 @@
-"""Every identity check that the integer-point rewrite of the descent and
-chamber suites touches can fail.
+"""Every identity check of the cones, descent and chambers suites can fail.
 
 Each case monkeypatches one term of one identity.  The suite's report must
 then carry that check's failure record with its keys, the record must pass
 `json.dumps` as it is, and the command that runs the suite must exit 1.
+
+Only uncached evaluation points are patched (indicators, kernels, sums and
+helpers that no cached builder calls), so no poisoned cache entry outlives
+a case.
 """
 
 import contextlib
@@ -12,51 +15,113 @@ import json
 
 import pytest
 
-from jrlab import chambers, cli
-from jrlab.cones import DescentEngine
-from jrlab.suites import chambers_suite, descent_suite
+from jrlab import chambers, cli, suites
+from jrlab.cones import DescentEngine, GTilde
+from jrlab.suites import chambers_suite, cones_suite, descent_suite
 
-# check -> keys of its failure record
+# suite -> check -> keys of its failure record
 KEYS = {
-    "family-resummation": {"check", "datum", "R", "H"},
-    "family-splitting": {"check", "datum", "R", "H"},
-    "fiber-inversion": {"check", "datum", "R", "P", "X", "domain", "got", "expect"},
-    "gallery-walls": {"check", "P1", "P2"},
-    "distance-step": {"check", "P", "P1", "P2"},
-    "psi-equality": {"check", "S", "H"},
+    "descent": {
+        "family-resummation": {"check", "datum", "R", "H"},
+        "family-splitting": {"check", "datum", "R", "H"},
+        "fiber-inversion": {"check", "datum", "R", "P", "X", "domain", "got", "expect"},
+        "closure-family": {"check", "datum", "R", "H"},
+        "fiber-family": {"check", "datum", "R", "H"},
+        "family-structure": {"check", "datum", "R", "note"},
+    },
+    "chambers": {
+        "gallery-walls": {"check", "P1", "P2"},
+        "distance-step": {"check", "P", "P1", "P2"},
+        "psi-equality": {"check", "S", "H"},
+        "distance": {"check", "P1", "P2"},
+        "halfspace-convex": {"check", "alpha"},
+        "family-consistency": {"check"},
+        "representative": {"check", "error"},
+        "psi-trichotomy": {"check", "S", "H"},
+    },
+    "cones": {
+        "dual-bases": {"check", "pair"},
+        "exchange-hat": {"check", "pair", "H"},
+        "exchange": {"check", "pair", "H"},
+        "alternating-sum": {"check", "pair", "H"},
+        "kernel-expansion": {"check", "P", "H", "X"},
+        "truncation-kernels": {"check", "P", "H", "T"},
+    },
+}
+CASES = [(suite, check) for suite, checks in KEYS.items() for check in checks]
+
+# suite -> (the suite at a small size, the command that runs it)
+RUNS = {
+    "cones": (lambda: cones_suite(2, points=20, seed=1),
+              ["cones", "--n", "2", "--grid", "20", "--instances", "32", "--seed", "1"]),
+    "descent": (lambda: descent_suite(2, seed=1, samples=4),
+                ["cones", "--n", "2", "--grid", "20", "--instances", "32", "--seed", "1"]),
+    "chambers": (lambda: chambers_suite(3, seed=1, families=4),
+                 ["chambers", "--m", "3", "--instances", "4", "--seed", "1"]),
 }
 
 
 def _extra_term(index):
     """family_plan with one more term, counting +1 everywhere, in the
     index-th term list."""
-    plan = DescentEngine.family_plan
+    def breaker(plan):
+        def faulty(self, R, points):
+            parts = list(plan(self, R, points))
+            parts[index] = parts[index] + [(1, [], [], [0] * (self.datum.n + 1))]
+            return tuple(parts)
+        return faulty
+    return breaker
 
-    def faulty(self, R, points):
-        parts = list(plan(self, R, points))
-        parts[index] = parts[index] + [(1, [], [], [0] * self.g.N)]
-        return tuple(parts)
+
+def _plus(k):
+    """A function's value moved by k."""
+    return lambda fn: lambda *args: fn(*args) + k
+
+
+def _lhs_plus_one(fn):
+    """The first of the two sides that fn returns moved by one."""
+    def faulty(*args):
+        lhs, rhs = fn(*args)
+        return lhs + 1, rhs
     return faulty
 
 
-def _patch(monkeypatch, check):
-    if check == "family-resummation":
-        monkeypatch.setattr(DescentEngine, "family_plan", _extra_term(2))
-    elif check == "family-splitting":
-        monkeypatch.setattr(DescentEngine, "family_plan", _extra_term(4))
-    elif check == "fiber-inversion":
-        # no normal covector: every X counts as lying in span(z_P)
-        monkeypatch.setattr(DescentEngine, "z_normals_ambient", lambda self, P: [])
-    elif check == "gallery-walls":
-        walls = chambers.gallery_walls
-        monkeypatch.setattr(chambers, "gallery_walls",
-                            lambda gal: [(b, a) for a, b in walls(gal)])
-    elif check == "distance-step":
-        step = chambers.keycoxeter_step
-        monkeypatch.setattr(chambers, "keycoxeter_step", lambda P, P1, P2: -step(P, P1, P2))
-    else:
-        psi = chambers.psi_geometric
-        monkeypatch.setattr(chambers, "psi_geometric", lambda proj, H, m: psi(proj, H, m) + 1)
+def _constant(value):
+    return lambda fn: lambda *args: value
+
+
+# check -> (owner, attribute, breaker): the attribute is replaced by
+# breaker(its original)
+PATCHES = {
+    "family-resummation": (DescentEngine, "family_plan", _extra_term(2)),
+    "family-splitting": (DescentEngine, "family_plan", _extra_term(4)),
+    # no normal covector: every X counts as lying in span(z_P)
+    "fiber-inversion": (DescentEngine, "z_normals_ambient", _constant(())),
+    # the closed-cone indicator on the right-hand side flipped
+    "closure-family": (suites, "_all_pos", lambda fn: lambda covs, H: 1 - fn(covs, H)),
+    "fiber-family": (DescentEngine, "sigma_hat_prod", _plus(1)),
+    # no closure member finds a rigid member below it
+    "family-structure": (chambers, "project_family", _constant(None)),
+    "gallery-walls": (chambers, "gallery_walls",
+                      lambda walls: lambda gal: [(b, a) for a, b in walls(gal)]),
+    "distance-step": (chambers, "keycoxeter_step", lambda step: lambda *args: -step(*args)),
+    "psi-equality": (chambers, "psi_geometric", _plus(1)),
+    "distance": (chambers, "distance", _plus(1)),
+    "halfspace-convex": (chambers, "is_convex", _constant(False)),
+    "family-consistency": (chambers, "check_orthogonal_positive", _constant(False)),
+    # a representative outside the family
+    "representative": (chambers, "langlands_type_rep", _constant(None)),
+    # psi outside {0, 1}
+    "psi-trichotomy": (chambers, "psi_geometric", _plus(2)),
+    # negated weights pair to -1 with the roots
+    "dual-bases": (suites, "pi_hat",
+                   lambda fn: lambda P, Q: tuple(tuple(-x for x in v) for v in fn(P, Q))),
+    "exchange-hat": (GTilde, "sigma_hat_full", _plus(1)),
+    "exchange": (GTilde, "tau", _plus(1)),
+    "alternating-sum": (GTilde, "langlands_sum", _plus(1)),
+    "kernel-expansion": (GTilde, "sigma_hat_expansion", _lhs_plus_one),
+    "truncation-kernels": (GTilde, "gamma_prime", _plus(1)),
+}
 
 
 def _exit_code(argv):
@@ -65,18 +130,14 @@ def _exit_code(argv):
     return e.value.code
 
 
-@pytest.mark.parametrize("check", KEYS)
-def test_a_broken_term_fails_its_check(monkeypatch, check):
-    _patch(monkeypatch, check)
-    if check in ("gallery-walls", "distance-step", "psi-equality"):
-        rep = chambers_suite(3, seed=1, families=4)
-        argv = ["chambers", "--m", "3", "--instances", "4", "--seed", "1"]
-    else:
-        rep = descent_suite(2, seed=1, samples=4)
-        argv = ["cones", "--n", "2", "--grid", "20", "--instances", "32", "--seed", "1"]
-    records = [r for r in rep["failures"] if r["check"] == check]
+@pytest.mark.parametrize("suite, check", CASES, ids=[check for _, check in CASES])
+def test_a_broken_term_fails_its_check(monkeypatch, suite, check):
+    owner, attr, breaker = PATCHES[check]
+    monkeypatch.setattr(owner, attr, breaker(getattr(owner, attr)))
+    run, argv = RUNS[suite]
+    records = [r for r in run()["failures"] if r["check"] == check]
     assert records
     for r in records:
-        assert set(r) == KEYS[check]
+        assert set(r) == KEYS[suite][check]
         json.dumps(r)    # raises on any value JSON cannot carry
     assert _exit_code(argv) == 1

@@ -21,7 +21,9 @@ CTX = PLocalContext(3)
 ZERO, ONE = CTX.embed(0), CTX.embed(1)
 PARAMS = standard_cayley_params(CTX, t=1, s=1)
 SETTINGS = settings(max_examples=40, deadline=None)
-NO_SHRINK = settings(database=None, phases=[Phase.generate])
+# The reachability searches run on a fixed seed: a found example proves the
+# case is reachable, and a random one let them miss now and then.
+NO_SHRINK = settings(database=None, phases=[Phase.generate], derandomize=True)
 
 _small = st.integers(-2, 2)
 
