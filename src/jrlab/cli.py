@@ -172,7 +172,7 @@ def cmd_toy(args):
 
 
 def cmd_cones(args):
-    _at_least(args, n=0)
+    _at_least(args, n=0, grid=1)
     if args.n > BUDGETS["cones_n"]:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET

@@ -6,6 +6,15 @@ base space and 0 for the distinguished line.  In vectors, label l sits at
 index l-1 and label 0 at index n.  All weight covectors are realized as
 integer vectors on the ambient space; characteristic functions use strict
 inequalities throughout.
+
+Every signed sum of cone indicators (the Langlands sum, the kernels Gamma'
+and B, both sides of the sigma-hat expansion, the descent family
+identities) is a list of terms (sign, covectors), cached, or built per
+family for the family kernels, which shift by random points.  A check reads
+all of a term's covectors at one integer point, and `signed_count` is the
+one evaluator.  A covector c read at H - X is stored as (c, -c) on the
+stacked point (H, X), and one read at H as (c, 0); one read at H - Y, for a
+fixed Y, as the affine covector (c, -c.Y) on the point (H, 1).
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg as la
 
@@ -213,13 +223,16 @@ def _indicator(labels, N):
     return v
 
 
+def _integer_basis(vectors):
+    """(D * vectors, D) for D the lcm of the entries' denominators: a span
+    sampled on the scaled vectors is the original span scaled by D."""
+    D = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(int(x * D) for x in v) for v in vectors], D
+
+
 def _scale_int(vec):
     """Clear denominators, keep the sign; returns a tuple of ints."""
-    from math import lcm
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    return tuple(int(Fraction(x) * den) for x in vec)
+    return _integer_basis([vec])[0][0]
 
 
 def _pull_back(w, support):
@@ -229,9 +242,9 @@ def _pull_back(w, support):
 
 
 # The two sign tests: every covector is an integer vector, and points are
-# ints (the descent and chamber suites scale their rational points where
-# they are built) or Fractions.  A strict sign is invariant under positive
-# scaling, so covectors are stored scaled to integers.
+# ints (the suites scale their rational points where they are built).  A
+# strict sign is invariant under positive scaling, so covectors are stored
+# scaled to integers.
 
 def _all_pos(covs, H) -> int:
     """1 when every covector is strictly positive at H, else 0."""
@@ -258,11 +271,26 @@ def _nonzero(covs, points) -> bool:
     return True
 
 
-def signed_count(terms, H) -> int:
-    """The sum of the signs of the terms (sign, covs, hat_covs, Y) whose
-    covectors covs are all positive at H and hat_covs all at H - Y."""
-    return sum(sign for sign, covs, hat_covs, Y in terms
-               if _all_pos(covs, H) and _all_pos(hat_covs, [h - y for h, y in zip(H, Y)]))
+def signed_count(terms, point) -> int:
+    """The sum of the signs of the terms (sign, covectors) whose covectors
+    are all positive at the point: the one evaluator of a signed sum of
+    cone indicators."""
+    return sum(sign for sign, covs in terms if _all_pos(covs, point))
+
+
+def _read(terms):
+    """Every covector the terms read."""
+    return [c for _, covs in terms for c in covs]
+
+
+def _stacked(covs, t):
+    """Covectors read at H - t X (t = 1 or 0), on the stacked point (H, X)."""
+    return tuple(c + tuple(-t * x for x in c) for c in covs)
+
+
+def _at_shift(covs, Y=()):
+    """Covectors read at H - Y (at H by default), on the affine point (H, 1)."""
+    return tuple(c + (-sum(a * y for a, y in zip(c, Y)),) for c in covs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +453,47 @@ def _sigma_hat_full_cov(P, Q):
     return tuple(_pull_back(w, range(P.n + 1)) for w in delta_hat(P, Q))
 
 
+# -- the alternating sums as term lists ----------------------------------------
+#
+# A product of indicators is one term, reading all their covectors.
+
+
+@functools.cache
+def langlands_terms(Q: ParabolicSubspace, P: ParabolicSubspace):
+    """sign(Q, S) sigma_Q^S sigma^_S^P for S between Q and P, read at H."""
+    return tuple((epsilon_sign(Q, S), _sigma_cov(Q, S) + _sigma_hat_cov(S, P))
+                 for S in between(Q, P))
+
+
+@functools.cache
+def kernel_terms(P: ParabolicSubspace, outer, inner):
+    """sign(R, G) outer(R, G) at H - X times inner(P, R) at H for R above P,
+    read at (H, X): Arthur's truncation kernel Gamma' with the tau
+    covectors (_tau_hat_cov, _tau_cov), its sigma-analog B with the sigma
+    covectors.  The sign is the absolute one (split-center dimension of the
+    summand against the full group); the relative sign printed in some
+    sources differs by a global factor and breaks the expansion lemma."""
+    G = full_group(P.n)
+    return tuple((epsilon_sign(R, G), _stacked(outer(R, G), 1) + _stacked(inner(P, R), 0))
+                 for R in above(P))
+
+
+@functools.cache
+def expansion_terms(P: ParabolicSubspace):
+    """Both sides of the expansion of sigma^_P(H - X) through the B kernels
+    of the groups R above P (sign(R, G) B_R(H, X) sigma^_P^R(H)), read at
+    (H, X)."""
+    G = full_group(P.n)
+    return (((1, _stacked(_sigma_hat_cov(P, G), 1)),),
+            tuple((epsilon_sign(R, G) * sign, covs + _stacked(_sigma_hat_cov(P, R), 0))
+                  for R in above(P)
+                  for sign, covs in kernel_terms(R, _sigma_hat_cov, _sigma_cov)))
+
+
 class GTilde:
-    """Cone characteristic functions, alternating sums and truncation
-    kernels for one ambient dimension, read off the shared integer
-    covectors."""
+    """Cone characteristic functions for one ambient dimension, read off the
+    shared integer covectors, and the alternating sums and truncation
+    kernels, each one `signed_count` over its cached term list."""
 
     def __init__(self, n: int):
         self.n = n
@@ -464,42 +529,22 @@ class GTilde:
     def langlands_sum(self, Q, P, H) -> int:
         """Sum over S between Q and P of sign * sigma_Q^S(H) * sigma^_S^P(H);
         0 or 1, and 1 exactly on the diagonal."""
-        if not Q.le(P):
-            raise ValueError("containment violated")
-        total = 0
-        for S in between(Q, P):
-            total += (epsilon_sign(Q, S) * self.sigma(Q, S, H)
-                      * self.sigma_hat(S, P, H))
+        total = signed_count(langlands_terms(Q, P), H)
         if total not in (0, 1):
             raise AssertionError(f"alternating sum out of range: {total}")
         return total
 
-    def _kernel(self, P, H, X, outer, inner) -> int:
-        """The sum over R above P of eps(R, G) * outer(R, G, H - X) *
-        inner(P, R, H), shared by the truncation kernels."""
-        G = full_group(self.n)
-        HX = [a - b for a, b in zip(H, X)]
-        return sum(epsilon_sign(R, G) * outer(R, G, HX) * inner(P, R, H)
-                   for R in above(P))
-
     def gamma_prime(self, P, H, X) -> int:
-        """Arthur's truncation kernel with tau-functions.  The sign on each
-        term is the absolute one (split-center dimension of the summand
-        against the full group); the relative sign printed in some sources
-        differs by a global factor and breaks the expansion lemma."""
-        return self._kernel(P, H, X, self.tau_hat, self.tau)
+        """Arthur's truncation kernel with tau-functions (`kernel_terms`)."""
+        return signed_count(kernel_terms(P, _tau_hat_cov, _tau_cov), [*H, *X])
 
     def b_function(self, P, H, X) -> int:
-        """The sigma-analog of the truncation kernel."""
-        return self._kernel(P, H, X, self.sigma_hat, self.sigma)
+        """The sigma-analog of the truncation kernel (`kernel_terms`)."""
+        return signed_count(kernel_terms(P, _sigma_hat_cov, _sigma_cov), [*H, *X])
 
     def sigma_hat_expansion(self, P, H, X) -> tuple[int, int]:
-        """Both sides of the expansion of sigma^_P(H - X) through the
-        b-functions of the groups above P."""
-        lhs = self.sigma_hat(P, full_group(self.n), [a - b for a, b in zip(H, X)])
-        rhs = self._kernel(P, H, X, lambda R, G, HX: self.b_function(R, H, X),
-                           self.sigma_hat)
-        return lhs, rhs
+        """Both sides of the expansion (`expansion_terms`)."""
+        return tuple(signed_count(side, [*H, *X]) for side in expansion_terms(P))
 
     # -- half-sum weights -----------------------------------------------------
 
@@ -568,12 +613,6 @@ class DescentDatum:
         for p in self.parts:
             blocks += [frozenset([x]) for x in p]
         return blocks
-
-    def minus_coords(self):
-        out = []
-        for p in self.parts:
-            out += list(p)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -659,7 +698,7 @@ class DescentEngine:
     minus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "minus", tuple(self.datum.minus_coords()))
+        object.__setattr__(self, "minus", tuple(sorted(c for p in self.datum.parts for c in p)))
 
     # -- point embeddings ------------------------------------------------------
 
@@ -670,10 +709,6 @@ class DescentEngine:
         for x, c in zip(H, self.minus):
             v[c - 1] = x
         return v
-
-    def to_factor(self, H, k: int):
-        lut = dict(zip(self.minus, H))
-        return [lut[c] for c in self.datum.parts[k]] + [0]
 
     def _to_minus(self, vectors, *Rs: ProductParabolic):
         """vectors(*factors) for every factor of the product parabolics Rs,
@@ -688,27 +723,6 @@ class DescentEngine:
                     v[i] = x
                 out.append(v)
         return out
-
-    # -- product-side functions -------------------------------------------------
-
-    def _product(self, cov, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        """The product over the factors of the indicators of the covectors
-        cov(r, s) at H."""
-        out = 1
-        for k, (a, b) in enumerate(zip(R.factors, S.factors)):
-            out *= _all_pos(cov(a, b), self.to_factor(H, k))
-        return out
-
-    def sigma_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        return self._product(_sigma_cov, R, S, H)
-
-    def sigma_hat_prod(self, R: ProductParabolic, S: ProductParabolic, H) -> int:
-        return self._product(_sigma_hat_full_cov, R, S, H)
-
-    def pi_hat_raw_prod(self, R: ProductParabolic):
-        """Raw factor weights pulled back to the minus coordinates (their
-        distinguished-line entries are always zero)."""
-        return self._to_minus(pi_hat_raw, R)
 
     # -- subspaces ---------------------------------------------------------------
 
@@ -747,48 +761,65 @@ class DescentEngine:
         return tuple(covs)
 
     @functools.cache
-    def _lifted(self, cov, R: ProductParabolic, S: ProductParabolic):
-        """The factor covectors cov(r, s) of R inside S on the ambient
-        space: the product indicator is 1 where all are positive."""
-        return tuple(tuple(self.to_ambient(v)) for v in self._to_minus(cov, R, S))
+    def _lifted(self, cov, *Rs: ProductParabolic):
+        """The factor covectors cov(r, s) of R inside S (or cov(r) of R) on
+        the ambient space: the product indicator is 1 where all are positive."""
+        return tuple(tuple(self.to_ambient(v)) for v in self._to_minus(cov, *Rs))
+
+    # -- the family sums as term lists, read at the ambient sample ----------------
+
+    @functools.cache
+    def family_sums(self, R: ProductParabolic):
+        """Both sides of the closure-family identity (the hat sum, of sign(P, G)
+        sigma^_P^G, over the closure family; the cone where every raw factor
+        weight of R is negative), then of the fiber-family identity (the hat
+        sum over the fiber family; sign(R, G) sigma^_prod(R, G))."""
+        G, top = full_group(self.datum.n), product_full(self.datum)
+        fbar, fib, _ = self.families(R)
+        hat_sum = lambda family: tuple((epsilon_sign(P, G), _sigma_hat_cov(P, G)) for P in family)
+        raw = tuple(tuple(-x for x in c) for c in self._lifted(pi_hat_raw, R))
+        return (hat_sum(fbar), ((1, raw),), hat_sum(fib),
+                ((epsilon_sign(R, top), self._lifted(_sigma_hat_full_cov, R, top)),))
+
+    @functools.cache
+    def inversion_terms(self, R: ProductParabolic, P: ParabolicSubspace):
+        """The fiber inversion over P: sign(Q, P) sigma_prod(R, Q_-) sigma^_Q^P
+        for Q in the closure family of R below P, Q_- its factorwise image."""
+        lift = lambda Q: self._lifted(_sigma_cov, R, parabolic_minus(Q, self.datum))
+        return tuple((epsilon_sign(Q, P), lift(Q) + _sigma_hat_cov(Q, P))
+                     for Q in self.families(R)[0] if Q.le(P))
 
     def family_plan(self, R: ProductParabolic, points):
         """The family identities of R as `signed_count` terms, built once
         per family.  `points` maps each closure member Q to Y_Q scaled by
-        one positive integer D; the terms are read at ambient points scaled
-        by D.  Returns the wall filter as (covectors, Y) pairs that must not
-        vanish at H - Y, then the fiber sum with shifts, its resummation
-        (sum over S above R of sign(R, S) sigma^_prod(R, S) times the family
-        kernel of S), the family kernel of R (sum over T above R and the
-        fiber of T) and its splitting into the rigid members' kernels."""
-        G, top, zero = full_group(self.datum.n), product_full(self.datum), [0] * (self.datum.n + 1)
-        fbar, fib, f0 = self.families(R)
+        one positive integer D; the terms are read at the affine point
+        (D H, 1), with every hat covector of Q shifted by Y_Q.  Returns the
+        wall filter (affine covectors that must not vanish there), then the
+        fiber sum, its resummation (sum over S above R of sign(R, S)
+        sigma^_prod(R, S) times the family kernel of S), the family kernel
+        of R (sum over T above R and the fiber of T) and its splitting into
+        the rigid members' kernels."""
+        G, top = full_group(self.datum.n), product_full(self.datum)
+        _, fib, f0 = self.families(R)
         sups = product_between(R, top)
-        hat = lambda Q: _sigma_hat_cov(Q, G)
+        hat = lambda Q, P: _at_shift(_sigma_hat_cov(Q, G), points[P])
+        lifted = lambda cov, S, T: _at_shift(self._lifted(cov, S, T))
 
-        def kernel(S):
-            return [(epsilon_sign(Q, G), self._lifted(_sigma_full_cov, S, T), hat(Q), points[Q])
-                    for T in product_between(S, top) for Q in self.families(T)[1]]
-
-        fiber = [(epsilon_sign(P, G), [], hat(P), points[P]) for P in fib]
-        resummed = [(epsilon_sign(R, S) * e, self._lifted(_sigma_hat_full_cov, R, S) + covs,
-                     hc, Y) for S in sups for e, covs, hc, Y in kernel(S)]
-        split = [(epsilon_sign(T, G), self.sigma_descent_cov(P, T), hat(T), points[P])
+        kernels = {S: [(epsilon_sign(Q, G), lifted(_sigma_full_cov, S, T) + hat(Q, Q))
+                       for T in product_between(S, top) for Q in self.families(T)[1]]
+                   for S in sups}
+        fiber = [(epsilon_sign(P, G), hat(P, P)) for P in fib]
+        resummed = [(epsilon_sign(R, S) * e, lifted(_sigma_hat_full_cov, R, S) + covs)
+                    for S in sups for e, covs in kernels[S]]
+        split = [(epsilon_sign(T, G), _at_shift(self.sigma_descent_cov(P, T)) + hat(T, P))
                  for P in f0 for T in above(P)]
-        # the wall filter, grouped by shift: every hat covector at its
-        # shifted argument, the interiors of the split terms, and every
-        # product sigma covector of the groups above R
-        walls = {Q: list(hat(Q)) for Q in fbar}
-        walls[None] = [c for S in sups for T in product_between(S, top)
-                       for cov in (_sigma_full_cov, _sigma_hat_full_cov)
-                       for c in self._lifted(cov, S, T)]
-        for P in f0:
-            for T in above(P):
-                walls[None] += self.sigma_descent_cov(P, T)
-                walls[P] += hat(T)
-        walls = [(list({tuple(c): c for c in covs}.values()), zero if Q is None else points[Q])
-                 for Q, covs in walls.items()]
-        return walls, fiber, resummed, kernel(R), split
+        # the wall filter: every covector read by the kernels of the groups
+        # above R (each hat covector of the closure family among them) and
+        # by the split terms, and every product sigma-hat covector above R
+        walls = _read([t for S in sups for t in kernels[S]] + split)
+        walls += [c for S in sups for T in product_between(S, top)
+                  for c in lifted(_sigma_hat_full_cov, S, T)]
+        return tuple(dict.fromkeys(walls)), fiber, resummed, kernels[R], split
 
     def same_space(self, A, B) -> bool:
         if len(A) != len(B):

@@ -1,22 +1,27 @@
 """Verification suites: each function runs one battery of finitely checkable
 identities and returns a report dict with the instance count, failures (with
 reproduction data) and the seed.  The command-line front end and the
-acceptance tests both drive these."""
+acceptance tests both drive these.
+
+Each signed sum of cone indicators is a term list (sign, covectors) built by
+`cones`, once per process or, for the family kernels, once per family, and
+`cones.signed_count` reads it at one integer point per sample: the sample H,
+the stacked point (H, X), or the affine point (H, 1)."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import time
+from fractions import Fraction
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _nonzero, _scale_int, _sigma_cov, _sigma_hat_cov,
-                    a_basis, above, between, coordinate,
-                    enumerate_parabolic_subspaces,
-                    enumerate_product_parabolics, epsilon_sign, full_group,
-                    parabolic_minus, pi, pi_hat, product_full, projections,
-                    signed_count, z_basis, z_rel_basis)
+                    _all_pos, _integer_basis, _nonzero, _read, _scale_int,
+                    a_basis, above, between, coordinate, full_group,
+                    enumerate_parabolic_subspaces, enumerate_product_parabolics,
+                    parabolic_minus, pi, pi_hat, projections, signed_count,
+                    z_basis, z_rel_basis)
 from . import chambers as ch
 from .serialize import parabolic_to_json
 
@@ -122,9 +127,9 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
                                  "pair": (parabolic_to_json(P), parabolic_to_json(Q)),
                                  "H": [str(x) for x in H]})
 
-    # --- Langlands alternating sum: on the relative center space ---
+    # --- Langlands alternating sum: on the relative center space, scaled by D ---
     for Q, P in pairs:
-        S = z_rel_basis(Q, P)
+        S, D = _integer_basis(z_rel_basis(Q, P))
         covs = []
         for R in between(Q, P):
             covs += g.wall_covectors(Q, R) + g.wall_covectors(R, P)
@@ -140,7 +145,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             if val != (1 if Q == P else 0):
                 failures.append({"check": "alternating-sum",
                                  "pair": (parabolic_to_json(Q), parabolic_to_json(P)),
-                                 "H": [str(x) for x in H]})
+                                 "H": [str(Fraction(x, D)) for x in H]})
 
     # wall covectors of the kernel terms above each P
     kernel_covs = {P: [c for R in above(P)
@@ -163,11 +168,11 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
                 failures.append({"check": "kernel-expansion", "P": parabolic_to_json(P),
                                  "H": [str(x) for x in H], "X": [str(x) for x in X]})
 
-    # --- Gamma'/B relation on its stated domain ---
+    # --- Gamma'/B relation on its stated domain, scaled by D ---
     for P in ps:
-        zb = z_basis(P)
         ab = a_basis(P)
-        apg = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
+        apg, D = _integer_basis([la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])])
+        zb = [[D * x for x in v] for v in z_basis(P)]
         covs = kernel_covs[P]
 
         def draw():
@@ -184,7 +189,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             instances += 1
             if g.gamma_prime(P, HT, r2hH) != g.b_function(P, Hm, r2T):
                 failures.append({"check": "truncation-kernels", "P": parabolic_to_json(P),
-                                 "H": [str(x) for x in H], "T": [str(x) for x in T]})
+                                 "H": [str(Fraction(x, D)) for x in H],
+                                 "T": [str(Fraction(t, D)) for t in T]})
 
     return _report("cones", instances, failures, seed, t0, {"n": n})
 
@@ -244,65 +250,53 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     rng = random.Random(seed)
     failures = []
     instances = 0
-    g = GTilde(n)
-    G = full_group(n)
     for datum in descent_data(n):
         eng = DescentEngine(datum)
         m = len(eng.minus)
-        Hfull = product_full(datum)
         for R in enumerate_product_parabolics(datum):
-            fbar, fib, f0 = eng.families(R)
+            fbar, _, f0 = eng.families(R)
             zR = eng.z_basis_product(R)
-            rawR = eng.pi_hat_raw_prod(R)
-            # -- closure-family sum = closed-cone indicator --
-            covs = [c for P in fbar for c in _sigma_hat_cov(P, G)]
-            neg_rawR = [[-x for x in c] for c in rawR]
-            for H, Ha in _accepted(_minus_draw(rng, eng, covs, rawR), samples, 40 * samples):
-                instances += 1
-                lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fbar)
-                if lhs != _all_pos(neg_rawR, H):
-                    failures.append({"check": "closure-family", "datum": _djson(datum),
-                                     "R": _prodjson(R), "H": H})
-            # -- fiber-family sum = signed product cone --
-            covs = [c for P in fib for c in _sigma_hat_cov(P, G)]
-            for H, Ha in _accepted(_minus_draw(rng, eng, covs), samples, 40 * samples):
-                instances += 1
-                lhs = sum(epsilon_sign(P, G) * g.sigma_hat(P, G, Ha) for P in fib)
-                rhs = epsilon_sign(R, Hfull) * eng.sigma_hat_prod(R, Hfull, H)
-                if lhs != rhs:
-                    failures.append({"check": "fiber-family", "datum": _djson(datum),
-                                     "R": _prodjson(R), "H": H})
+            # -- closure-family sum = closed-cone indicator (filtered on both
+            # sides), fiber-family sum = signed product cone (on the left) --
+            closure, closed_cone, fiber, product_cone = eng.family_sums(R)
+            for check, lhs, rhs, covs in (
+                    ("closure-family", closure, closed_cone, _read(closure) + _read(closed_cone)),
+                    ("fiber-family", fiber, product_cone, _read(fiber))):
+
+                def draw():
+                    H = [rng.randint(-20, 20) for _ in range(m)]
+                    Ha = eng.to_ambient(H)
+                    return (H, Ha) if _nonzero(covs, [Ha]) else None
+
+                for H, Ha in _accepted(draw, samples, 40 * samples):
+                    instances += 1
+                    if signed_count(lhs, Ha) != signed_count(rhs, Ha):
+                        failures.append({"check": check, "datum": _djson(datum),
+                                         "R": _prodjson(R), "H": H})
             # -- pointwise inversion over the fiber (vanishing off the rigid set) --
-            images = {Q: parabolic_minus(Q, datum) for Q in fbar}
             for P in fbar:
-                below = [(Q, images[Q]) for Q in fbar if Q.le(P)]
+                terms = eng.inversion_terms(R, P)
+                # P in the fiber over R, read off its factorwise image
+                in_fiber = parabolic_minus(P, datum) == R
                 rigid = _intersect_span(eng.z_basis_ambient(P), zR)
                 for which, basis in (("generic", zR), ("rigid", rigid)):
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
-                    hat_covs = _live([c for Q, _ in below for c in _sigma_hat_cov(Q, P)],
-                                     [eng.to_ambient(b) for b in basis])
-                    factor_covs = [(k, _live(_sigma_cov(rf, qf),
-                                             [eng.to_factor(b, k) for b in basis]))
-                                   for _, Qm in below
-                                   for k, (rf, qf) in enumerate(zip(R.factors, Qm.factors))]
+                    domain = [eng.to_ambient(b) for b in basis]
+                    covs = [c for c in _read(terms) if any(_nonzero([c], [b]) for b in domain)]
 
                     def draw():
                         X = _sample_span(rng, basis, m, lo=-20, hi=20)
                         Xa = eng.to_ambient(X)
-                        keep = (_nonzero(hat_covs, [Xa])
-                                and all(_nonzero(covs, [eng.to_factor(X, k)])
-                                        for k, covs in factor_covs))
-                        return (X, Xa) if keep else None
+                        return (X, Xa) if _nonzero(covs, [Xa]) else None
 
                     # an empty basis spans the single point 0
                     target = max(4, samples // 3) if basis else 1
                     for X, Xa in _accepted(draw, target, 40 * samples):
                         instances += 1
-                        tot = sum(epsilon_sign(Q, P) * eng.sigma_prod(R, Qm, X)
-                                  * g.sigma_hat(Q, P, Xa) for Q, Qm in below)
+                        tot = signed_count(terms, Xa)
                         # X in span(z_P): every normal covector vanishes at X
-                        expect = int(P in fib and not any(la.dot(c, X)
+                        expect = int(in_fiber and not any(la.dot(c, X)
                                                           for c in eng.z_normals_ambient(P)))
                         if tot != expect:
                             failures.append({"check": "fiber-inversion", "datum": _djson(datum),
@@ -317,21 +311,6 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     instances += inst
                     failures += fails
     return _report("descent", instances, failures, seed, t0, {"n": n})
-
-
-def _minus_draw(rng, eng: DescentEngine, covs, raw=()):
-    """Draw of a point H on the minus coordinates, kept with its ambient
-    image Ha when no covector vanishes at Ha and no raw covector at H."""
-    def draw():
-        H = [rng.randint(-20, 20) for _ in range(len(eng.minus))]
-        Ha = eng.to_ambient(H)
-        return (H, Ha) if _nonzero(covs, [Ha]) and _nonzero(raw, [H]) else None
-    return draw
-
-
-def _live(covs, basis):
-    """The covectors that do not vanish on every basis vector."""
-    return [c for c in covs if any(_nonzero([c], [b]) for b in basis)]
 
 
 def _intersect_span(A, B):
@@ -411,18 +390,17 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
 
     def draw():
         H = _sample_span(rng, zR, m, lo=-25, hi=25)
-        Ha = [s * s * x for x in eng.to_ambient(H)]
-        keep = all(_nonzero(covs, [la.vec_sub(Ha, Y)]) for covs, Y in walls)
-        return (H, Ha) if keep else None
+        point = [s * s * x for x in eng.to_ambient(H)] + [1]
+        return (H, point) if _nonzero(walls, [point]) else None
 
-    for H, Ha in _accepted(draw, samples, 60 * samples):
+    for H, point in _accepted(draw, samples, 60 * samples):
         instances += 1
         # resummation: fiber sum with shifts = signed sum of family kernels
-        if signed_count(fiber, Ha) != signed_count(resummed, Ha):
+        if signed_count(fiber, point) != signed_count(resummed, point):
             failures.append({"check": "family-resummation", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
         # generic splitting into rigid members' kernels
-        if signed_count(kernel, Ha) != signed_count(split, Ha):
+        if signed_count(kernel, point) != signed_count(split, point):
             failures.append({"check": "family-splitting", "datum": _djson(datum),
                              "R": _prodjson(R), "H": [str(x) for x in H]})
     return instances, failures

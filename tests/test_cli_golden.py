@@ -57,6 +57,9 @@ CASES = {
     "chambers-m3": (["chambers", "--m", "3", "--instances", "20", "--seed", "1"], None),
     "cones-n2": (["cones", "--n", "2", "--grid", "200", "--instances", "16",
                   "--seed", "1"], None),
+    # a known kernel-expansion failure at n = 3, pinned with its exit code 1
+    "cones-n3": (["cones", "--n", "3", "--grid", "200", "--instances", "16",
+                  "--seed", "2"], None),
 }
 
 # id -> (exit code, SHA-256 of stdout with the wall times blanked)
@@ -72,6 +75,7 @@ GOLDEN = {
     'toy': (0, 'f27c91c0df74e4980221cf302542eb423aa27d350b85b756cbf852ffb8da9ef8'),
     'chambers-m3': (0, 'dfa1a1187ad46bd1be645d985718c47e2e622d756a0c3007ea490ffe1695d411'),
     'cones-n2': (0, '0219af4d9a8f9dc2862302974f2d7f392c31f449472ba6688b2d9b3055a01911'),
+    'cones-n3': (1, '86eaf94a649ed58f43d334e282f39663b8e63cddb4083f6ac20d6ca889bebd8f'),
 }
 
 

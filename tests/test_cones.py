@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jrlab import cones, linalg as la, suites
 from jrlab.chambers import project_family, projection_scale
 from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
-                         ParabolicSubspace, _all_pos, _nonzero,
+                         ParabolicSubspace, _all_pos, _nonzero, _sigma_cov,
                          _sigma_full_cov, _sigma_hat_cov,
                          _sigma_hat_full_cov, above, between, coordinate,
                          enumerate_parabolic_subspaces,
@@ -145,16 +145,26 @@ def test_parabolic_intervals_are_built_once_and_shared_immutably():
             assert set(iv) == {T for T in enumerate_product_parabolics(datum) if R.le(T)}
 
 
+def _frozen(value):
+    """Tuples all the way down: no list, dict or set at any depth."""
+    if isinstance(value, (list, dict, set)):
+        return False
+    return type(value) is not tuple or all(map(_frozen, value))
+
+
 def test_covector_caches_are_shared_immutably():
     """Every cone-layer cache is keyed on frozen arguments alone: engines
     over equal data share entries, a second run of the suites at another
-    seed builds nothing, and every cached value is a hashable tuple."""
+    seed builds nothing, and every cached value is a hashable tuple of
+    tuples, covectors and term lists alike."""
     caches = [f for f in (*vars(cones).values(), *vars(DescentEngine).values())
               if hasattr(f, "cache_info")]
     assert {f.__name__ for f in caches} >= {
         "pi_hat_raw", "delta", "delta_hat", "pi", "pi_hat", "_tau_cov", "_tau_hat_cov",
         "_sigma_cov", "_sigma_full_cov", "_sigma_hat_cov", "_sigma_hat_full_cov",
-        "families", "z_normals_ambient", "sigma_descent_cov", "_lifted"}
+        "families", "z_normals_ambient", "sigma_descent_cov", "_lifted",
+        "langlands_terms", "kernel_terms", "expansion_terms",
+        "family_sums", "inversion_terms"}
     cones_suite(2, points=60, seed=1)
     descent_suite(2, seed=1, samples=4)
     sizes = [f.cache_info().currsize for f in caches]
@@ -164,16 +174,19 @@ def test_covector_caches_are_shared_immutably():
 
     def shared(build, *args):
         value = build(*args)
-        assert value is build(*args) and type(value) is tuple
-        hash(value)      # raises on a list at any depth
+        assert value is build(*args) and type(value) is tuple and _frozen(value)
+        hash(value)
 
     for P in enumerate_parabolic_subspaces(2):
         shared(cones.pi_hat_raw, P)
+        shared(cones.expansion_terms, P)
+        for covs in ((cones._tau_hat_cov, cones._tau_cov), (_sigma_hat_cov, _sigma_cov)):
+            shared(cones.kernel_terms, P, *covs)
         for Q in above(P):
             for build in (cones.delta, cones.delta_hat, cones.pi, cones.pi_hat,
                           cones._tau_cov, cones._tau_hat_cov, cones._sigma_cov,
                           cones._sigma_full_cov, cones._sigma_hat_cov,
-                          cones._sigma_hat_full_cov):
+                          cones._sigma_hat_full_cov, cones.langlands_terms):
                 shared(build, P, Q)
     for datum in descent_data(2):
         engine = lambda: DescentEngine(datum)
@@ -181,11 +194,13 @@ def test_covector_caches_are_shared_immutably():
         for R in enumerate_product_parabolics(datum):
             fbar, _, f0 = engine().families(R)
             shared(lambda R: engine().families(R), R)
+            shared(lambda R: engine().family_sums(R), R)
             for S in product_between(R, top):
                 for cov in (_sigma_full_cov, _sigma_hat_full_cov):
                     shared(lambda *a: engine()._lifted(*a), cov, R, S)
             for P in fbar:
                 shared(lambda P: engine().z_normals_ambient(P), P)
+                shared(lambda R, P: engine().inversion_terms(R, P), R, P)
             for P in f0:
                 for T in above(P):
                     shared(lambda P, T: engine().sigma_descent_cov(P, T), P, T)
@@ -224,6 +239,14 @@ def test_cones_suite_small():
     for n in (1, 2):
         rep = cones_suite(n, points=600, seed=11)
         assert not rep["failures"], rep["failures"][:2]
+
+
+def test_sigma_hat_expansion_fails_at_a_known_n3_point():
+    """A guard on a known failure of the expansion at n = 3: the two sides
+    differ at this wall-generic point.  Pinned so that any change to it
+    shows; it is to be updated once the failure is understood."""
+    P = ParabolicSubspace(3, ({2}, {0, 2, 3}))
+    assert GTilde(3).sigma_hat_expansion(P, [-12, 1, 11, -10], [-14, -39, 53, 35]) == (0, -1)
 
 
 def test_descent_suite_small():
@@ -285,15 +308,124 @@ def test_sign_helpers_agree_with_rational_dot(case):
 
 
 # ---------------------------------------------------------------------------
-# the family kernels as evaluated before `DescentEngine.family_plan`, on
-# Fraction points: the references for the plan's terms
+# the signed sums as evaluated before the term lists, one indicator at a
+# time for each sample: the references for the cached builders
+
+
+def ref_kernel(P, H, X, outer, inner):
+    """The sum over R above P of eps(R, G) * outer(R, G, H - X) *
+    inner(P, R, H), shared by the truncation kernels."""
+    G = full_group(P.n)
+    HX = [a - b for a, b in zip(H, X)]
+    return sum(epsilon_sign(R, G) * outer(R, G, HX) * inner(P, R, H) for R in above(P))
+
+
+def ref_langlands_sum(g, Q, P, H):
+    return sum(epsilon_sign(Q, S) * g.sigma(Q, S, H) * g.sigma_hat(S, P, H)
+               for S in between(Q, P))
+
+
+def ref_gamma_prime(g, P, H, X):
+    return ref_kernel(P, H, X, g.tau_hat, g.tau)
+
+
+def ref_b_function(g, P, H, X):
+    return ref_kernel(P, H, X, g.sigma_hat, g.sigma)
+
+
+def ref_sigma_hat_expansion(g, P, H, X):
+    lhs = g.sigma_hat(P, full_group(P.n), [a - b for a, b in zip(H, X)])
+    rhs = ref_kernel(P, H, X, lambda R, G, HX: ref_b_function(g, R, H, X), g.sigma_hat)
+    return lhs, rhs
+
+
+def ref_to_factor(eng, H, k):
+    """A point on the minus coordinates restricted to the k-th factor."""
+    lut = dict(zip(eng.minus, H))
+    return [lut[c] for c in eng.datum.parts[k]] + [0]
+
+
+def ref_product(eng, cov, R, S, H):
+    """The product over the factors of the indicators of the covectors
+    cov(r, s) at H, on the minus coordinates."""
+    out = 1
+    for k, (a, b) in enumerate(zip(R.factors, S.factors)):
+        out *= _all_pos(cov(a, b), ref_to_factor(eng, H, k))
+    return out
+
+
+def ref_closure_family(eng, R, H):
+    G = full_group(eng.datum.n)
+    Ha = eng.to_ambient(H)
+    raw = [[-x for x in c] for c in eng._to_minus(pi_hat_raw, R)]
+    return (sum(epsilon_sign(P, G) * GTilde(G.n).sigma_hat(P, G, Ha) for P in eng.families(R)[0]),
+            _all_pos(raw, H))
+
+
+def ref_fiber_family(eng, R, H):
+    G, top = full_group(eng.datum.n), product_full(eng.datum)
+    Ha = eng.to_ambient(H)
+    return (sum(epsilon_sign(P, G) * GTilde(G.n).sigma_hat(P, G, Ha) for P in eng.families(R)[1]),
+            epsilon_sign(R, top) * ref_product(eng, _sigma_hat_full_cov, R, top, H))
+
+
+def ref_inversion(eng, R, P, X):
+    Xa = eng.to_ambient(X)
+    return sum(epsilon_sign(Q, P) * ref_product(eng, _sigma_cov, R, parabolic_minus(Q, eng.datum), X)
+               * GTilde(P.n).sigma_hat(Q, P, Xa) for Q in eng.families(R)[0] if Q.le(P))
+
+
+def _points(rng, N, count=3):
+    """Seeded integer points, half of them from a small box, where they
+    often lie on a wall."""
+    return [[rng.randint(-r, r) for _ in range(N)] for r in (2, 30) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_cone_term_lists_match_the_per_sample_sums(n):
+    """Every parabolic and every pair at n, at seeded points on and off the
+    walls: the cached term lists give the per-sample sums."""
+    rng = random.Random(70 + n)
+    g = GTilde(n)
+    ps = enumerate_parabolic_subspaces(n)
+    for P in ps:
+        for Q in ps:
+            if Q.le(P):
+                for H in _points(rng, n + 1, 1):
+                    assert (signed_count(cones.langlands_terms(Q, P), H)
+                            == ref_langlands_sum(g, Q, P, H))
+        for H, X in zip(_points(rng, n + 1), _points(rng, n + 1)):
+            assert g.gamma_prime(P, H, X) == ref_gamma_prime(g, P, H, X)
+            assert g.b_function(P, H, X) == ref_b_function(g, P, H, X)
+            assert g.sigma_hat_expansion(P, H, X) == ref_sigma_hat_expansion(g, P, H, X)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_descent_term_lists_match_the_per_sample_sums(n):
+    """Every descent family at n, at seeded points on and off the walls:
+    the closure-family, fiber-family and fiber-inversion term lists, read
+    at the ambient image of the sample, give the per-sample sums."""
+    rng = random.Random(80 + n)
+    families = 0
+    for datum in descent_data(n):
+        eng = DescentEngine(datum)
+        for R in enumerate_product_parabolics(datum):
+            families += 1
+            for H in _points(rng, len(eng.minus), 2):
+                Ha = eng.to_ambient(H)
+                sides = tuple(signed_count(side, Ha) for side in eng.family_sums(R))
+                assert sides == ref_closure_family(eng, R, H) + ref_fiber_family(eng, R, H)
+                for P in eng.families(R)[0]:
+                    assert (signed_count(eng.inversion_terms(R, P), Ha)
+                            == ref_inversion(eng, R, P, H))
+    assert families == {1: 3, 2: 28, 3: 267}[n]
 
 
 def ref_b_function_descent(eng, P, H, X):
     """Ambient kernel in the descent realization."""
     g = GTilde(eng.datum.n)
-    return g._kernel(P, H, X, g.sigma_hat,
-                     lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
+    return ref_kernel(P, H, X, g.sigma_hat,
+                      lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
 
 
 def ref_b_family(eng, R, H, points):
@@ -304,7 +436,7 @@ def ref_b_family(eng, R, H, points):
     Ha = eng.to_ambient(H)
     total = 0
     for T in product_between(R, product_full(eng.datum)):
-        sig = eng._product(_sigma_full_cov, R, T, H)
+        sig = ref_product(eng, _sigma_full_cov, R, T, H)
         if not sig:
             continue
         _, fibT, _ = eng.families(T)
@@ -329,7 +461,7 @@ def ref_wall_filter(eng, R, H, points):
             and all(_nonzero(eng.sigma_descent_cov(P, T), [Ha])
                     and _nonzero(_sigma_hat_cov(T, G), [shifted[P]])
                     for P in f0 for T in above(P))
-            and all(_nonzero(covs, [eng.to_factor(H, k)]) for k, covs in product_covs))
+            and all(_nonzero(covs, [ref_to_factor(eng, H, k)]) for k, covs in product_covs))
 
 
 def ref_orth_positive_family(rng, eng, R, f0):
@@ -387,7 +519,8 @@ def ref_point(fam, Q, N):
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_family_plan_matches_the_fraction_kernels(n):
     """Every family of descent_data(n), at seeded points on and off the
-    walls: the plan's integer terms at D H give the Fraction kernels at H."""
+    walls: the plan's integer terms at (D H, 1) give the Fraction kernels
+    at H."""
     rng = random.Random(60 + n)
     N = n + 1
     s = projection_scale(N)
@@ -418,17 +551,17 @@ def test_family_plan_matches_the_fraction_kernels(n):
                 H = ([rng.randint(-3, 3) for _ in eng.minus] if k % 2 else
                      suites._sample_span(rng, eng.z_basis_product(R), len(eng.minus), -3, 3))
                 Ha = eng.to_ambient(H)
-                HD = [s * s * x for x in Ha]
+                HD = [s * s * x for x in Ha] + [1]
                 assert signed_count(fiber, HD) == sum(
                     epsilon_sign(P, G) * GTilde(n).sigma_hat(P, G, la.vec_sub(Ha, ys[P])) for P in fib)
                 assert signed_count(resummed, HD) == sum(
-                    epsilon_sign(R, S) * eng.sigma_hat_prod(R, S, H) * ref_b_family(eng, S, H, ys)
+                    epsilon_sign(R, S) * ref_product(eng, _sigma_hat_full_cov, R, S, H)
+                    * ref_b_family(eng, S, H, ys)
                     for S in product_between(R, top))
                 assert signed_count(kernel, HD) == ref_b_family(eng, R, H, ys)
                 assert signed_count(split, HD) == sum(
                     ref_b_function_descent(eng, P, Ha, ys[P]) for P in f0)
-                assert (all(_nonzero(covs, [la.vec_sub(HD, Y)]) for covs, Y in walls)
-                        == ref_wall_filter(eng, R, H, ys))
+                assert _nonzero(walls, [HD]) == ref_wall_filter(eng, R, H, ys)
     assert families == {1: 3, 2: 28, 3: 267}[n]
 
 

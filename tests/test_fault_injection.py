@@ -4,9 +4,10 @@ Each case monkeypatches one term of one identity.  The suite's report must
 then carry that check's failure record with its keys, the record must pass
 `json.dumps` as it is, and the command that runs the suite must exit 1.
 
-Only uncached evaluation points are patched (indicators, kernels, sums and
-helpers that no cached builder calls), so no poisoned cache entry outlives
-a case.
+A cached term builder is wrapped, so its cached values stay as they are;
+every other patch replaces an uncached evaluation point (indicators,
+kernels, sums and helpers that no cached builder calls).  So no poisoned
+cache entry outlives a case.
 """
 
 import contextlib
@@ -62,12 +63,12 @@ RUNS = {
 
 
 def _extra_term(index):
-    """family_plan with one more term, counting +1 everywhere, in the
-    index-th term list."""
-    def breaker(plan):
-        def faulty(self, R, points):
-            parts = list(plan(self, R, points))
-            parts[index] = parts[index] + [(1, [], [], [0] * (self.datum.n + 1))]
+    """A builder of term lists with one more term in its index-th list: a
+    term reading no covector, counting +1 at every point."""
+    def breaker(build):
+        def faulty(*args):
+            parts = list(build(*args))
+            parts[index] = (*parts[index], (1, ()))
             return tuple(parts)
         return faulty
     return breaker
@@ -97,9 +98,9 @@ PATCHES = {
     "family-splitting": (DescentEngine, "family_plan", _extra_term(4)),
     # no normal covector: every X counts as lying in span(z_P)
     "fiber-inversion": (DescentEngine, "z_normals_ambient", _constant(())),
-    # the closed-cone indicator on the right-hand side flipped
-    "closure-family": (suites, "_all_pos", lambda fn: lambda covs, H: 1 - fn(covs, H)),
-    "fiber-family": (DescentEngine, "sigma_hat_prod", _plus(1)),
+    # the right-hand sides moved by one
+    "closure-family": (DescentEngine, "family_sums", _extra_term(1)),
+    "fiber-family": (DescentEngine, "family_sums", _extra_term(3)),
     # no closure member finds a rigid member below it
     "family-structure": (chambers, "project_family", _constant(None)),
     "gallery-walls": (chambers, "gallery_walls",

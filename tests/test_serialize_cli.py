@@ -144,7 +144,8 @@ def test_cli_crash_is_an_internal_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [["fl", "--n", "0"], ["fl", "--p", "4"], ["fl", "--p", "9"],
-                                  ["toy", "--p", "4"], ["cayley", "--p", "9", "in.json"]])
+                                  ["toy", "--p", "4"], ["cayley", "--p", "9", "in.json"],
+                                  ["cones", "--grid", "0"]])
 def test_cli_rejects_bad_flags(argv, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"Y": [["1", "2"], ["3", "1/2"]]}))

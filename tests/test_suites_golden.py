@@ -5,8 +5,6 @@ reproduction data), with only the wall time dropped, so any change to the
 samplers, the wall filters or the indicators shows up here.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from jrlab import chambers, cones, suites
@@ -36,20 +34,18 @@ def test_suite_report_is_pinned(k):
 
 
 def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
-    """Every covector reaching a sign test is an integer vector.  Every
-    point coordinate is an int in the descent and chambers suites, which
-    scale their rational points to integers, and an int or a Fraction in
-    the cones suite (a float would come from a division such as
-    sum(...) / len(...) on int points)."""
+    """Every covector reaching a sign test is an integer vector, and every
+    point coordinate is an int: the suites scale their rational points to
+    integers where they are built (a Fraction would come from an unscaled
+    nullspace span, a float from a division such as sum(...) / len(...))."""
     calls = []
-    point_types = [(int, Fraction)]
 
     def check(covs, points):
         calls.append(1)
         for cov in covs:
             assert all(type(c) is int for c in cov), cov
         for H in points:
-            assert all(type(x) in point_types[0] for x in H), H
+            assert all(type(x) is int for x in H), H
 
     all_pos, nonzero = cones._all_pos, cones._nonzero
 
@@ -66,7 +62,6 @@ def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, fn)
     for k in range(len(GOLDEN)):
-        point_types[0] = (int, Fraction) if GOLDEN[k][1]["suite"] == "cones" else (int,)
         calls.clear()
         assert run_golden(k) == GOLDEN[k][1]
         assert calls
