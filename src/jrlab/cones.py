@@ -9,8 +9,8 @@ inequalities throughout.
 
 Every signed sum of cone indicators (the Langlands sum, the kernels Gamma'
 and B, both sides of the sigma-hat expansion, the descent family
-identities) is a list of terms (sign, covectors), cached, or built per
-family for the family kernels, which shift by random points.  A check reads
+identities) is a cached list of terms (sign, covectors); the family
+kernels shift theirs by each family's random points.  A check reads
 all of a term's covectors at one integer point, and `signed_count` is the
 one evaluator.  A covector c read at H - X is stored as (c, -c) on the
 stacked point (H, X), and one read at H as (c, 0); one read at H - Y, for a
@@ -288,9 +288,9 @@ def _stacked(covs, t):
     return tuple(c + tuple(-t * x for x in c) for c in covs)
 
 
-def _at_shift(covs, Y=()):
-    """Covectors read at H - Y (at H by default), on the affine point (H, 1)."""
-    return tuple(c + (-sum(a * y for a, y in zip(c, Y)),) for c in covs)
+def _at_shift(c, Y=()):
+    """A covector read at H - Y (at H by default), on the affine point (H, 1)."""
+    return c + (-sum(a * y for a, y in zip(c, Y)),)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,8 @@ def kernel_terms(P: ParabolicSubspace, outer, inner):
     summand against the full group); the relative sign printed in some
     sources differs by a global factor and breaks the expansion lemma."""
     G = full_group(P.n)
-    return tuple((epsilon_sign(R, G), _stacked(outer(R, G), 1) + _stacked(inner(P, R), 0))
+    return tuple((epsilon_sign(R, G),
+                  _stacked(outer(R, G), 1) + _stacked(inner(P, R), 0))
                  for R in above(P))
 
 
@@ -698,7 +699,8 @@ class DescentEngine:
     minus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "minus", tuple(sorted(c for p in self.datum.parts for c in p)))
+        minus = sorted(c for p in self.datum.parts for c in p)
+        object.__setattr__(self, "minus", tuple(minus))
 
     # -- point embeddings ------------------------------------------------------
 
@@ -776,7 +778,8 @@ class DescentEngine:
         sum over the fiber family; sign(R, G) sigma^_prod(R, G))."""
         G, top = full_group(self.datum.n), product_full(self.datum)
         fbar, fib, _ = self.families(R)
-        hat_sum = lambda family: tuple((epsilon_sign(P, G), _sigma_hat_cov(P, G)) for P in family)
+        hat_sum = lambda family: tuple((epsilon_sign(P, G), _sigma_hat_cov(P, G))
+                                       for P in family)
         raw = tuple(tuple(-x for x in c) for c in self._lifted(pi_hat_raw, R))
         return (hat_sum(fbar), ((1, raw),), hat_sum(fib),
                 ((epsilon_sign(R, top), self._lifted(_sigma_hat_full_cov, R, top)),))
@@ -789,37 +792,47 @@ class DescentEngine:
         return tuple((epsilon_sign(Q, P), lift(Q) + _sigma_hat_cov(Q, P))
                      for Q in self.families(R)[0] if Q.le(P))
 
-    def family_plan(self, R: ProductParabolic, points):
-        """The family identities of R as `signed_count` terms, built once
-        per family.  `points` maps each closure member Q to Y_Q scaled by
-        one positive integer D; the terms are read at the affine point
-        (D H, 1), with every hat covector of Q shifted by Y_Q.  Returns the
-        wall filter (affine covectors that must not vanish there), then the
-        fiber sum, its resummation (sum over S above R of sign(R, S)
-        sigma^_prod(R, S) times the family kernel of S), the family kernel
-        of R (sum over T above R and the fiber of T) and its splitting into
-        the rigid members' kernels."""
+    @functools.cache
+    def _family_template(self, R: ProductParabolic):
+        """The family identities of R, built once per (engine, R): the fiber
+        sum, its resummation (sum over S above R of sign(R, S) sigma^_prod(R, S)
+        times the family kernel of S), the family kernel of R (sum over T above
+        R and the fiber of T) and its splitting into the rigid members'
+        kernels.  Each covector is an index into the first entry, a tuple of
+        pairs (c, Q): c read at H - Y_Q, or at H when Q is None.  These pairs,
+        every covector the terms read, are the wall filter; every product
+        sigma-hat covector above R is among them."""
         G, top = full_group(self.datum.n), product_full(self.datum)
         _, fib, f0 = self.families(R)
         sups = product_between(R, top)
-        hat = lambda Q, P: _at_shift(_sigma_hat_cov(Q, G), points[P])
-        lifted = lambda cov, S, T: _at_shift(self._lifted(cov, S, T))
+        keys = {}
 
-        kernels = {S: [(epsilon_sign(Q, G), lifted(_sigma_full_cov, S, T) + hat(Q, Q))
-                       for T in product_between(S, top) for Q in self.families(T)[1]]
+        def at(covs, Q=None):
+            return tuple(keys.setdefault((c, Q), len(keys)) for c in covs)
+
+        hat = lambda Q, P: at(_sigma_hat_cov(Q, G), P)
+        lifted = lambda cov, S, T: at(self._lifted(cov, S, T))
+
+        kernels = {S: tuple((epsilon_sign(Q, G), lifted(_sigma_full_cov, S, T) + hat(Q, Q))
+                            for T in product_between(S, top) for Q in self.families(T)[1])
                    for S in sups}
-        fiber = [(epsilon_sign(P, G), hat(P, P)) for P in fib]
-        resummed = [(epsilon_sign(R, S) * e, lifted(_sigma_hat_full_cov, R, S) + covs)
-                    for S in sups for e, covs in kernels[S]]
-        split = [(epsilon_sign(T, G), _at_shift(self.sigma_descent_cov(P, T)) + hat(T, P))
-                 for P in f0 for T in above(P)]
-        # the wall filter: every covector read by the kernels of the groups
-        # above R (each hat covector of the closure family among them) and
-        # by the split terms, and every product sigma-hat covector above R
-        walls = _read([t for S in sups for t in kernels[S]] + split)
-        walls += [c for S in sups for T in product_between(S, top)
-                  for c in lifted(_sigma_hat_full_cov, S, T)]
-        return tuple(dict.fromkeys(walls)), fiber, resummed, kernels[R], split
+        fiber = tuple((epsilon_sign(P, G), hat(P, P)) for P in fib)
+        resummed = tuple((epsilon_sign(R, S) * e, lifted(_sigma_hat_full_cov, R, S) + covs)
+                         for S in sups for e, covs in kernels[S])
+        split = tuple((epsilon_sign(T, G), at(self.sigma_descent_cov(P, T)) + hat(T, P))
+                      for P in f0 for T in above(P))
+        return tuple(keys), fiber, resummed, kernels[R], split
+
+    def family_plan(self, R: ProductParabolic, points):
+        """The wall filter and the term lists of `_family_template(R)` as
+        affine covectors on the point (D H, 1).  `points` maps each closure
+        member Q to Y_Q scaled by one positive integer D; the filter's
+        covectors must not vanish at the point."""
+        keys, *sums = self._family_template(R)
+        covs = [_at_shift(c, points.get(Q, ())) for c, Q in keys]
+        return (tuple(dict.fromkeys(covs)),
+                *([(sign, tuple(covs[i] for i in read)) for sign, read in terms]
+                  for terms in sums))
 
     def same_space(self, A, B) -> bool:
         if len(A) != len(B):

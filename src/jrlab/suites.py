@@ -4,8 +4,8 @@ reproduction data) and the seed.  The command-line front end and the
 acceptance tests both drive these.
 
 Each signed sum of cone indicators is a term list (sign, covectors) built by
-`cones`, once per process or, for the family kernels, once per family, and
-`cones.signed_count` reads it at one integer point per sample: the sample H,
+`cones` once per process (the family kernels shifted by each family's
+points), and `cones.signed_count` reads it at one integer point per sample: the sample H,
 the stacked point (H, X), or the affine point (H, 1)."""
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from fractions import Fraction
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
                     _all_pos, _integer_basis, _nonzero, _read, _scale_int,
-                    a_basis, above, between, coordinate, full_group,
-                    enumerate_parabolic_subspaces, enumerate_product_parabolics,
-                    parabolic_minus, pi, pi_hat, projections, signed_count,
-                    z_basis, z_rel_basis)
+                    a_basis, above, between, coordinate,
+                    enumerate_parabolic_subspaces,
+                    enumerate_product_parabolics, full_group,
+                    parabolic_minus, pi, pi_hat, projections,
+                    signed_count, z_basis, z_rel_basis)
 from . import chambers as ch
 from .serialize import parabolic_to_json
 
@@ -171,7 +172,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     # --- Gamma'/B relation on its stated domain, scaled by D ---
     for P in ps:
         ab = a_basis(P)
-        apg, D = _integer_basis([la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])])
+        zero_sum = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
+        apg, D = _integer_basis(zero_sum)
         zb = [[D * x for x in v] for v in z_basis(P)]
         covs = kernel_covs[P]
 
@@ -260,7 +262,8 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             # sides), fiber-family sum = signed product cone (on the left) --
             closure, closed_cone, fiber, product_cone = eng.family_sums(R)
             for check, lhs, rhs, covs in (
-                    ("closure-family", closure, closed_cone, _read(closure) + _read(closed_cone)),
+                    ("closure-family", closure, closed_cone,
+                     _read(closure) + _read(closed_cone)),
                     ("fiber-family", fiber, product_cone, _read(fiber))):
 
                 def draw():
@@ -283,7 +286,8 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
                     domain = [eng.to_ambient(b) for b in basis]
-                    covs = [c for c in _read(terms) if any(_nonzero([c], [b]) for b in domain)]
+                    covs = [c for c in _read(terms)
+                            if any(_nonzero([c], [b]) for b in domain)]
 
                     def draw():
                         X = _sample_span(rng, basis, m, lo=-20, hi=20)

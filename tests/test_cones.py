@@ -164,7 +164,7 @@ def test_covector_caches_are_shared_immutably():
         "_sigma_cov", "_sigma_full_cov", "_sigma_hat_cov", "_sigma_hat_full_cov",
         "families", "z_normals_ambient", "sigma_descent_cov", "_lifted",
         "langlands_terms", "kernel_terms", "expansion_terms",
-        "family_sums", "inversion_terms"}
+        "family_sums", "inversion_terms", "_family_template"}
     cones_suite(2, points=60, seed=1)
     descent_suite(2, seed=1, samples=4)
     sizes = [f.cache_info().currsize for f in caches]
@@ -195,6 +195,7 @@ def test_covector_caches_are_shared_immutably():
             fbar, _, f0 = engine().families(R)
             shared(lambda R: engine().families(R), R)
             shared(lambda R: engine().family_sums(R), R)
+            shared(lambda R: engine()._family_template(R), R)
             for S in product_between(R, top):
                 for cov in (_sigma_full_cov, _sigma_hat_full_cov):
                     shared(lambda *a: engine()._lifted(*a), cov, R, S)
@@ -547,6 +548,11 @@ def test_family_plan_matches_the_fraction_kernels(n):
             assert all(type(y) is int for Y in scaled.values() for y in Y)
             assert all([F(y, s * s) for y in scaled[Q]] == ys[Q] for Q in fbar)
             walls, fiber, resummed, kernel, split = eng.family_plan(R, scaled)
+            # the covectors the terms read include every product sigma-hat
+            # covector above R, which the filter therefore need not add
+            assert {cones._at_shift(c) for S in product_between(R, top)
+                    for T in product_between(S, top)
+                    for c in eng._lifted(_sigma_hat_full_cov, S, T)} <= set(walls)
             for k in range(4):
                 H = ([rng.randint(-3, 3) for _ in eng.minus] if k % 2 else
                      suites._sample_span(rng, eng.z_basis_product(R), len(eng.minus), -3, 3))
