@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cones import _all_pos
+from .cones import _all_pos, _at_shift, signed_count
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,6 @@ def weight_covectors(blocks, m: int):
     return out
 
 
-def tau_hat(blocks, H, m: int) -> int:
-    return _all_pos(weight_covectors(blocks, m), H)
-
-
 def chamber_weights(C: Chamber):
     """Delta-hat of the chamber (full flag)."""
     blocks = tuple((x,) for x in C.perm)
@@ -345,11 +341,13 @@ def family_projection(fam, blocks, m: int):
 
 def psi_geometric(projections, H, m: int) -> int:
     """Sum over the parabolics Q above some member of a family: sign times
-    the weight cone indicator at H - Y_Q, read at D H - D Y_Q.
-    `projections` maps each such Q to D Y_Q (`family_projection`)."""
-    HD = [projection_scale(m) * h for h in H]
-    return sum(epsilon_parabolic(blocks, m) * tau_hat(blocks, [h - y for h, y in zip(HD, YD)], m)
-               for blocks, YD in projections.items())
+    the weight cone indicator at H - Y_Q, one `signed_count` at the affine
+    point (D H, 1) with each covector shifted by D Y_Q.  `projections` maps
+    each such Q to D Y_Q (`family_projection`)."""
+    terms = [(epsilon_parabolic(blocks, m),
+              [_at_shift(c, YD) for c in weight_covectors(blocks, m)])
+             for blocks, YD in projections.items()]
+    return signed_count(terms, [projection_scale(m) * h for h in H] + [1])
 
 
 def epsilon_lambda(P: Chamber, Lam) -> int:

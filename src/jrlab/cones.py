@@ -290,7 +290,7 @@ def _stacked(covs, t):
 
 def _at_shift(c, Y=()):
     """A covector read at H - Y (at H by default), on the affine point (H, 1)."""
-    return c + (-sum(a * y for a, y in zip(c, Y)),)
+    return (*c, -sum(a * y for a, y in zip(c, Y)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
                             minimal_galleries, neighbours,
                             pairwise_orthogonal_positive, parabolics_above, phi,
                             project_family, projection_scale, psi_analytic,
-                            psi_geometric, sigma_set, tau_hat,
+                            psi_geometric, sigma_set, weight_covectors,
                             weyl_orbit_family)
+from jrlab.cones import _all_pos
 from jrlab.suites import chambers_suite
 
 
@@ -99,6 +100,10 @@ def ref_keycoxeter_step(P, P1, P2):
     if len(s) != 1:
         raise ValueError("chambers are not adjacent")
     return -1 if next(iter(s)) in sigma_set(P, P1) else 1
+
+
+def tau_hat(blocks, H, m):
+    return _all_pos(weight_covectors(blocks, m), H)
 
 
 def ref_psi_geometric(S, H, fam, m):
@@ -459,20 +464,27 @@ def test_chambers_suite_refuses_ranks_above_the_convexity_guard():
 
 def test_chamber_suite_filters_the_points_psi_reads(monkeypatch):
     """The psi draws' wall filter tests the points D H - D Y_Q at which
-    psi_geometric reads its cones."""
+    psi_geometric reads its cones (its affine covectors, shifted by D Y_Q,
+    at (D H, 1))."""
     from jrlab import chambers, suites
-    seen, read = set(), []
-    nonzero, tau = suites._nonzero, chambers.tau_hat
+    seen, read, shifts = set(), set(), []
+    nonzero, at_shift, count = suites._nonzero, chambers._at_shift, chambers.signed_count
 
     def recording_nonzero(covs, points):
         seen.update(tuple(p) for p in points)
         return nonzero(covs, points)
 
-    def recording_tau_hat(blocks, H, m):
-        read.append(tuple(H))
-        return tau(blocks, H, m)
+    def recording_at_shift(c, Y=()):
+        shifts.append(Y)
+        return at_shift(c, Y)
+
+    def recording_signed_count(terms, point):
+        read.update(tuple(h - y for h, y in zip(point, Y)) for Y in shifts)
+        shifts.clear()
+        return count(terms, point)
 
     monkeypatch.setattr(suites, "_nonzero", recording_nonzero)
-    monkeypatch.setattr(chambers, "tau_hat", recording_tau_hat)
+    monkeypatch.setattr(chambers, "_at_shift", recording_at_shift)
+    monkeypatch.setattr(chambers, "signed_count", recording_signed_count)
     chambers_suite(3, seed=1, families=20)
-    assert read and set(read) <= seen
+    assert read and read <= seen
