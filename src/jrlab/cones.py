@@ -305,6 +305,14 @@ def z_basis(P: ParabolicSubspace):
     return [_indicator(b, P.n + 1) for b in P.mblocks()]
 
 
+def in_z_span(P: ParabolicSubspace, X) -> bool:
+    """Whether X lies in the span of z_basis(P), the indicators of P's
+    blocks off the distinguished line: X is constant on each of those
+    blocks and vanishes on the distinguished block."""
+    at = lambda block: {X[coordinate(l, P.n + 1)] for l in block}
+    return at(P.e0_block()) == {0} and all(len(at(b)) == 1 for b in P.mblocks())
+
+
 def a_basis(P: ParabolicSubspace):
     return [_indicator(b, P.n + 1) for b in P.blocks()]
 
@@ -637,26 +645,22 @@ def _relabel(subset, coords):
 
 
 def parabolic_minus(Q: ParabolicSubspace, datum: DescentDatum) -> ProductParabolic:
-    """Per-factor flags by intersection and duplicate elimination, with the
-    induced pointer couple."""
+    """The factorwise image: each chain member of Q cut down to the
+    factor's lines plus the distinguished line, dropping empty, full and
+    repeated cuts."""
     m1 = datum.m1_blocks()
     for member in Q.chain:
         if not _is_union_of(member, m1):
             raise ValueError("parabolic subspace does not contain the distinguished Levi")
-    ws, i0, j0 = Q.vflag_ij()
     factors = []
     for coords in datum.parts:
-        cs = set(coords)
-        seen = []
-        index_of = {}
-        for k, w in enumerate(ws):
-            cut = frozenset(set(w) & cs)
-            if not seen or cut != seen[-1]:
-                seen.append(cut)
-            index_of[k] = len(seen) - 1
-        i0p, j0p = index_of[i0], index_of[j0]
-        flag_local = [_relabel(m, coords) for m in seen]
-        factors.append(ParabolicSubspace.from_vflag(flag_local, i0p, j0p, len(coords)))
+        full = frozenset(coords) | {E0}
+        cuts = []
+        for member in Q.chain:
+            cut = member & full
+            if cut and cut != full and cut not in cuts[-1:]:
+                cuts.append(cut)
+        factors.append(ParabolicSubspace(len(coords), tuple(_relabel(c, coords) for c in cuts)))
     return ProductParabolic(tuple(factors))
 
 
@@ -691,9 +695,11 @@ def product_full(datum: DescentDatum) -> ProductParabolic:
 @dataclass(frozen=True)
 class DescentEngine:
     """Evaluation helpers tying the ambient side and the product side of a
-    descent datum together: common coordinates are the minus-part labels.
-    Engines over equal data are equal, so they share the cached families
-    and covectors."""
+    descent datum together.  Every basis and covector lives on the ambient
+    space, the product side's placed there factor by factor (`_lifted`);
+    the minus labels only give the coordinates of the suite's random draws
+    (`to_ambient`) and of its failure records.  Engines over equal data are
+    equal, so they share the cached families, spans and covectors."""
 
     datum: DescentDatum
     minus: tuple = field(init=False, repr=False, compare=False)
@@ -702,48 +708,50 @@ class DescentEngine:
         minus = sorted(c for p in self.datum.parts for c in p)
         object.__setattr__(self, "minus", tuple(minus))
 
-    # -- point embeddings ------------------------------------------------------
+    # -- placement on the ambient space ---------------------------------------
+
+    def _place(self, vec, labels):
+        """The entries of vec at the given base labels of the ambient space,
+        zero elsewhere (entries past the labels, such as a factor vector's
+        distinguished-line entry, are dropped)."""
+        v = [0] * (self.datum.n + 1)
+        for l, x in zip(labels, vec):
+            v[l - 1] = x
+        return v
 
     def to_ambient(self, H):
         """A point given on the minus coordinates, placed into the ambient
         space (zero on the plus part and the distinguished line)."""
-        v = [0] * (self.datum.n + 1)
-        for x, c in zip(H, self.minus):
-            v[c - 1] = x
-        return v
+        return self._place(H, self.minus)
 
-    def _to_minus(self, vectors, *Rs: ProductParabolic):
-        """vectors(*factors) for every factor of the product parabolics Rs,
-        placed on the minus coordinates (their distinguished-line entries
-        are dropped)."""
-        out = []
-        for k, fs in enumerate(zip(*(R.factors for R in Rs))):
-            pos = [self.minus.index(c) for c in self.datum.parts[k]]
-            for vec in vectors(*fs):
-                v = [0] * len(self.minus)
-                for i, x in zip(pos, vec):
-                    v[i] = x
-                out.append(v)
-        return out
+    @functools.cache
+    def _lifted(self, vectors, *Rs: ProductParabolic):
+        """vectors(*factors) for every factor of the product parabolics Rs
+        (a factor basis of R, or the covectors cov(r) of R or cov(r, s) of R
+        inside S), placed on the ambient space: a product indicator is 1
+        where all its covectors are positive."""
+        return tuple(tuple(self._place(vec, self.datum.parts[k]))
+                     for k, fs in enumerate(zip(*(R.factors for R in Rs)))
+                     for vec in vectors(*fs))
 
     # -- subspaces ---------------------------------------------------------------
 
-    def z_basis_ambient(self, P: ParabolicSubspace):
-        """Center-space basis of an ambient parabolic subspace, restricted to
-        the minus coordinates (entries elsewhere vanish for groups above the
-        distinguished Levi)."""
-        return [[b[c - 1] for c in self.minus] for b in z_basis(P)]
-
     def z_basis_product(self, R: ProductParabolic):
-        return self._to_minus(z_basis, R)
+        return self._lifted(z_basis, R)
 
     @functools.cache
-    def z_normals_ambient(self, P: ParabolicSubspace):
-        """Integer covectors on the minus coordinates that all vanish at X
-        exactly when X lies in the span of z_basis_ambient(P) (a zero row
-        stands in for an empty basis, whose span is 0)."""
-        zP = self.z_basis_ambient(P) or [[0] * len(self.minus)]
-        return tuple(_scale_int(v) for v in la.nullspace(zP))
+    def rigid_span(self, R: ProductParabolic, P: ParabolicSubspace):
+        """An integer basis of span(z_P) intersect span(z_R)."""
+        A, B = z_basis(P), self.z_basis_product(R)
+        if not A or not B:
+            return ()
+        basis = []
+        for t in la.nullspace([list(col) for col in zip(*A, *B)]):
+            v = _scale_int(la.vec_mat(t[:len(A)], A))
+            # reduce to an independent set
+            if any(v) and not la.in_span(basis, v):
+                basis.append(v)
+        return tuple(basis)
 
     # -- the descent kernel ------------------------------------------------------
 
@@ -761,12 +769,6 @@ class DescentEngine:
             parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
             covs.append(_pull_back(w, {self.datum.n} | {l - 1 for p in parts for l in p}))
         return tuple(covs)
-
-    @functools.cache
-    def _lifted(self, cov, *Rs: ProductParabolic):
-        """The factor covectors cov(r, s) of R inside S (or cov(r) of R) on
-        the ambient space: the product indicator is 1 where all are positive."""
-        return tuple(tuple(self.to_ambient(v)) for v in self._to_minus(cov, *Rs))
 
     # -- the family sums as term lists, read at the ambient sample ----------------
 
@@ -834,30 +836,23 @@ class DescentEngine:
                 *([(sign, tuple(covs[i] for i in read)) for sign, read in terms]
                   for terms in sums))
 
-    def same_space(self, A, B) -> bool:
-        if len(A) != len(B):
-            return False
-        if not A:
-            return True
-        return la.rank(A) == la.rank(A + B) == la.rank(B)
-
     # -- families ------------------------------------------------------------------
 
     @functools.cache
     def families(self, R: ProductParabolic):
         """(closure family, fiber family, rigid fiber family) of the ambient
         parabolic subspaces above the distinguished Levi, sorted by the
-        factorwise image."""
+        factorwise image.  A fiber member is rigid when z_P and z_R span the
+        same space, that is when `rigid_span` has the dimension of both."""
         m1 = self.datum.m1_blocks()
         cands = enumerate_parabolic_subspaces(self.datum.n, levi_blocks=m1)
         fbar, fib, f0 = [], [], []
-        zR = self.z_basis_product(R)
         for P in cands:
             Pm = parabolic_minus(P, self.datum)
             if R.le(Pm):
                 fbar.append(P)
             if Pm == R:
                 fib.append(P)
-                if self.same_space(self.z_basis_ambient(P), zR):
+                if len(self.rigid_span(R, P)) == P.dim_z() == R.dim_z():
                     f0.append(P)
         return tuple(fbar), tuple(fib), tuple(f0)

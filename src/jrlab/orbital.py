@@ -46,9 +46,6 @@ class Lattice:
     def n(self) -> int:
         return len(self.basis)
 
-    def to_json(self):
-        return [[str(x) for x in row] for row in self.basis]
-
 
 def _reduce_mod(x: Fraction, d: int, ctx: PLocalContext) -> Fraction:
     """Canonical representative of x modulo p^d O (x any rational): zero
@@ -224,13 +221,6 @@ class OrbitalReport:
     value: Fraction
     lattice_count: int
     p: int
-
-    def to_json(self):
-        return {"side": self.side,
-                "a": {"a": [str(x) for x in self.a.a], "b": [str(x) for x in self.a.b]},
-                "value": str(self.value),
-                "lattices": self.lattice_count,
-                "p": self.p}
 
 
 def orbital_gl(X: Triple, ctx: PLocalContext) -> OrbitalReport:

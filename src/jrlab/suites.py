@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _integer_basis, _nonzero, _read, _scale_int,
-                    a_basis, above, between, coordinate,
+                    _all_pos, _integer_basis, _nonzero, _read, a_basis,
+                    above, between, coordinate,
                     enumerate_parabolic_subspaces,
-                    enumerate_product_parabolics, full_group,
+                    enumerate_product_parabolics, full_group, in_z_span,
                     parabolic_minus, pi, pi_hat, projections,
                     signed_count, z_basis, z_rel_basis)
 from . import chambers as ch
@@ -210,38 +210,23 @@ def _zero_base_sum(v, n):
 # criterion: descent combinatorics
 
 
-def descent_data(n: int, max_factors: int = 2):
-    """All descent shapes at base dimension n with at most the given number
-    of factors (deduplicated up to factor order)."""
-    if n > 3 or max_factors > 2:
-        raise ValueError("descent enumeration guard: n <= 3 and at most 2 factors")
+def descent_data(n: int):
+    """All descent shapes at base dimension n with one or two factors
+    (deduplicated up to factor order: the first factor holds the least
+    minus label)."""
+    if n > 3:
+        raise ValueError("descent enumeration guard: n <= 3")
     out = []
     coords = list(range(1, n + 1))
     for r in range(0, n):
         for vplus in itertools.combinations(coords, r):
-            rest = [c for c in coords if c not in vplus]
-            for parts in _partitions_ordered(rest, max_factors):
-                out.append(DescentDatum(n, frozenset(vplus), tuple(parts)))
+            first, *rest = [c for c in coords if c not in vplus]
+            for k in range(len(rest) + 1):
+                for combo in itertools.combinations(rest, k):
+                    other = tuple(c for c in rest if c not in combo)
+                    parts = ((first, *combo),) + ((other,) if other else ())
+                    out.append(DescentDatum(n, frozenset(vplus), parts))
     return out
-
-
-def _partitions_ordered(items, max_parts):
-    if not items:
-        return
-    first = items[0]
-    if max_parts == 1:
-        yield [tuple(items)]
-        return
-    rest = items[1:]
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            blk = tuple(sorted((first,) + combo))
-            remaining = [x for x in rest if x not in combo]
-            if not remaining:
-                yield [blk]
-            else:
-                for tail in _partitions_ordered(remaining, max_parts - 1):
-                    yield [blk] + tail
 
 
 def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
@@ -252,6 +237,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     rng = random.Random(seed)
     failures = []
     instances = 0
+    N = n + 1
     for datum in descent_data(n):
         eng = DescentEngine(datum)
         m = len(eng.minus)
@@ -281,32 +267,26 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                 terms = eng.inversion_terms(R, P)
                 # P in the fiber over R, read off its factorwise image
                 in_fiber = parabolic_minus(P, datum) == R
-                rigid = _intersect_span(eng.z_basis_ambient(P), zR)
-                for which, basis in (("generic", zR), ("rigid", rigid)):
+                for which, basis in (("generic", zR), ("rigid", eng.rigid_span(R, P))):
                     # wall filter: the covectors that do not vanish on the
                     # whole domain must not vanish at the sample
-                    domain = [eng.to_ambient(b) for b in basis]
-                    covs = [c for c in _read(terms)
-                            if any(_nonzero([c], [b]) for b in domain)]
+                    covs = [c for c in _read(terms) if any(_nonzero([c], [b]) for b in basis)]
 
                     def draw():
-                        X = _sample_span(rng, basis, m, lo=-20, hi=20)
-                        Xa = eng.to_ambient(X)
-                        return (X, Xa) if _nonzero(covs, [Xa]) else None
+                        X = _sample_span(rng, basis, N, lo=-20, hi=20)
+                        return X if _nonzero(covs, [X]) else None
 
                     # an empty basis spans the single point 0
                     target = max(4, samples // 3) if basis else 1
-                    for X, Xa in _accepted(draw, target, 40 * samples):
+                    for X in _accepted(draw, target, 40 * samples):
                         instances += 1
-                        tot = signed_count(terms, Xa)
-                        # X in span(z_P): every normal covector vanishes at X
-                        expect = int(in_fiber and not any(la.dot(c, X)
-                                                          for c in eng.z_normals_ambient(P)))
+                        tot = signed_count(terms, X)
+                        expect = int(in_fiber and in_z_span(P, X))
                         if tot != expect:
                             failures.append({"check": "fiber-inversion", "datum": _djson(datum),
                                              "R": _prodjson(R), "P": parabolic_to_json(P),
-                                             "X": [str(x) for x in X], "domain": which,
-                                             "got": tot, "expect": expect})
+                                             "X": _on_minus(eng, X),
+                                             "domain": which, "got": tot, "expect": expect})
             # -- kernel sums for orthogonal-positive families --
             if f0:
                 fam = _orth_positive_family(rng, eng, R, f0)
@@ -315,20 +295,6 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     instances += inst
                     failures += fails
     return _report("descent", instances, failures, seed, t0, {"n": n})
-
-
-def _intersect_span(A, B):
-    """Basis of span(A) intersect span(B), as integer vectors."""
-    if not A or not B:
-        return []
-    rel = la.nullspace([list(col) for col in zip(*(A + B))])
-    basis = []
-    for t in rel:
-        v = list(_scale_int(la.vec_mat(t[:len(A)], A)))
-        # reduce to an independent set
-        if any(v) and not la.in_span(basis, v):
-            basis.append(v)
-    return basis
 
 
 def _orth_positive_family(rng, eng: DescentEngine, R, f0):
@@ -371,12 +337,11 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
     splitting of the product kernel into the rigid members' kernels, on the
     terms of `DescentEngine.family_plan`.  The family's points come scaled
     by s (`_orth_positive_family`) and `project_family` scales by s again,
-    so every Y_Q, and the ambient image of each sample H with it, is scaled
-    by s^2; the failure records print H itself."""
+    so every Y_Q, and each sample H with it, is scaled by s^2; the failure
+    records print H itself, on the minus coordinates."""
     datum = eng.datum
     N = datum.n + 1
     s = ch.projection_scale(N)
-    m = len(eng.minus)
     failures = []
     instances = 0
     zR = eng.z_basis_product(R)
@@ -393,8 +358,8 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
     walls, fiber, resummed, kernel, split = eng.family_plan(R, ys)
 
     def draw():
-        H = _sample_span(rng, zR, m, lo=-25, hi=25)
-        point = [s * s * x for x in eng.to_ambient(H)] + [1]
+        H = _sample_span(rng, zR, N, lo=-25, hi=25)
+        point = [s * s * x for x in H] + [1]
         return (H, point) if _nonzero(walls, [point]) else None
 
     for H, point in _accepted(draw, samples, 60 * samples):
@@ -402,12 +367,18 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
         # resummation: fiber sum with shifts = signed sum of family kernels
         if signed_count(fiber, point) != signed_count(resummed, point):
             failures.append({"check": "family-resummation", "datum": _djson(datum),
-                             "R": _prodjson(R), "H": [str(x) for x in H]})
+                             "R": _prodjson(R), "H": _on_minus(eng, H)})
         # generic splitting into rigid members' kernels
         if signed_count(kernel, point) != signed_count(split, point):
             failures.append({"check": "family-splitting", "datum": _djson(datum),
-                             "R": _prodjson(R), "H": [str(x) for x in H]})
+                             "R": _prodjson(R), "H": _on_minus(eng, H)})
     return instances, failures
+
+
+def _on_minus(eng: DescentEngine, v):
+    """An ambient point as a failure record prints it: its minus
+    coordinates, as strings."""
+    return [str(v[c - 1]) for c in eng.minus]
 
 
 def _djson(d: DescentDatum):

@@ -162,7 +162,7 @@ def test_covector_caches_are_shared_immutably():
     assert {f.__name__ for f in caches} >= {
         "pi_hat_raw", "delta", "delta_hat", "pi", "pi_hat", "_tau_cov", "_tau_hat_cov",
         "_sigma_cov", "_sigma_full_cov", "_sigma_hat_cov", "_sigma_hat_full_cov",
-        "families", "z_normals_ambient", "sigma_descent_cov", "_lifted",
+        "families", "rigid_span", "sigma_descent_cov", "_lifted",
         "langlands_terms", "kernel_terms", "expansion_terms",
         "family_sums", "inversion_terms", "_family_template"}
     cones_suite(2, points=60, seed=1)
@@ -200,7 +200,7 @@ def test_covector_caches_are_shared_immutably():
                 for cov in (_sigma_full_cov, _sigma_hat_full_cov):
                     shared(lambda *a: engine()._lifted(*a), cov, R, S)
             for P in fbar:
-                shared(lambda P: engine().z_normals_ambient(P), P)
+                shared(lambda R, P: engine().rigid_span(R, P), R, P)
                 shared(lambda R, P: engine().inversion_terms(R, P), R, P)
             for P in f0:
                 for T in above(P):
@@ -346,6 +346,28 @@ def ref_to_factor(eng, H, k):
     return [lut[c] for c in eng.datum.parts[k]] + [0]
 
 
+def ref_to_minus(eng, vectors, *Rs):
+    """vectors(*factors) for every factor of the product parabolics Rs,
+    placed on the minus coordinates (the distinguished-line entries
+    dropped): a second coordinate system, independent of the engine's
+    ambient placement."""
+    out = []
+    for k, fs in enumerate(zip(*(R.factors for R in Rs))):
+        pos = [eng.minus.index(c) for c in eng.datum.parts[k]]
+        for vec in vectors(*fs):
+            v = [0] * len(eng.minus)
+            for i, x in zip(pos, vec):
+                v[i] = x
+            out.append(v)
+    return out
+
+
+def ref_z_basis_minus(eng, P):
+    """z_basis(P) restricted to the minus coordinates (its entries
+    elsewhere vanish for P above the distinguished Levi)."""
+    return [[b[c - 1] for c in eng.minus] for b in z_basis(P)]
+
+
 def ref_product(eng, cov, R, S, H):
     """The product over the factors of the indicators of the covectors
     cov(r, s) at H, on the minus coordinates."""
@@ -358,7 +380,7 @@ def ref_product(eng, cov, R, S, H):
 def ref_closure_family(eng, R, H):
     G = full_group(eng.datum.n)
     Ha = eng.to_ambient(H)
-    raw = [[-x for x in c] for c in eng._to_minus(pi_hat_raw, R)]
+    raw = [[-x for x in c] for c in ref_to_minus(eng, pi_hat_raw, R)]
     return (sum(epsilon_sign(P, G) * GTilde(G.n).sigma_hat(P, G, Ha) for P in eng.families(R)[0]),
             _all_pos(raw, H))
 
@@ -553,9 +575,10 @@ def test_family_plan_matches_the_fraction_kernels(n):
             assert {cones._at_shift(c) for S in product_between(R, top)
                     for T in product_between(S, top)
                     for c in eng._lifted(_sigma_hat_full_cov, S, T)} <= set(walls)
+            zR = ref_to_minus(eng, z_basis, R)
             for k in range(4):
                 H = ([rng.randint(-3, 3) for _ in eng.minus] if k % 2 else
-                     suites._sample_span(rng, eng.z_basis_product(R), len(eng.minus), -3, 3))
+                     suites._sample_span(rng, zR, len(eng.minus), -3, 3))
                 Ha = eng.to_ambient(H)
                 HD = [s * s * x for x in Ha] + [1]
                 assert signed_count(fiber, HD) == sum(
@@ -571,29 +594,87 @@ def test_family_plan_matches_the_fraction_kernels(n):
     assert families == {1: 3, 2: 28, 3: 267}[n]
 
 
-def test_z_normals_decide_span_membership():
+def test_in_z_span_decides_span_membership():
     rng = random.Random(7)
     for n in (1, 2, 3):
         for datum in descent_data(n):
             eng = DescentEngine(datum)
             for P in eng.families(enumerate_product_parabolics(datum)[0])[0]:
-                zP = eng.z_basis_ambient(P)
-                normals = eng.z_normals_ambient(P)
-                assert all(type(c) is int for v in normals for c in v)
+                zP = z_basis(P)
                 for k in range(6):
-                    X = (suites._sample_span(rng, zP, len(eng.minus), -3, 3) if k % 2
-                         else [rng.randint(-2, 2) for _ in eng.minus])
-                    assert (not any(la.dot(c, X) for c in normals)) == la.in_span(zP, X)
+                    X = (suites._sample_span(rng, zP, n + 1, -3, 3) if k % 2
+                         else [rng.randint(-2, 2) for _ in range(n + 1)])
+                    assert cones.in_z_span(P, X) == la.in_span(zP, X)
 
 
 def test_rigid_domains_are_the_fraction_bases_as_integer_vectors():
+    """The rigid span, read on the minus coordinates, is the Fraction
+    intersection of the bases placed there by the reference."""
     for n in (1, 2, 3):
         for datum in descent_data(n):
             eng = DescentEngine(datum)
             for R in enumerate_product_parabolics(datum):
-                zR = eng.z_basis_product(R)
+                zR = ref_to_minus(eng, z_basis, R)
                 for P in eng.families(R)[0]:
-                    zP = eng.z_basis_ambient(P)
-                    basis = suites._intersect_span(zP, zR)
-                    assert basis == ref_intersect_span(zP, zR)
+                    basis = eng.rigid_span(R, P)
+                    on_minus = [[v[c - 1] for c in eng.minus] for v in basis]
                     assert all(type(x) is int for v in basis for x in v)
+                    assert [eng.to_ambient(v) for v in on_minus] == [list(v) for v in basis]
+                    assert on_minus == ref_intersect_span(ref_z_basis_minus(eng, P), zR)
+
+
+# ---------------------------------------------------------------------------
+# the factorwise image and the rigid fiber as computed before the engine's
+# bases moved to the ambient space: references for the chain cut and the
+# span rule
+
+
+def ref_parabolic_minus(Q, datum):
+    """Per-factor flags by intersecting Q's full base flag with the
+    factor's lines, dropping repeats, with the induced pointer couple."""
+    ws, i0, j0 = Q.vflag_ij()
+    factors = []
+    for coords in datum.parts:
+        seen, index_of = [], {}
+        for k, w in enumerate(ws):
+            cut = frozenset(set(w) & set(coords))
+            if not seen or cut != seen[-1]:
+                seen.append(cut)
+            index_of[k] = len(seen) - 1
+        flag = [cones._relabel(m, coords) for m in seen]
+        factors.append(ParabolicSubspace.from_vflag(flag, index_of[i0], index_of[j0],
+                                                    len(coords)))
+    return cones.ProductParabolic(tuple(factors))
+
+
+def ref_same_space(A, B):
+    """Whether the independent sets A and B span one space, by ranks."""
+    if len(A) != len(B):
+        return False
+    return not A or la.rank(A) == la.rank(A + B) == la.rank(B)
+
+
+def test_parabolic_minus_matches_the_flag_route():
+    cases = 0
+    for n in (1, 2, 3):
+        for datum in descent_data(n):
+            for P in enumerate_parabolic_subspaces(n, levi_blocks=datum.m1_blocks()):
+                cases += 1
+                assert parabolic_minus(P, datum) == ref_parabolic_minus(P, datum)
+    assert cases == 422
+
+
+def test_rigid_fiber_members_are_where_the_centers_span_one_space():
+    members = rigid = 0
+    for n in (1, 2, 3):
+        for datum in descent_data(n):
+            eng = DescentEngine(datum)
+            for R in enumerate_product_parabolics(datum):
+                _, fib, f0 = eng.families(R)
+                zR = ref_to_minus(eng, z_basis, R)
+                for P in fib:
+                    same = ref_same_space(ref_z_basis_minus(eng, P), zR)
+                    assert (P in f0) == same
+                    members += 1
+                    rigid += same
+    assert (members, rigid) == (422, 360)

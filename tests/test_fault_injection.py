@@ -96,8 +96,8 @@ def _constant(value):
 PATCHES = {
     "family-resummation": (DescentEngine, "family_plan", _extra_term(2)),
     "family-splitting": (DescentEngine, "family_plan", _extra_term(4)),
-    # no normal covector: every X counts as lying in span(z_P)
-    "fiber-inversion": (DescentEngine, "z_normals_ambient", _constant(())),
+    # every X counts as lying in span(z_P)
+    "fiber-inversion": (suites, "in_z_span", _constant(True)),
     # the right-hand sides moved by one
     "closure-family": (DescentEngine, "family_sums", _extra_term(1)),
     "fiber-family": (DescentEngine, "family_sums", _extra_term(3)),
