@@ -48,10 +48,16 @@ class Chamber:
         p, rank = self.perm, list(self.rank)
         a, b = p[i], p[i + 1]
         rank[a - 1], rank[b - 1] = i + 1, i
-        C = object.__new__(Chamber)
-        object.__setattr__(C, "perm", p[:i] + (b, a) + p[i + 2:])
-        object.__setattr__(C, "rank", tuple(rank))
-        return C
+        return _known(p[:i] + (b, a) + p[i + 2:], tuple(rank))
+
+
+def _known(perm: tuple, rank: tuple) -> Chamber:
+    """The chamber of a permutation tuple and its rank array, both known to
+    be right, built without validating again."""
+    C = object.__new__(Chamber)
+    object.__setattr__(C, "perm", perm)
+    object.__setattr__(C, "rank", rank)
+    return C
 
 
 def all_chambers(m: int):
@@ -108,6 +114,19 @@ def minimal_galleries(P1: Chamber, P2: Chamber):
     return walk(P1)
 
 
+def gallery_steps(P2: Chamber, order):
+    """Each chamber P1 of `order`, which lists chambers by distance to P2,
+    with its steps towards P2 and g(P1), the number of minimal galleries
+    from P1 to P2: g(P2) = 1, and g(P1) is the sum of g(Q) over the steps Q,
+    which lie one closer to P2 and so come earlier in `order`."""
+    g, out = {}, []
+    for P1 in order:
+        steps = _steps(P1, P2.rank)
+        g[P1] = 1 if P1 == P2 else sum(g[Q] for Q in steps)
+        out.append((P1, steps, g[P1]))
+    return out
+
+
 def gallery_walls(gallery):
     """The roots crossed along a gallery, as the set {alpha_i} with
     Sigma(P_{i+1}|P_i) = {alpha_i}."""
@@ -116,7 +135,7 @@ def gallery_walls(gallery):
 
 # Largest rank at which convexity is checked, and so the largest rank of the
 # chambers suite (each check tests |S|^2 (m - 1) steps).
-CONVEXITY_MAX_RANK = 4
+CONVEXITY_MAX_RANK = 5
 
 
 def is_convex(S) -> bool:
@@ -325,10 +344,12 @@ def family_projection(fam, blocks, m: int):
     """D Y_Q, D = projection_scale(m), for a parabolic above some member
     chamber: blockwise average of any contained chamber's point
     (independence asserted), an integer vector for an integer family.  The
-    chambers below are the products of the blocks' orderings."""
-    below = (Chamber(sum(orders, ())) for orders in
+    chambers below are the products of the blocks' orderings, permutations
+    by construction, so they are built without validating again."""
+    perms = (sum(orders, ()) for orders in
              itertools.product(*(itertools.permutations(blk) for blk in blocks)))
-    YQ = project_family([fam[P] for P in below if P in fam],
+    below = (_known(p, tuple(map(p.index, range(1, m + 1)))) for p in perms)
+    YQ = project_family([Y for P in below if (Y := fam.get(P)) is not None],
                         [[x - 1 for x in blk] for blk in blocks], projection_scale(m))
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")

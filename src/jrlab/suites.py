@@ -403,32 +403,53 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     chambers = ch.all_chambers(m)
     roots = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
 
-    # distances agree with breadth-first graph distance on all ordered pairs
+    # distances agree with breadth-first graph distance on all ordered pairs;
+    # the table dist[P1][P2] = distance(P2, P1), the diagonal included,
+    # serves the checks below
     from collections import deque
+    dist = {}
     for P1 in chambers:
-        dist = {P1: 0}
+        bfs = {P1: 0}
         q = deque([P1])
         while q:
             u = q.popleft()
             for v in ch.neighbours(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+                if v not in bfs:
+                    bfs[v] = bfs[u] + 1
                     q.append(v)
+        row = dist[P1] = {}
         for P2 in chambers:
+            row[P2] = ch.distance(P2, P1)
             if P1 == P2:
                 continue
             instances += 1
-            if dist[P2] != ch.distance(P2, P1):
+            if bfs[P2] != row[P2]:
                 failures.append({"check": "distance", "P1": P1.perm, "P2": P2.perm})
 
-    # wall sets along every minimal gallery
-    for P1 in chambers:
-        for P2 in chambers:
-            for gal in ch.minimal_galleries(P1, P2):
-                instances += 1
-                walls = ch.gallery_walls(gal)
-                if len(set(walls)) != len(walls) or set(walls) != ch.sigma_set(P2, P1):
-                    failures.append({"check": "gallery-walls", "P1": P1.perm, "P2": P2.perm})
+    # wall sets along every minimal gallery, certified one step at a time:
+    # P1 has a step towards P2 exactly when P1 != P2, Sigma(P2|P2) is empty,
+    # and each step Q crosses a wall of Sigma(P2|P1) and leaves the rest as
+    # Sigma(P2|Q).  By induction on the distance to P2, the walls along any
+    # minimal gallery from P1 are then distinct and form Sigma(P2|P1).  One
+    # instance per gallery, counted by recursion and cross-checked against
+    # the listed galleries from the base chamber (relabelling coordinates
+    # moves it to any chamber and keeps galleries).
+    base = chambers[0]
+    for P2 in chambers:
+        sigma = {P1: ch.sigma_set(P2, P1) for P1 in chambers}
+        order = sorted(chambers, key=dist[P2].__getitem__)
+        for P1, steps, count in ch.gallery_steps(P2, order):
+            instances += count
+            end, walls = P1 == P2, [ch.wall(P1, Q) for Q in steps]
+            if bool(steps) == end or (end and sigma[P1]) or any(
+                    w not in sigma[P1] or sigma[Q] != sigma[P1] - {w}
+                    for Q, w in zip(steps, walls)):
+                failures.append({"check": "gallery-walls", "P1": P1.perm, "P2": P2.perm})
+            if P1 == base:
+                listed = len(ch.minimal_galleries(P1, P2))
+                if count != listed:
+                    failures.append({"check": "gallery-count", "P1": P1.perm,
+                                     "P2": P2.perm, "count": count, "listed": listed})
 
     # half-space families convex
     for alpha in roots:
@@ -436,12 +457,14 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         if not ch.is_convex(ch.h_plus(alpha, m)):
             failures.append({"check": "halfspace-convex", "alpha": alpha})
 
-    # one-step distance recursion, exhaustively
+    # one-step distance recursion, exhaustively, read off the distance table
+    adjacent = {P1: ch.neighbours(P1) for P1 in chambers}
     for P in chambers:
+        row = dist[P]
         for P1 in chambers:
-            for P2 in ch.neighbours(P1):
+            for P2 in adjacent[P1]:
                 instances += 1
-                if ch.distance(P2, P) != ch.distance(P1, P) + ch.keycoxeter_step(P, P1, P2):
+                if row[P2] != row[P1] + ch.keycoxeter_step(P, P1, P2):
                     failures.append({"check": "distance-step", "P": P.perm,
                                      "P1": P1.perm, "P2": P2.perm})
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from collections import deque
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
                             chamber_in_parabolic, check_orthogonal_positive,
                             distance, epsilon_lambda, epsilon_parabolic,
-                            family_projection,
+                            family_projection, gallery_steps,
                             gallery_walls, h_plus, in_positive_dual_cone,
                             is_convex, keycoxeter_step, langlands_type_rep,
                             minimal_galleries, neighbours,
@@ -302,6 +303,35 @@ def test_minimal_galleries_counts():
         minimal_galleries(Chamber(tuple(range(1, 7))), Chamber(tuple(range(1, 7))))
 
 
+def _gallery_counts(P2):
+    """g(P1) for every chamber P1, by the recursion towards P2."""
+    order = sorted(all_chambers(P2.m), key=lambda P: distance(P2, P))
+    return {P1: g for P1, _, g in gallery_steps(P2, order)}
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_recursive_gallery_count_matches_the_listing(m):
+    chambers = all_chambers(m)
+    for P2 in chambers:
+        counts = _gallery_counts(P2)
+        assert list(counts) == sorted(chambers, key=lambda P: distance(P2, P))
+        for P1, steps, g in gallery_steps(P2, list(counts)):
+            galleries = minimal_galleries(P1, P2)
+            # the steps are the second chambers of the listed galleries
+            assert steps == list(dict.fromkeys(gal[1] for gal in galleries if len(gal) > 1))
+            assert g == counts[P1] == len(galleries)
+
+
+@pytest.mark.parametrize("m, count", [(3, 2), (4, 16), (5, 768), (6, 292_864)])
+def test_galleries_to_the_opposite_chamber_are_stanleys_counts(m, count):
+    """Minimal galleries from a chamber to its opposite are the reduced words
+    of the longest element of S_m, counted by the standard Young tableaux of
+    staircase shape (R. Stanley, Europ. J. Combin. 5, 1984).  At m = 6 the
+    recursion alone counts them: listing is guarded above rank 5."""
+    P = Chamber(tuple(range(1, m + 1)))
+    assert _gallery_counts(P.opposite())[P] == count
+
+
 def test_distance_equals_bfs_s4():
     chambers = all_chambers(4)
     count = 0
@@ -457,9 +487,16 @@ def test_chambers_suite_s3():
     assert not rep["failures"]
 
 
+def test_chambers_suite_at_rank_5():
+    t0 = time.time()
+    rep = chambers_suite(5, seed=1, families=20)
+    assert time.time() - t0 <= 10
+    assert rep["failures"] == [] and rep["instances"] == 439_280
+
+
 def test_chambers_suite_refuses_ranks_above_the_convexity_guard():
     with pytest.raises(ValueError, match="convexity guard"):
-        chambers_suite(5, families=1)
+        chambers_suite(6, families=1)
 
 
 def test_chamber_suite_filters_the_points_psi_reads(monkeypatch):

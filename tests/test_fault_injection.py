@@ -32,6 +32,7 @@ KEYS = {
     },
     "chambers": {
         "gallery-walls": {"check", "P1", "P2"},
+        "gallery-count": {"check", "P1", "P2", "count", "listed"},
         "distance-step": {"check", "P", "P1", "P2"},
         "psi-equality": {"check", "S", "H"},
         "distance": {"check", "P1", "P2"},
@@ -103,8 +104,10 @@ PATCHES = {
     "fiber-family": (DescentEngine, "family_sums", _extra_term(3)),
     # no closure member finds a rigid member below it
     "family-structure": (chambers, "project_family", _constant(None)),
-    "gallery-walls": (chambers, "gallery_walls",
-                      lambda walls: lambda gal: [(b, a) for a, b in walls(gal)]),
+    # every step crosses the reversed root, outside Sigma(P2|P1)
+    "gallery-walls": (chambers, "wall", lambda wall: lambda P1, P2: wall(P1, P2)[::-1]),
+    # the listing drops a gallery
+    "gallery-count": (chambers, "minimal_galleries", lambda fn: lambda P1, P2: fn(P1, P2)[1:]),
     "distance-step": (chambers, "keycoxeter_step", lambda step: lambda *args: -step(*args)),
     "psi-equality": (chambers, "psi_geometric", _plus(1)),
     "distance": (chambers, "distance", _plus(1)),

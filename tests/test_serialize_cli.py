@@ -107,7 +107,7 @@ def test_cli_budget():
 
 
 def test_cli_budget_chambers_rank():
-    proc = subprocess.run([sys.executable, "-m", "jrlab.cli", "chambers", "--m", "5"],
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli", "chambers", "--m", "6"],
                           capture_output=True, text=True)
     assert proc.returncode == 4 and "Traceback" not in proc.stderr
 
