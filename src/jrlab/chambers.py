@@ -60,8 +60,10 @@ def _known(perm: tuple, rank: tuple) -> Chamber:
     return C
 
 
+@functools.cache
 def all_chambers(m: int):
-    return [Chamber(p) for p in itertools.permutations(range(1, m + 1))]
+    """The m! chambers of rank m, built once per m (a shared tuple)."""
+    return tuple(Chamber(p) for p in itertools.permutations(range(1, m + 1)))
 
 
 def sigma_set(P2: Chamber, P1: Chamber):

@@ -97,7 +97,7 @@ def _conjugate(g, gi, X: Triple) -> Triple:
 
 def moments(X: Triple, count: int) -> list:
     """[c b, c A b, ..., c A^{count-1} b]."""
-    return [la.dot(X.c, v) for v in krylov_columns(X, count)]
+    return la.moment_sequence(X.c, X.A, X.b, count)
 
 
 def invariants(X: Triple) -> InvariantPoint:

@@ -3,16 +3,17 @@
 Matrices are lists of lists (rows); vectors are lists.  Everything returns
 new objects; nothing is mutated in place by callers.
 
-The kernels run on integers: dot products, over Q or over E, sum integer
-products over one common denominator; det and rref (so inverse, solve,
-nullspace, rank) eliminate fraction-free on rows scaled into Z or
-Z[sqrt(eps)]; charpoly is Berkowitz's division-free one.
+The kernels run on integers, each operand scaled into Z or Z[sqrt(eps)]
+once: products sum integer products over one common denominator per row
+and column; Krylov sequences and moments c A^k b iterate A's integer matrix
+on b's coordinates; det and rref eliminate fraction-free on scaled rows;
+charpoly is Berkowitz's division-free one, reading the moment kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
 from math import lcm, prod
 from operator import floordiv, mul, sub
 
@@ -51,54 +52,79 @@ def mat_scale(A, c):
 
 
 def mat_mul(A, B):
-    n, k = dims(A)
-    k2, m = dims(B)
-    assert k == k2, "inner dimensions differ"
-    Bt = list(zip(*B))
-    return [[_dot(row, col) for col in Bt] for row in A]
-
-
-def _dot(u, v):
-    """sum(a * b) with one normalisation instead of one per term: each vector
-    is scaled to integers over a common denominator.  Ints and Fractions sum
-    over Q (to an int when all are ints); with an EScalar among the entries,
-    all are coerced into its context and the x and sqrt(eps) parts summed."""
-    z = u[0] if u else None
-    if type(z) is not EScalar or not all(type(a) is EScalar and a.ctx is z.ctx
-                                         for a in chain(u, v)):
-        types = {*map(type, u), *map(type, v)}
-        if EScalar not in types:
-            if Fraction not in types:
-                return sum(map(mul, u, v))
-            du, dv = lcm(*[a.denominator for a in u]), lcm(*[b.denominator for b in v])
-            return Fraction(sum(map(mul, _scaled(u, du), _scaled(v, dv))), du * dv)
-        z = next(a for a in chain(u, v) if type(a) is EScalar)
-        u, v = ([z._coerce(a) for a in w] for w in (u, v))
-    ctx = z.ctx
-    ux, uy, vx, vy = [a.x for a in u], [a.y for a in u], [b.x for b in v], [b.y for b in v]
-    du, dv = lcm(*[c.denominator for c in ux + uy]), lcm(*[c.denominator for c in vx + vy])
-    ux, uy, vx, vy = _scaled(ux, du), _scaled(uy, du), _scaled(vx, dv), _scaled(vy, dv)
-    x = sum(map(mul, ux, vx)) + ctx.eps * sum(map(mul, uy, vy))
-    y = sum(map(mul, ux, vy)) + sum(map(mul, uy, vx))
-    return EScalar(Fraction(x, du * dv), Fraction(y, du * dv), ctx)
-
-
-def _scaled(fracs, d):
-    """The integers d * f, for rationals f (int or Fraction) whose
-    denominators divide d."""
-    return [f.numerator * (d // f.denominator) for f in fracs]
+    assert dims(A)[1] == dims(B)[0], "inner dimensions differ"
+    cols = [_split(col) for col in zip(*B)]
+    return [[_pair(row, col) for col in cols] for row in map(_split, A)]
 
 
 def mat_vec(A, v):
-    return [_dot(row, v) for row in A]
+    s = _split(v)
+    return [_pair(_split(row), s) for row in A]
 
 
 def vec_mat(v, A):
-    return [_dot(v, col) for col in zip(*A)]
+    s = _split(v)
+    return [_pair(s, _split(col)) for col in zip(*A)]
 
 
 def dot(u, v):
     return _dot(u, v)
+
+
+def _dot(u, v):
+    return _pair(_split(u), _split(v))
+
+
+def _split(v):
+    """v = (x + y sqrt(eps)) / d on integer lists, as (x, y, d, ctx, ints):
+    over Q, y and ctx are None and `ints` says whether every entry is an int;
+    over E, ctx is that of v's first EScalar, checked against the others."""
+    types = set(map(type, v))
+    if EScalar not in types:
+        if Fraction not in types:
+            return v, None, 1, None, True
+        x, d = _scaled(v)
+        return x, None, d, None, False
+    z = next(a for a in v if type(a) is EScalar)
+    if len(types) > 1 or [a.ctx for a in v].count(z.ctx) < len(v):
+        v = [z._coerce(a) for a in v]
+    xy, d = _scaled([a.x for a in v] + [a.y for a in v])
+    return xy[:len(v)], xy[len(v):], d, z.ctx, False
+
+
+def _scaled(fracs):
+    """The integers d * f for rationals f over their least common denominator d, and d."""
+    ratios = [f.as_integer_ratio() for f in fracs]
+    d = lcm(*[e for _, e in ratios])
+    return [a * (d // e) for a, e in ratios], d
+
+
+def _join(a, b):
+    """The context of a product in contexts a and b (None over Q): a, else b."""
+    if a is not None and b is not None and b is not a and b != a:
+        raise ValueError(f"mixed contexts: {a} and {b}")
+    return b if a is None else a
+
+
+def _pair(su, sv):
+    """u . v for split u and v, summed in integers: an int when both are all
+    ints, else a Fraction, or over E an EScalar in the context `_join` gives."""
+    ux, uy, du, cu, iu = su
+    vx, vy, dv, cv, iv = sv
+    x = sum(map(mul, ux, vx))
+    if cu is cv is None:
+        return x if iu and iv else Fraction(x, du * dv)
+    ctx = _join(cu, cv)
+    uy, vy = uy or [0] * len(ux), vy or [0] * len(vx)
+    x += ctx.eps * sum(map(mul, uy, vy))
+    return _scalar(x, sum(map(mul, ux, vy)) + sum(map(mul, uy, vx)), du * dv, ctx, False)
+
+
+def _scalar(x, y, d, ctx, ints):
+    """(x + y sqrt(eps)) / d: an EScalar in ctx, else an int or a Fraction."""
+    if ctx is not None:
+        return EScalar(Fraction(x, d), Fraction(y, d), ctx)
+    return x // d if ints else Fraction(x, d)
 
 
 def vec_add(u, v):
@@ -117,39 +143,63 @@ def conj_transpose(A):
     return [[a.conj() for a in row] for row in zip(*A)]
 
 
+def _iterates(rows, s, count):
+    """The splits of v, A v, ..., A^(count-1) v from A's split rows and v's
+    split s: with A = M / D, A^k v is M^k x over D^k d, and over E M acts on
+    (x, y) as [[Mx, eps My], [My, Mx]].  Each has the kind (first context,
+    all ints) that `_pair` gives A's rows against the vector before."""
+    x, y, d, c, ints = s
+    D, n = lcm(*[r[2] for r in rows]), len(rows)
+    ctx = _join(reduce(_join, [r[3] for r in rows], None), c)
+    M = [[a * (D // r[2]) for a in r[0]] for r in rows]
+    if ctx is not None:
+        My = [[a * (D // r[2]) for a in r[1] or [0] * n] for r in rows]
+        M = [m + [ctx.eps * a for a in q] for m, q in zip(M, My)] + [q + m for m, q in zip(M, My)]
+        x = list(x) + (y or [0] * n)
+    first = next((r[3] for r in rows if r[3] is not None), None)
+    for k in range(count):
+        if k:
+            x = [sum(map(mul, m, x)) for m in M]
+            d, c, ints = d * D, rows[0][3] or c if c else first, ints and all(r[4] for r in rows)
+        yield x[:n], ctx and x[n:], d, c, ints
+
+
 def krylov(A, v, count):
-    """[v, A v, ..., A^(count-1) v]."""
-    out = []
-    for _ in range(count):
-        out.append(mat_vec(A, out[-1]) if out else list(v))
+    """[v, A v, ..., A^(count-1) v] from `_iterates`: entry i of A^k v
+    (k >= 1) has the type `_pair` gives row i of A against A^(k-1) v."""
+    rows, out = [_split(row) for row in A], []
+    for x, y, d, c, ints in _iterates(rows, _split(v), count):
+        out.append([_scalar(a, y and y[i], d, _join(r[3], pc), r[4] and pi)
+                    for i, (a, r) in enumerate(zip(x, rows))] if out else list(v))
+        pc, pi = c, ints
     return out
+
+
+def moment_sequence(c, A, b, count):
+    """[c b, c A b, ..., c A^(count-1) b]: c's split paired with each split
+    of `_iterates`, so no vector is built.  The first is `dot(c, b)`."""
+    if count < 2:
+        return [dot(c, b) for _ in range(count)]
+    sc, it = _split(c), _iterates([_split(row) for row in A], _split(b), count)
+    return [_pair(sc, s) if k else dot(c, b) for k, s in enumerate(it)]
 
 
 def block_diag(blocks, zero):
     """Block-diagonal matrix of the given square blocks, zero elsewhere."""
-    n = sum(len(B) for B in blocks)
-    out = [[zero] * n for _ in range(n)]
-    off = 0
+    n, out = sum(len(B) for B in blocks), []
     for B in blocks:
-        for i, row in enumerate(B):
-            out[off + i][off:off + len(B)] = row
-        off += len(B)
+        off = len(out)
+        out += [[zero] * off + list(row) + [zero] * (n - off - len(B)) for row in B]
     return out
 
 
 def _coords(A):
-    """A with each row scaled to integer coordinates, the product of the row
-    scales, and the context (None over Q).  Over E an entry x + y sqrt(eps)
-    becomes the pair (x, y) in Z[sqrt(eps)]; contexts are checked as by
-    EScalar arithmetic."""
-    z = next((a for row in A for a in row if type(a) is EScalar), None)
-    if z is None:
-        ds = [lcm(*[a.denominator for a in row]) for row in A]
-        return [_scaled(row, d) for row, d in zip(A, ds)], prod(ds), None
-    rows = [[z._coerce(a) for a in row] for row in A]
-    ds = [lcm(*[c.denominator for a in row for c in (a.x, a.y)]) for row in rows]
-    return [list(zip(_scaled([a.x for a in row], d), _scaled([a.y for a in row], d)))
-            for row, d in zip(rows, ds)], prod(ds), z.ctx
+    """A's rows scaled to integer coordinates by `_split` (over E, pairs (x, y)
+    in Z[sqrt(eps)]), the product of the row scales, and the context."""
+    rows = [_split(row) for row in A]
+    ctx = reduce(_join, [r[3] for r in rows], None)
+    return ([list(x) if ctx is None else list(zip(x, y or [0] * len(x))) for x, y, *_ in rows],
+            prod(r[2] for r in rows), ctx)
 
 
 def _ring(ctx):
@@ -227,19 +277,12 @@ def rank(A):
 
 
 def nullspace(A):
-    """Basis of the right kernel, as a list of vectors."""
-    n, m = dims(A)
+    """Basis of the right kernel: for each free column f, the vector with 1
+    at f, minus column f of the reduced form at the pivot columns, 0 elsewhere."""
     R, pivots = rref(A)
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    one = _one(A)
-    for f in free:
-        v = [one * 0 for _ in range(m)]
-        v[f] = one
-        for r_i, p in enumerate(pivots):
-            v[p] = -R[r_i][f]
-        basis.append(v)
-    return basis
+    m, one, row = dims(A)[1], _one(A), {p: i for i, p in enumerate(pivots)}
+    return [[-R[row[j]][f] if j in row else one if j == f else one * 0 for j in range(m)]
+            for f in range(m) if f not in row]
 
 
 def solve(A, b):
@@ -266,19 +309,18 @@ def charpoly(A) -> Polynomial:
     """Monic characteristic polynomial det(tI - A) by Berkowitz's
     division-free recursion (Inf. Process. Lett. 18, 1984): the polynomial
     of each leading (r+1) x (r+1) block is a Toeplitz matrix, built from
-    the new row R, column C and corner a as 1, -a, -R C, -R A_r C, ...,
-    times the polynomial of the r x r block A_r."""
+    the new row R, column C and corner a as 1, -a and the negated moments
+    -R C, -R A_r C, ... (`moment_sequence`), times the polynomial of the
+    r x r block A_r."""
     n, m = dims(A)
     assert n == m
     one = _one(A) if n else 1
     c = [one]                   # descending: t^r coefficient first
     for r in range(n):
-        Ar, R, v = [row[:r] for row in A[:r]], A[r][:r], [row[r] for row in A[:r]]
-        q = [one, -A[r][r]]
-        for k in range(r):
-            q.append(-_dot(R, v))
-            v = [_dot(row, v) for row in Ar] if k + 1 < r else v
-        c = [one] + [_dot(q[i::-1], c) for i in range(1, r + 2)]
+        Ar, R, C = [row[:r] for row in A[:r]], A[r][:r], [row[r] for row in A[:r]]
+        q = [one, -A[r][r]] + [-t for t in moment_sequence(R, Ar, C, r)]
+        sc = _split(c)
+        c = [one] + [_pair(_split(q[i::-1]), sc) for i in range(1, r + 2)]
     return Polynomial(c[::-1])
 
 
