@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 failures found, 2 parse error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -28,8 +29,17 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-BUDGETS = {"fl_n": 2, "fl_valuation": 8, "cones_n": 3,
-           "chambers_m": CONVEXITY_MAX_RANK, "descent_n": 3}
+INPUT_COMMANDS = ("invariants", "jordan", "cayley", "match")   # each reads one JSON file
+COMMANDS = INPUT_COMMANDS + ("fl", "toy", "cones", "chambers")
+
+# command -> {flag: (least value, budget or None)}: a flag below its least
+# value is a parse error, one above its budget exits with EXIT_BUDGET.
+RANGES = {
+    "fl": {"n": (1, 2), "budget_valuation": (0, 8), "instances": (1, None)},
+    "toy": {"budget_valuation": (0, None)},
+    "cones": {"n": (0, 3), "grid": (1, None)},
+    "chambers": {"m": (2, CONVEXITY_MAX_RANK), "instances": (1, None)},
+}
 
 
 def _emit(args, records, summary):
@@ -46,13 +56,6 @@ def _emit(args, records, summary):
 def _parse_error(message):
     print(f"parse error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_PARSE)
-
-
-def _at_least(args, **low):
-    """A flag below its range is a parse error: _at_least(args, n=1)."""
-    for name, lo in low.items():
-        if getattr(args, name) < lo:
-            _parse_error(f"--{name.replace('_', '-')} must be at least {lo}")
 
 
 def _load(path, build):
@@ -150,10 +153,6 @@ def _verdict(args, records, fails: int, total: int) -> int:
 
 
 def cmd_fl(args):
-    _at_least(args, n=1, budget_valuation=0, instances=1)
-    if args.n > BUDGETS["fl_n"] or args.budget_valuation > BUDGETS["fl_valuation"]:
-        print("budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
     ctx = PLocalContext(args.p)
     rep = fl_check(args.n, ctx, args.budget_valuation, seed=args.seed,
                    samples=args.instances)
@@ -161,7 +160,6 @@ def cmd_fl(args):
 
 
 def cmd_toy(args):
-    _at_least(args, budget_valuation=0)
     ctx = PLocalContext(args.p)
     vals = [Fraction(0)]
     for w in range(-args.budget_valuation, args.budget_valuation + 1):
@@ -172,75 +170,51 @@ def cmd_toy(args):
 
 
 def cmd_cones(args):
-    _at_least(args, n=0, grid=1)
-    if args.n > BUDGETS["cones_n"]:
-        print("budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
     rep = cones_suite(args.n, points=args.grid, seed=args.seed)
-    rep2 = descent_suite(min(args.n, BUDGETS["descent_n"]), seed=args.seed,
-                         samples=max(4, args.instances // 8))
+    rep2 = descent_suite(args.n, seed=args.seed, samples=max(4, args.instances // 8))
     return _verdict(args, [rep, rep2], len(rep["failures"]) + len(rep2["failures"]),
                     rep["instances"] + rep2["instances"])
 
 
 def cmd_chambers(args):
-    _at_least(args, m=2, instances=1)
-    if args.m > BUDGETS["chambers_m"]:
-        print("budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
     rep = chambers_suite(args.m, seed=args.seed, families=args.instances)
     return _verdict(args, [rep], len(rep["failures"]), rep["instances"])
 
 
-def _common_options(ap, suppress=False):
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--p", type=_prime, default=d(3), help="odd prime")
-    ap.add_argument("--n", type=int, default=d(1), help="base dimension")
-    ap.add_argument("--m", type=int, default=d(4), help="chamber rank")
-    ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--budget-valuation", type=int, default=d(6),
-                    dest="budget_valuation")
-    ap.add_argument("--grid", type=int, default=d(10000),
-                    help="grid points per identity")
-    ap.add_argument("--instances", type=int, default=d(200))
-    ap.add_argument("--out", type=str, default=d(None),
-                    help="also write records to FILE")
-    ap.add_argument("--json-only", action="store_true",
-                    default=d(False), dest="json_only")
-
-
+@functools.cache
 def build_parser():
-    ap = _Parser(
-        prog="jrlab",
-        description="exact verification of invariant-theoretic, polyhedral "
-                    "and p-adic identities for the GL(n) x GL(n+1) comparison")
-    _common_options(ap)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, fn, with_input=False):
-        sc = sub.add_parser(name, help=help_)
-        _common_options(sc, suppress=True)
-        if with_input:
-            sc.add_argument("input")
-        sc.set_defaults(fn=fn)
-        return sc
-
-    add("invariants", "invariant point of a triple", cmd_invariants, True)
-    add("jordan", "semisimple/nilpotent decomposition", cmd_jordan, True)
-    add("cayley", "Cayley transform of a rational matrix", cmd_cayley, True)
-    add("match", "group-level invariant matching", cmd_match, True)
-    add("fl", "unit-function comparison across the two sides", cmd_fl)
-    add("toy", "one-dimensional torus matching", cmd_toy)
-    add("cones", "cone and descent identity sweeps", cmd_cones)
-    add("chambers", "chamber-complex identity sweeps", cmd_chambers)
+    ap = _Parser(prog="jrlab", description="exact verification of invariant-theoretic, polyhedral "
+                 "and p-adic identities for the GL(n) x GL(n+1) comparison")
+    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("input", nargs="?", help=f"JSON input of {', '.join(INPUT_COMMANDS)}")
+    ap.add_argument("--p", type=_prime, default=3, help="odd prime")
+    ap.add_argument("--n", type=int, default=1, help="base dimension")
+    ap.add_argument("--m", type=int, default=4, help="chamber rank")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--budget-valuation", type=int, default=6)
+    ap.add_argument("--grid", type=int, default=10000, help="grid points per identity")
+    ap.add_argument("--instances", type=int, default=200)
+    ap.add_argument("--out", help="also write records to FILE")
+    ap.add_argument("--json-only", action="store_true")
     return ap
 
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)   # flags may also sit between command and input
+    if args.command in INPUT_COMMANDS and args.input is None:
+        ap.error("the following arguments are required: input")
+    if args.command not in INPUT_COMMANDS and args.input is not None:
+        ap.error(f"unrecognized arguments: {args.input}")
+    limits = RANGES.get(args.command, {})
+    for flag, (least, _) in limits.items():
+        if getattr(args, flag) < least:
+            _parse_error(f"--{flag.replace('_', '-')} must be at least {least}")
+    if any(getattr(args, flag) > most for flag, (_, most) in limits.items() if most is not None):
+        print("budget exceeded", file=sys.stderr)
+        raise SystemExit(EXIT_BUDGET)
     try:
-        code = args.fn(args)
+        code = globals()[f"cmd_{args.command}"](args)
     except InfiniteValuation as e:
         print(f"domain error: {e}", file=sys.stderr)
         code = EXIT_DOMAIN

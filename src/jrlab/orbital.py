@@ -128,11 +128,6 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
 
     def rows(r, Ys, free):
         """(d, entries, Y row) of every row with residual r over rows Ys."""
-        if not Ys:   # nothing to choose: r itself must be divisible by p^d
-            d = 0
-            while d < free and all(a % p ** (d + 1) == 0 == b % p ** (d + 1) for a, b in r):
-                d += 1
-            return [(k, (), [(a // p ** k, b // p ** k) for a, b in r]) for k in range(d + 1)]
         # sum_j h_j Y_j for every choice of one digit h_j per entry
         steps = [(hs, [(sum(h[0] * y[k][0] + eps * h[1] * y[k][1] for h, y in zip(hs, Ys)),
                         sum(h[0] * y[k][1] + h[1] * y[k][0] for h, y in zip(hs, Ys)))

@@ -42,15 +42,6 @@ class Polynomial:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "Poly(" + " + ".join(terms) + ")"
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "Polynomial"):

@@ -8,7 +8,7 @@ import pytest
 from jrlab import cli, serialize as ser
 from jrlab.chambers import Chamber
 from jrlab.cones import ParabolicSubspace, enumerate_parabolic_subspaces
-from jrlab.fields import EScalar, PLocalContext
+from jrlab.fields import EScalar, InfiniteValuation, PLocalContext
 from jrlab.gltilde import InvariantPoint, Triple
 from jrlab.hermitian import HermitianForm, HermitianPair
 
@@ -100,10 +100,13 @@ def test_cli_cayley_pole(tmp_path):
     assert "kappa pole" in proc.stderr
 
 
-def test_cli_budget():
-    proc = subprocess.run([sys.executable, "-m", "jrlab.cli", "fl", "--n", "3"],
+@pytest.mark.parametrize("argv", [["fl", "--n", "3"], ["cones", "--n", "4"],
+                                  ["fl", "--budget-valuation", "9"]],
+                         ids=["fl-n", "cones-n", "fl-valuation"])
+def test_cli_budget(argv):
+    proc = subprocess.run([sys.executable, "-m", "jrlab.cli"] + argv,
                           capture_output=True, text=True)
-    assert proc.returncode == 4
+    assert proc.returncode == 4 and proc.stderr == "budget exceeded\n"
 
 
 def test_cli_budget_chambers_rank():
@@ -133,19 +136,23 @@ def test_cli_unwritable_out_is_an_internal_error(tmp_path):
     assert proc.stderr.startswith("internal error: FileNotFoundError")
 
 
-def test_cli_crash_is_an_internal_error(monkeypatch, capsys):
+@pytest.mark.parametrize("error,code,err", [
+    (RuntimeError("boom"), 5, "internal error: RuntimeError: boom\n"),
+    (InfiniteValuation("valuation of 0"), 3, "domain error: valuation of 0\n"),
+], ids=["internal", "infinite-valuation"])
+def test_cli_command_exception_exit_code(error, code, err, monkeypatch, capsys):
     def crash(args):
-        raise RuntimeError("boom")
+        raise error
     monkeypatch.setattr(cli, "cmd_toy", crash)
     with pytest.raises(SystemExit) as exc:
         cli.main(["toy"])
-    assert exc.value.code == 5
-    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert exc.value.code == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("argv", [["fl", "--n", "0"], ["fl", "--p", "4"], ["fl", "--p", "9"],
                                   ["toy", "--p", "4"], ["cayley", "--p", "9", "in.json"],
-                                  ["cones", "--grid", "0"]])
+                                  ["cones", "--grid", "0"], ["invariants"], ["toy", "x.json"]])
 def test_cli_rejects_bad_flags(argv, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"Y": [["1", "2"], ["3", "1/2"]]}))
@@ -159,37 +166,48 @@ def test_cli_rejects_bad_flags(argv, tmp_path):
 ONE_J, ZERO_J = {"x": "1", "y": "0"}, {"x": "0", "y": "0"}
 
 
-@pytest.mark.parametrize("command,inp", [
-    ("jordan", {"A": [["1/0"]], "b": ["1"], "c": ["1"]}),
-    ("invariants", [1, 2]),
-    ("jordan", [1, 2]),
-    ("cayley", {"Y": [["1", "2"], ["3"]]}),
-    ("cayley", {"Y": [["1", "2"]]}),
-    ("invariants", {"A": [[1.5]], "b": ["1"], "c": ["1"]}),
-    ("invariants", {"A": [[True]], "b": ["1"], "c": ["1"]}),
-    ("invariants", {"A": [], "b": [], "c": []}),
-    ("jordan", {"A": [], "b": [], "c": []}),
-    ("match", {"Y1": [["1"]], "Y2": [], "form": {}}),
+@pytest.mark.parametrize("command,inp,code", [
+    ("jordan", {"A": [["1/0"]], "b": ["1"], "c": ["1"]}, 2),
+    ("invariants", [1, 2], 2),
+    ("jordan", [1, 2], 2),
+    ("cayley", {"Y": [["1", "2"], ["3"]]}, 2),
+    ("cayley", {"Y": [["1", "2"]]}, 2),
+    ("invariants", {"A": [[1.5]], "b": ["1"], "c": ["1"]}, 2),
+    ("invariants", {"A": [[True]], "b": ["1"], "c": ["1"]}, 2),
+    ("invariants", {"A": [], "b": [], "c": []}, 2),
+    ("jordan", {"A": [], "b": [], "c": []}, 2),
+    ("match", {"Y1": [["1"]], "Y2": [], "form": {}}, 2),
     ("match", {"Y1": [[ONE_J, ZERO_J], [ZERO_J]], "Y2": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]],
-               "form": {"gram": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]]}}),
+               "form": {"gram": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]]}}, 2),
     ("match", {"Y1": [[ONE_J]], "Y2": [[{"x": "1", "y": "0", "kind": "split"}]],
-               "form": {"gram": [[ONE_J]]}}),
+               "form": {"gram": [[ONE_J]]}}, 2),
+    ("match", {"Y1": [[ONE_J]], "Y2": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]],
+               "form": {"gram": [[ONE_J, ZERO_J], [ZERO_J, ONE_J]]}}, 3),
 ], ids=["zero-denominator", "list-invariants", "list-jordan", "ragged-cayley",
         "nonsquare-cayley", "float", "bool", "n0-invariants", "n0-jordan", "match-shape",
-        "ragged-match", "split-kind-match"])
-def test_cli_rejects_bad_input(command, inp, tmp_path):
+        "ragged-match", "split-kind-match", "size-mismatch-match"])
+def test_cli_rejects_bad_input(command, inp, code, tmp_path):
     proc = run_cli([command], inp, tmp_path)
-    assert proc.returncode == 2 and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("parse error")
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error" if code == 2 else "domain error")
 
 
-def test_cli_fl_and_determinism():
-    cmd = [sys.executable, "-m", "jrlab.cli", "fl", "--n", "1", "--p", "3",
-           "--budget-valuation", "3", "--seed", "5", "--json-only"]
-    p1 = subprocess.run(cmd, capture_output=True, text=True)
-    p2 = subprocess.run(cmd, capture_output=True, text=True)
-    assert p1.returncode == 0
-    assert p1.stdout == p2.stdout
+FL_ARGV = ["fl", "--n", "1", "--p", "3", "--budget-valuation", "3", "--seed", "5", "--json-only"]
+
+
+@pytest.mark.parametrize("argvs", [
+    [FL_ARGV, FL_ARGV],
+    [["--p", "5", "cayley", "in.json"], ["cayley", "--p", "5", "in.json"],
+     ["cayley", "in.json", "--p", "5"]],
+], ids=["fl-determinism", "cayley-flag-order"])
+def test_cli_prints_the_same_bytes(argvs, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"Y": [["1", "2"], ["3", "1/2"]]}))
+    procs = [subprocess.run([sys.executable, "-m", "jrlab.cli"]
+                            + [str(path) if a == "in.json" else a for a in argv],
+                            capture_output=True, text=True) for argv in argvs]
+    assert procs[0].returncode == 0 and procs[0].stdout
+    assert all(p.stdout == procs[0].stdout for p in procs)
 
 
 def test_cli_toy_summary():
