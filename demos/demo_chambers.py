@@ -43,6 +43,6 @@ for pos, a in enumerate(S[0].perm):
 assert in_positive_dual_cone(Lam, S[0])
 # the geometric sum reads the family's projections Y_Q onto the parabolics
 # above a member, scaled by lcm(1..m) to integer vectors
-proj = {blocks: family_projection(fam, blocks, m) for blocks in parabolics_above(S, m)}
+proj = {Q: family_projection(fam, Q) for Q in parabolics_above(S)}
 print("\npsi (geometric):", psi_geometric(proj, H, m))
 print("psi (analytic) :", psi_analytic(S, Lam, H, fam))

@@ -6,6 +6,11 @@ with orthogonal-positive point assignments.
 A chamber is a permutation of (1..m) read as the decreasing order of
 coordinates: perm = (a, b, c) is the open cone H_a > H_b > H_c.  A root is
 an ordered pair (a, b) standing for the functional H_a - H_b.
+
+Parabolics are `cones.ParabolicSubspace`s at n = m - 1, chamber label m read
+as the distinguished label `E0`; both sit at vector index m - 1, so
+covectors keep their coordinates.  A chamber's full flag is `flag(perm)`,
+and the parabolics above it are `cones.above` of that flag.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cones import _all_pos, _at_shift, signed_count
+from .cones import (E0, ParabolicSubspace, _all_pos, _at_shift, _tau_hat_cov, above,
+                    epsilon_sign, full_group, signed_count)
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,20 @@ def _known(perm: tuple, rank: tuple) -> Chamber:
 def all_chambers(m: int):
     """The m! chambers of rank m, built once per m (a shared tuple)."""
     return tuple(Chamber(p) for p in itertools.permutations(range(1, m + 1)))
+
+
+@functools.cache
+def flag(perm: tuple) -> ParabolicSubspace:
+    """The full flag of the chamber with this permutation: the prefixes of
+    its order, label m read as E0."""
+    lab = [E0 if a == len(perm) else a for a in perm]
+    return ParabolicSubspace(len(lab) - 1, tuple(frozenset(lab[:k]) for k in range(1, len(lab))))
+
+
+@functools.cache
+def labels(Q: ParabolicSubspace):
+    """Q's ordered blocks in chamber labels (E0 read as m), each sorted."""
+    return tuple(tuple(sorted(Q.n + 1 if a == E0 else a for a in b)) for b in Q.blocks())
 
 
 def sigma_set(P2: Chamber, P1: Chamber):
@@ -165,97 +185,45 @@ def keycoxeter_step(P: Chamber, P1: Chamber, P2: Chamber) -> int:
     return -1 if P.rank[a - 1] > P.rank[b - 1] else 1
 
 
-def langlands_type_rep(S, P: Chamber, Q) -> Chamber:
-    """The unique member of the convex family S contained in the standard
-    parabolic above Q whose relative simple roots are positive for P.
+def _check_rank(Q: ParabolicSubspace, C: Chamber):
+    """The cone type holds parabolics of every rank: Q's must be C's."""
+    if Q.n + 1 != C.m:
+        raise ValueError(f"parabolic of rank {Q.n + 1} against chambers of rank {C.m}")
 
-    Q is given as an ordered set partition (tuple of tuples)."""
+
+def langlands_type_rep(S, P: Chamber, Q: ParabolicSubspace) -> Chamber:
+    """The unique member of the convex family S contained in the standard
+    parabolic above Q whose relative simple roots are positive for P: the
+    simple roots at the cuts of its flag that are not members of Q's."""
     S = list(S)
     if P not in S:
         raise ValueError("base chamber must belong to the family")
-    blocks = [tuple(b) for b in Q]
-    members = [C for C in S if chamber_in_parabolic(C, blocks)]
+    members = [C for C in S if chamber_in_parabolic(C, Q)]
     if not members:
         raise ValueError("no member of the family lies below the parabolic")
-    found = []
-    for C in members:
-        rel = [ab for ab in C.simple_roots() if _same_block(ab, blocks)]
-        if all(P.rank[a - 1] < P.rank[b - 1] for a, b in rel):
-            found.append(C)
+    kept = set(Q.chain)
+    found = [C for C in members
+             if all(P.rank[a - 1] < P.rank[b - 1] for (a, b), cut in
+                    zip(C.simple_roots(), flag(C.perm).chain) if cut not in kept)]
     if len(found) != 1:
         raise AssertionError(f"expected a unique representative, got {len(found)}")
     return found[0]
 
 
-def _same_block(ab, blocks) -> bool:
-    a, b = ab
-    return any(a in blk and b in blk for blk in blocks)
+def chamber_in_parabolic(C: Chamber, Q: ParabolicSubspace) -> bool:
+    """Whether the chamber's flag refines Q: its order cut into Q's blocks."""
+    _check_rank(Q, C)
+    return flag(C.perm).le(Q)
 
 
-def chamber_in_parabolic(C: Chamber, blocks) -> bool:
-    """Whether the chamber's order refines the ordered block partition:
-    each block's ranks lie below the next block's."""
-    if not all(blocks) or sorted(a for blk in blocks for a in blk) != list(range(1, C.m + 1)):
-        raise ValueError("blocks must partition 1..m")
-    ranks = [[C.rank[a - 1] for a in blk] for blk in blocks]
-    return all(max(lo) < min(hi) for lo, hi in zip(ranks, ranks[1:]))
-
-
-def _coarsenings(C: Chamber):
-    """The 2^(m-1) ordered set partitions above C: its order cut into
-    consecutive blocks, each block sorted as in `all_parabolics`."""
-    p = C.perm
-    for mask in range(2 ** (len(p) - 1)):
-        cuts = [0] + [i + 1 for i in range(len(p) - 1) if mask >> i & 1] + [len(p)]
-        yield tuple(tuple(sorted(p[i:j])) for i, j in zip(cuts, cuts[1:]))
-
-
-@functools.cache
-def all_parabolics(m: int):
-    """Ordered set partitions of 1..m, built once per m (a shared tuple)."""
-    def parts(items):
-        if not items:
-            yield []
-            return
-        for k in range(1, len(items) + 1):
-            for blk in itertools.combinations(items, k):
-                remaining = [x for x in items if x not in blk]
-                for tail in parts(remaining):
-                    yield [blk] + tail
-    return tuple(tuple(p) for p in parts(list(range(1, m + 1))))
-
-
-def parabolics_above(S, m: int):
-    """The ordered set partitions of 1..m lying above some chamber of S, in
-    `all_parabolics` order."""
-    above = {b for P in S for b in _coarsenings(P)}
-    return [b for b in all_parabolics(m) if b in above]
-
-
-def epsilon_parabolic(blocks, m: int) -> int:
-    """(-1)^(corank of the split center against the full group)."""
-    return -1 if (len(blocks) - 1) % 2 else 1
+def parabolics_above(S):
+    """The parabolic subspaces above some chamber of S: the cached
+    `cones.above` intervals of their flags, in S order, each listed once."""
+    return list(dict.fromkeys(Q for C in S for Q in above(flag(C.perm))))
 
 
 # ---------------------------------------------------------------------------
-# covectors and the psi sums
-
-
-def weight_covectors(blocks, m: int):
-    """Delta-hat of an ordered set partition: recentred prefix indicators,
-    scaled by m to integer covectors."""
-    out = []
-    prefix = set()
-    for blk in blocks[:-1]:
-        prefix |= set(blk)
-        out.append([m * (i + 1 in prefix) - len(prefix) for i in range(m)])
-    return out
-
-
-def chamber_weights(C: Chamber):
-    """Delta-hat of the chamber (full flag)."""
-    blocks = tuple((x,) for x in C.perm)
-    return weight_covectors(blocks, C.m)
+# block projections
 
 
 def projection_scale(m: int) -> int:
@@ -342,12 +310,15 @@ def check_orthogonal_positive(fam) -> bool:
     return True
 
 
-def family_projection(fam, blocks, m: int):
+def family_projection(fam, Q: ParabolicSubspace):
     """D Y_Q, D = projection_scale(m), for a parabolic above some member
     chamber: blockwise average of any contained chamber's point
     (independence asserted), an integer vector for an integer family.  The
     chambers below are the products of the blocks' orderings, permutations
     by construction, so they are built without validating again."""
+    if fam:
+        _check_rank(Q, next(iter(fam)))
+    m, blocks = Q.n + 1, labels(Q)
     perms = (sum(orders, ()) for orders in
              itertools.product(*(itertools.permutations(blk) for blk in blocks)))
     below = (_known(p, tuple(map(p.index, range(1, m + 1)))) for p in perms)
@@ -367,9 +338,9 @@ def psi_geometric(projections, H, m: int) -> int:
     the weight cone indicator at H - Y_Q, one `signed_count` at the affine
     point (D H, 1) with each covector shifted by D Y_Q.  `projections` maps
     each such Q to D Y_Q (`family_projection`)."""
-    terms = [(epsilon_parabolic(blocks, m),
-              [_at_shift(c, YD) for c in weight_covectors(blocks, m)])
-             for blocks, YD in projections.items()]
+    G = full_group(m - 1)
+    terms = [(epsilon_sign(Q, G), [_at_shift(c, YD) for c in _tau_hat_cov(Q, G)])
+             for Q, YD in projections.items()]
     return signed_count(terms, [projection_scale(m) * h for h in H] + [1])
 
 
@@ -381,7 +352,8 @@ def epsilon_lambda(P: Chamber, Lam) -> int:
 def phi(P: Chamber, Lam, H) -> int:
     """Mixed cone indicator: weights positive where Lambda is nonpositive on
     the coroot, nonpositive where Lambda is positive."""
-    for (a, b), w in zip(P.simple_roots(), chamber_weights(P)):
+    weights = _tau_hat_cov(flag(P.perm), full_group(P.m - 1))
+    for (a, b), w in zip(P.simple_roots(), weights):
         if _all_pos([w], H) != (Lam[a - 1] - Lam[b - 1] <= 0):
             return 0
     return 1

@@ -165,7 +165,7 @@ def enumerate_parabolic_subspaces(n: int, levi_blocks=None):
 
 
 # The intervals are pure functions of frozen parabolics: each is built once
-# and shared as a tuple, as `chambers.all_parabolics` is.
+# and shared as a tuple, by this layer and by `chambers` (`above` of a flag).
 
 @functools.cache
 def between(P: ParabolicSubspace, Q: ParabolicSubspace):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _integer_basis, _nonzero, _read, a_basis,
+                    _all_pos, _integer_basis, _nonzero, _read, _tau_hat_cov, a_basis,
                     above, between, coordinate,
                     enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, full_group, in_z_span,
@@ -402,6 +402,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     instances = 0
     chambers = ch.all_chambers(m)
     roots = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    G = full_group(m - 1)
 
     # distances agree with breadth-first graph distance on all ordered pairs;
     # the table dist[P1][P2] = distance(P2, P1), the diagonal included,
@@ -482,20 +483,20 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
             return None
         H = [rng.randint(-15, 15) for _ in range(m)]
         # wall filter on the parabolics above a member, at D H - D Y_Q
-        proj = {b: ch.family_projection(fam, b, m) for b in ch.parabolics_above(S, m)}
+        proj = {Q: ch.family_projection(fam, Q) for Q in ch.parabolics_above(S)}
         HD = [ch.projection_scale(m) * h for h in H]
-        keep = all(_nonzero(ch.weight_covectors(blocks, m), [la.vec_sub(HD, YD)])
-                   for blocks, YD in proj.items())
+        keep = all(_nonzero(_tau_hat_cov(Q, G), [la.vec_sub(HD, YD)])
+                   for Q, YD in proj.items())
         return (S, fam, H, proj) if keep else None
 
     for S, fam, H, proj in _accepted(draw, families, 50 * families):
         # representative lemma on a random parabolic above a member
         P = rng.choice(S)
-        blocks = rng.choice(list(proj))
+        Q = rng.choice(list(proj))
         instances += 1
         try:
-            P1 = ch.langlands_type_rep(S, P, blocks)
-            if P1 not in S or not ch.chamber_in_parabolic(P1, blocks):
+            P1 = ch.langlands_type_rep(S, P, Q)
+            if P1 not in S or not ch.chamber_in_parabolic(P1, Q):
                 raise AssertionError("bad representative")
         except AssertionError as e:
             failures.append({"check": "representative", "error": str(e)})
@@ -510,7 +511,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         if v1 != v2:
             failures.append({"check": "psi-equality", "S": [c.perm for c in S], "H": H})
         cond = not any(_all_pos([w], [h - y for h, y in zip(H, fam[Pp])])
-                       for Pp in S for w in ch.chamber_weights(Pp))
+                       for Pp in S for w in _tau_hat_cov(ch.flag(Pp.perm), G))
         instances += 1
         if (v1 != 0) != cond or (v1 not in (0, 1)):
             failures.append({"check": "psi-trichotomy", "S": [c.perm for c in S], "H": H})

@@ -8,25 +8,26 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrlab.chambers import (Chamber, all_chambers, all_parabolics,
-                            chamber_in_parabolic, check_orthogonal_positive,
-                            distance, epsilon_lambda, epsilon_parabolic,
-                            family_projection, gallery_steps,
+from jrlab.chambers import (Chamber, all_chambers, chamber_in_parabolic,
+                            check_orthogonal_positive, distance, epsilon_lambda,
+                            family_projection, flag, gallery_steps,
                             gallery_walls, h_plus, in_positive_dual_cone,
-                            is_convex, keycoxeter_step, langlands_type_rep,
+                            is_convex, keycoxeter_step, labels, langlands_type_rep,
                             minimal_galleries, neighbours,
                             pairwise_orthogonal_positive, parabolics_above, phi,
                             project_family, projection_scale, psi_analytic,
-                            psi_geometric, sigma_set, weight_covectors,
-                            weyl_orbit_family)
-from jrlab.cones import _all_pos
+                            psi_geometric, sigma_set, weyl_orbit_family)
+from jrlab.cones import (E0, ParabolicSubspace, _all_pos, _tau_hat_cov, above,
+                         enumerate_parabolic_subspaces, epsilon_sign, full_group)
 from jrlab.suites import chambers_suite
 
 
 # ---------------------------------------------------------------------------
 # brute-force references: root sets, distance-recomputing galleries, every
-# gallery between every pair, scans over all chambers or parabolics, and the
-# earlier root-set walls and Fraction-point psi sum
+# gallery between every pair, scans over all chambers or parabolics, the
+# earlier root-set walls and Fraction-point psi sum, and the chamber layer's
+# own ordered set partitions, signs and weights from before it used the cone
+# layer's parabolic type
 
 
 def _positive_roots(P):
@@ -73,8 +74,68 @@ def ref_chamber_in_parabolic(C, blocks):
     return tuple(order) == C.perm
 
 
+@functools.cache
+def ref_all_parabolics(m):
+    """Ordered set partitions of 1..m, each block sorted."""
+    def parts(items):
+        if not items:
+            yield []
+            return
+        for k in range(1, len(items) + 1):
+            for blk in itertools.combinations(items, k):
+                remaining = [x for x in items if x not in blk]
+                for tail in parts(remaining):
+                    yield [blk] + tail
+    return tuple(tuple(p) for p in parts(list(range(1, m + 1))))
+
+
+def ref_coarsenings(C):
+    """The 2^(m-1) ordered set partitions above C: its order cut into
+    consecutive blocks, each block sorted."""
+    p = C.perm
+    out = set()
+    for mask in range(2 ** (len(p) - 1)):
+        cuts = [0] + [i + 1 for i in range(len(p) - 1) if mask >> i & 1] + [len(p)]
+        out.add(tuple(tuple(sorted(p[i:j])) for i, j in zip(cuts, cuts[1:])))
+    return out
+
+
+def ref_epsilon_parabolic(blocks, m):
+    """(-1)^(corank of the split center against the full group)."""
+    return -1 if (len(blocks) - 1) % 2 else 1
+
+
+def ref_weight_covectors(blocks, m):
+    """Delta-hat of an ordered set partition: recentred prefix indicators,
+    scaled by m to integer covectors."""
+    out = []
+    prefix = set()
+    for blk in blocks[:-1]:
+        prefix |= set(blk)
+        out.append([m * (i + 1 in prefix) - len(prefix) for i in range(m)])
+    return out
+
+
+def cone(blocks):
+    """The parabolic subspace of an ordered set partition of 1..m: the
+    chain of its block prefixes, label m read as E0."""
+    m = sum(map(len, blocks))
+    prefixes = itertools.accumulate((frozenset(E0 if a == m else a for a in b)
+                                     for b in blocks[:-1]), frozenset.union)
+    return ParabolicSubspace(m - 1, tuple(prefixes))
+
+
 def ref_parabolics_above(S, m):
-    return [b for b in all_parabolics(m) if any(ref_chamber_in_parabolic(P, b) for P in S)]
+    return [b for b in ref_all_parabolics(m) if any(ref_chamber_in_parabolic(P, b) for P in S)]
+
+
+def assert_lists_parabolics_above(S, m):
+    """parabolics_above(S) lists the reference's partitions once each, in
+    S order: by the first member of S below them."""
+    got = [labels(Q) for Q in parabolics_above(S)]
+    assert sorted(got) == sorted(ref_parabolics_above(S, m)) and len(set(got)) == len(got)
+    first = [next(i for i, C in enumerate(S) if ref_chamber_in_parabolic(C, b)) for b in got]
+    assert first == sorted(first)
 
 
 def ref_family_projection(fam, blocks, m):
@@ -104,7 +165,7 @@ def ref_keycoxeter_step(P, P1, P2):
 
 
 def tau_hat(blocks, H, m):
-    return _all_pos(weight_covectors(blocks, m), H)
+    return _all_pos(ref_weight_covectors(blocks, m), H)
 
 
 def ref_psi_geometric(S, H, fam, m):
@@ -116,23 +177,18 @@ def ref_psi_geometric(S, H, fam, m):
         YQ = [F(sum(Y[b - 1] for b in blk), len(blk)) for blk in blocks for a in blk]
         order = [a for blk in blocks for a in blk]
         arg = [H[a - 1] - YQ[order.index(a)] for a in range(1, m + 1)]
-        total += epsilon_parabolic(blocks, m) * tau_hat(blocks, arg, m)
+        total += ref_epsilon_parabolic(blocks, m) * tau_hat(blocks, arg, m)
     return total
 
 
-def _projections(S, fam, m):
-    return {b: family_projection(fam, b, m) for b in parabolics_above(S, m)}
+def _projections(S, fam):
+    return {Q: family_projection(fam, Q) for Q in parabolics_above(S)}
 
 
 def _cut(perm, cuts):
     """The ordered set partition cutting perm before the given positions."""
     ends = [0] + sorted(cuts) + [len(perm)]
     return tuple(tuple(sorted(perm[i:j])) for i, j in zip(ends, ends[1:]))
-
-
-def ref_coarsenings(C):
-    return {_cut(C.perm, cuts) for k in range(C.m)
-            for cuts in itertools.combinations(range(1, C.m), k)}
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -184,35 +240,88 @@ def test_walls_match_the_root_set_reference(m):
         gallery_walls([Chamber((1, 2)), Chamber((2, 1, 3))])
 
 
-def test_all_parabolics_is_built_once_and_shared_immutably():
-    paras = all_parabolics(4)
-    assert paras is all_parabolics(4) and type(paras) is tuple and len(paras) == 75
-    assert all(type(b) is tuple for b in paras)
-    assert len(all_parabolics(3)) == 13 and all_parabolics(1) == (((1,),),)
+def test_flags_and_intervals_are_built_once_and_shared():
+    C = Chamber((2, 4, 1, 3))
+    full = flag(C.perm)
+    assert full is flag((2, 4, 1, 3)) and full.n == 3
+    assert full.chain == (frozenset({2}), frozenset({2, E0}), frozenset({1, 2, E0}))
+    ups = above(full)
+    assert ups is above(flag(C.perm)) and type(ups) is tuple and len(ups) == 8
+    assert (ups[0], ups[-1]) == (full_group(3), full)
+    assert parabolics_above([C, C]) == list(ups)
+    assert all(labels(Q) is labels(Q) and type(labels(Q)) is tuple for Q in ups)
+    assert labels(full) == ((2,), (4,), (1,), (3,)) and labels(ups[0]) == ((1, 2, 3, 4),)
+    assert len(enumerate_parabolic_subspaces(3)) == 75
+    assert len(enumerate_parabolic_subspaces(2)) == 13
+    assert flag((1,)) == full_group(0) and labels(full_group(0)) == ((1,),)
+
+
+def _positive_multiple(c, w):
+    """Whether the integer row c is a positive rational multiple of w."""
+    i = next(k for k, x in enumerate(w) if x)
+    lam = F(c[i], w[i])
+    return lam > 0 and list(c) == [lam * x for x in w]
+
+
+@pytest.mark.parametrize("m, count", [(2, 3), (3, 13), (4, 75), (5, 541)])
+def test_chamber_parabolics_are_the_cone_parabolics(m, count):
+    """Label m read as E0, the ordered set partitions of 1..m are the cone
+    layer's parabolic subspaces at n = m - 1 (632 at m = 2..5), the
+    parabolics above a chamber are its coarsenings, and the cone layer's
+    tau-hat covectors and signs are the chamber layer's earlier weights
+    (up to a positive factor per row) and signs."""
+    G, paras = full_group(m - 1), ref_all_parabolics(m)
+    assert len(paras) == count
+    subspaces = [cone(b) for b in paras]
+    assert len(set(subspaces)) == count
+    assert set(subspaces) == set(enumerate_parabolic_subspaces(m - 1))
+    for b, Q in zip(paras, subspaces):
+        assert labels(Q) == b
+        assert epsilon_sign(Q, G) == ref_epsilon_parabolic(b, m)
+        got, want = _tau_hat_cov(Q, G), ref_weight_covectors(b, m)
+        assert len(got) == len(want)
+        assert all(_positive_multiple(c, w) for c, w in zip(got, want))
+    for C in all_chambers(m):
+        ups = above(flag(C.perm))
+        assert len(ups) == 2 ** (m - 1)
+        assert {labels(Q) for Q in ups} == ref_coarsenings(C)
+
+
+def test_parabolics_of_another_rank_are_refused():
+    C = Chamber((2, 1, 3))
+    fam = pairwise_orthogonal_positive(3, random.Random(7))
+    for Q in (full_group(1), full_group(3), flag((2, 1)), flag((2, 1, 3, 4))):
+        with pytest.raises(ValueError, match="rank"):
+            chamber_in_parabolic(C, Q)
+        with pytest.raises(ValueError, match="rank"):
+            langlands_type_rep([C], C, Q)
+        with pytest.raises(ValueError, match="rank"):
+            family_projection(fam, Q)
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_parabolic_predicates_match_references(m):
-    chambers, paras = all_chambers(m), all_parabolics(m)
+    chambers, paras = all_chambers(m), ref_all_parabolics(m)
     for C in chambers:
         for b in paras:
-            assert chamber_in_parabolic(C, b) == ref_chamber_in_parabolic(C, b)
-        assert parabolics_above([C], m) == ref_parabolics_above([C], m)
+            assert chamber_in_parabolic(C, cone(b)) == ref_chamber_in_parabolic(C, b)
+        assert_lists_parabolics_above([C], m)
     rng = random.Random(40 + m)
     for _ in range(30):
         S = rng.sample(chambers, rng.randint(0, len(chambers)))
-        assert parabolics_above(S, m) == ref_parabolics_above(S, m)
+        assert_lists_parabolics_above(S, m)
         fam = pairwise_orthogonal_positive(m, rng)
         part = {P: fam[P] for P in S}
         for b in paras:
-            assert family_projection(fam, b, m) == ref_family_projection(fam, b, m)
+            Q = cone(b)
+            assert family_projection(fam, Q) == ref_family_projection(fam, b, m)
             try:
                 want = ref_family_projection(part, b, m)
             except ValueError:
                 with pytest.raises(ValueError):
-                    family_projection(part, b, m)
+                    family_projection(part, Q)
             else:
-                assert family_projection(part, b, m) == want
+                assert family_projection(part, Q) == want
 
 
 def test_convexity_matches_reference():
@@ -265,20 +374,17 @@ def test_distance_is_a_metric(P, P1, P2):
     assert all(distance(Q, P) == 1 for Q in neighbours(P))
 
 
-@functools.lru_cache(maxsize=None)
-def _parabolics(m):
-    return all_parabolics(m)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_perm, _perm, st.data())
 def test_chamber_in_parabolic_means_coarsening(C, Q, data):
     cuts = data.draw(st.sets(st.integers(1, C.m - 1))) if C.m > 1 else set()
-    b = data.draw(st.one_of(st.just(_cut(Q.perm, cuts)), st.sampled_from(_parabolics(C.m))))
-    assert chamber_in_parabolic(Q, _cut(Q.perm, cuts))
+    b = data.draw(st.one_of(st.just(_cut(Q.perm, cuts)),
+                            st.sampled_from(ref_all_parabolics(C.m))))
+    assert chamber_in_parabolic(Q, cone(_cut(Q.perm, cuts)))
     coarse = ref_coarsenings(C)
-    assert chamber_in_parabolic(C, b) == (b in coarse)
-    assert parabolics_above([C], C.m) == [p for p in _parabolics(C.m) if p in coarse]
+    assert chamber_in_parabolic(C, cone(b)) == (b in coarse)
+    got = [labels(P) for P in parabolics_above([C])]
+    assert sorted(got) == [p for p in sorted(ref_all_parabolics(C.m)) if p in coarse]
 
 
 def test_sigma_set_and_distance():
@@ -377,11 +483,10 @@ def test_nonconvex_counterexample():
 
 def test_langlands_type_rep():
     S = [Chamber((2, 1, 3))]
-    blocks = ((2, 1), (3,))
-    assert langlands_type_rep(S, S[0], blocks) == S[0]
+    assert langlands_type_rep(S, S[0], cone(((2, 1), (3,)))) == S[0]
     rng = random.Random(31)
     roots = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
-    paras = all_parabolics(4)
+    paras = ref_all_parabolics(4)
     done = 0
     while done < 40:
         S = set(all_chambers(4))
@@ -391,11 +496,11 @@ def test_langlands_type_rep():
         if not S:
             continue
         P = rng.choice(S)
-        blocks = rng.choice(paras)
-        if not any(chamber_in_parabolic(C, blocks) for C in S):
+        Q = cone(rng.choice(paras))
+        if not any(chamber_in_parabolic(C, Q) for C in S):
             continue
-        P1 = langlands_type_rep(S, P, blocks)
-        assert P1 in S and chamber_in_parabolic(P1, blocks)
+        P1 = langlands_type_rep(S, P, Q)
+        assert P1 in S and chamber_in_parabolic(P1, Q)
         done += 1
 
 
@@ -411,24 +516,24 @@ def test_orthogonal_positive_families():
         assert check_orthogonal_positive(const)
     # projections independent of the member
     fam = pairwise_orthogonal_positive(3, rng)
-    for blocks in all_parabolics(3):
-        family_projection(fam, blocks, 3)
+    for blocks in ref_all_parabolics(3):
+        family_projection(fam, cone(blocks))
 
 
 def test_psi_identities():
     rng = random.Random(33)
     m = 3
-    paras = all_parabolics(m)
+    paras = ref_all_parabolics(m)
     roots = [(a, b) for a in range(1, 4) for b in range(1, 4) if a != b]
 
     def wall_ok(S, fam, H):
-        from jrlab.chambers import weight_covectors
         for blocks in paras:
-            if not any(chamber_in_parabolic(P, blocks) for P in S):
+            Q = cone(blocks)
+            if not any(chamber_in_parabolic(P, Q) for P in S):
                 continue
-            YQ = family_projection(fam, blocks, m)
+            YQ = family_projection(fam, Q)
             arg = [projection_scale(m) * h - y for h, y in zip(H, YQ)]
-            for w in weight_covectors(blocks, m):
+            for w in ref_weight_covectors(blocks, m):
                 if sum(a * x for a, x in zip(w, arg)) == 0:
                     return False
         return True
@@ -451,19 +556,18 @@ def test_psi_identities():
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = F(base[pos])
         assert in_positive_dual_cone(Lam, P)
-        v1 = psi_geometric(_projections(S, fam, m), H, m)
+        v1 = psi_geometric(_projections(S, fam), H, m)
         v2 = psi_analytic(S, Lam, H, fam)
         assert v1 == v2
-        from jrlab.chambers import chamber_weights
         cond = all(sum(w0 * (F(h) - y) for w0, h, y in zip(w, H, fam[Pp])) <= 0
-                   for Pp in S for w in chamber_weights(Pp))
+                   for Pp in S for w in ref_weight_covectors([(x,) for x in Pp.perm], m))
         assert (v1 == 1) == cond and v1 in (0, 1)
         done += 1
 
 
 def test_psi_empty():
     fam = {P: [F(0)] * 3 for P in all_chambers(3)}
-    assert psi_geometric(_projections([], fam, 3), [F(1), F(2), F(0)], 3) == 0
+    assert psi_geometric(_projections([], fam), [F(1), F(2), F(0)], 3) == 0
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -474,9 +578,9 @@ def test_psi_geometric_matches_the_fraction_reference(m):
     for _ in range(60):
         S = rng.sample(chambers, rng.randint(0, len(chambers)))
         fam = pairwise_orthogonal_positive(m, rng)
-        proj = _projections(S, fam, m)
+        proj = _projections(S, fam)
         assert all(type(y) is int for Y in proj.values() for y in Y)
-        assert list(proj) == parabolics_above(S, m)
+        assert list(proj) == parabolics_above(S)
         for _ in range(4):
             H = [rng.randint(-4, 4) for _ in range(m)]
             assert psi_geometric(proj, H, m) == ref_psi_geometric(S, H, fam, m)
