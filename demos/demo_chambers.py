@@ -44,5 +44,5 @@ assert in_positive_dual_cone(Lam, S[0])
 # the geometric sum reads the family's projections Y_Q onto the parabolics
 # above a member, scaled by lcm(1..m) to integer vectors
 proj = {Q: family_projection(fam, Q) for Q in parabolics_above(S)}
-print("\npsi (geometric):", psi_geometric(proj, H, m))
+print("\npsi (geometric):", psi_geometric(proj, H))
 print("psi (analytic) :", psi_analytic(S, Lam, H, fam))

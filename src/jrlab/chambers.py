@@ -18,24 +18,33 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cones import (E0, ParabolicSubspace, _all_pos, _at_shift, _tau_hat_cov, above,
                     epsilon_sign, full_group, signed_count)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    perm: tuple
-    rank: tuple = field(init=False, repr=False, compare=False)
+# Largest rank whose chambers are built: the table of rank m holds m! of them.
+CHAMBER_MAX_RANK = 6
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValueError("chamber must be a permutation of 1..m")
-        # rank[a - 1] is the position of coordinate a in the order
-        object.__setattr__(self, "rank", tuple(sorted(range(self.m), key=self.perm.__getitem__)))
+
+class Chamber:
+    """A chamber of rank m: `perm`, its `rank` (rank[a - 1] is the position
+    of coordinate a in the order) and `adj` (adj[i] is the chamber across
+    the pair at positions i, i + 1).  There is one object per permutation,
+    made once in its rank's table: Chamber(perm) returns it, so chambers
+    compare and hash by identity."""
+    __slots__ = ("perm", "rank", "adj")
+
+    def __new__(cls, perm):
+        perm = tuple(perm)
+        try:
+            return _table(len(perm))[perm]
+        except (KeyError, TypeError):
+            raise ValueError("chamber must be a permutation of 1..m") from None
+
+    def __repr__(self):
+        return f"Chamber(perm={self.perm!r})"
 
     @property
     def m(self) -> int:
@@ -46,30 +55,28 @@ class Chamber:
         return [(self.perm[i], self.perm[i + 1]) for i in range(self.m - 1)]
 
     def opposite(self) -> "Chamber":
-        return Chamber(tuple(reversed(self.perm)))
-
-    def swap(self, i: int) -> "Chamber":
-        """The adjacent chamber across the pair at positions i, i + 1, built
-        from this one's perm and rank without sorting or validating again."""
-        p, rank = self.perm, list(self.rank)
-        a, b = p[i], p[i + 1]
-        rank[a - 1], rank[b - 1] = i + 1, i
-        return _known(p[:i] + (b, a) + p[i + 2:], tuple(rank))
+        return Chamber(self.perm[::-1])
 
 
-def _known(perm: tuple, rank: tuple) -> Chamber:
-    """The chamber of a permutation tuple and its rank array, both known to
-    be right, built without validating again."""
-    C = object.__new__(Chamber)
-    object.__setattr__(C, "perm", perm)
-    object.__setattr__(C, "rank", rank)
-    return C
+@functools.cache
+def _table(m: int):
+    """perm -> chamber for every permutation of 1..m, in lexicographic
+    order: the one place chambers are made."""
+    if m > CHAMBER_MAX_RANK:
+        raise ValueError(f"chamber table guard exceeded: m={m} > {CHAMBER_MAX_RANK}")
+    table = {}
+    for p in itertools.permutations(range(1, m + 1)):
+        C = table[p] = object.__new__(Chamber)
+        C.perm, C.rank = p, tuple(map(p.index, range(1, m + 1)))
+    for p, C in table.items():
+        C.adj = tuple(table[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for i in range(m - 1))
+    return table
 
 
 @functools.cache
 def all_chambers(m: int):
-    """The m! chambers of rank m, built once per m (a shared tuple)."""
-    return tuple(Chamber(p) for p in itertools.permutations(range(1, m + 1)))
+    """The m! chambers of rank m in lexicographic order (a shared tuple)."""
+    return tuple(_table(m).values())
 
 
 @functools.cache
@@ -99,25 +106,20 @@ def distance(P2: Chamber, P1: Chamber) -> int:
     return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
 
 
-def neighbours(P: Chamber):
-    return [P.swap(i) for i in range(P.m - 1)]
-
-
 def _steps(P: Chamber, rank):
     """The neighbours of P one step closer to the chamber with these ranks:
     those across an adjacent pair that it reverses."""
-    p = P.perm
-    return [P.swap(i) for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
+    p, adj = P.perm, P.adj
+    return [adj[i] for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
 
 
 def wall(P1: Chamber, P2: Chamber):
     """The root crossed from P1 into the adjacent chamber P2, the one member
-    of Sigma(P2|P1): P1's pair at the one position P2 swaps."""
-    p, q = P1.perm, P2.perm
-    i = next((k for k, (a, b) in enumerate(zip(p, q)) if a != b), None)
-    if i is None or len(p) != len(q) or q != p[:i] + (p[i + 1], p[i]) + p[i + 2:]:
+    of Sigma(P2|P1): P1's pair at the position across which P2 lies."""
+    if P2 not in P1.adj:
         raise ValueError("chambers are not adjacent")
-    return p[i], p[i + 1]
+    i = P1.adj.index(P2)
+    return P1.perm[i], P1.perm[i + 1]
 
 
 # Largest rank at which minimal galleries are enumerated.
@@ -297,7 +299,7 @@ def weyl_orbit_family(m: int, T):
 
 def check_orthogonal_positive(fam) -> bool:
     for P1 in fam:
-        for P2 in neighbours(P1):
+        for P2 in P1.adj:
             if P2 not in fam:
                 continue
             a, b = wall(P1, P2)
@@ -314,15 +316,13 @@ def family_projection(fam, Q: ParabolicSubspace):
     """D Y_Q, D = projection_scale(m), for a parabolic above some member
     chamber: blockwise average of any contained chamber's point
     (independence asserted), an integer vector for an integer family.  The
-    chambers below are the products of the blocks' orderings, permutations
-    by construction, so they are built without validating again."""
+    chambers below are the products of the blocks' orderings."""
     if fam:
         _check_rank(Q, next(iter(fam)))
     m, blocks = Q.n + 1, labels(Q)
     perms = (sum(orders, ()) for orders in
              itertools.product(*(itertools.permutations(blk) for blk in blocks)))
-    below = (_known(p, tuple(map(p.index, range(1, m + 1)))) for p in perms)
-    YQ = project_family([Y for P in below if (Y := fam.get(P)) is not None],
+    YQ = project_family([Y for p in perms if (Y := fam.get(Chamber(p))) is not None],
                         [[x - 1 for x in blk] for blk in blocks], projection_scale(m))
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")
@@ -333,11 +333,12 @@ def family_projection(fam, Q: ParabolicSubspace):
 # psi sums
 
 
-def psi_geometric(projections, H, m: int) -> int:
+def psi_geometric(projections, H) -> int:
     """Sum over the parabolics Q above some member of a family: sign times
     the weight cone indicator at H - Y_Q, one `signed_count` at the affine
     point (D H, 1) with each covector shifted by D Y_Q.  `projections` maps
     each such Q to D Y_Q (`family_projection`)."""
+    m = len(H)
     G = full_group(m - 1)
     terms = [(epsilon_sign(Q, G), [_at_shift(c, YD) for c in _tau_hat_cov(Q, G)])
              for Q, YD in projections.items()]

@@ -68,10 +68,6 @@ def vec_mat(v, A):
 
 
 def dot(u, v):
-    return _dot(u, v)
-
-
-def _dot(u, v):
     return _pair(_split(u), _split(v))
 
 

@@ -414,7 +414,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         q = deque([P1])
         while q:
             u = q.popleft()
-            for v in ch.neighbours(u):
+            for v in u.adj:
                 if v not in bfs:
                     bfs[v] = bfs[u] + 1
                     q.append(v)
@@ -459,11 +459,10 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
             failures.append({"check": "halfspace-convex", "alpha": alpha})
 
     # one-step distance recursion, exhaustively, read off the distance table
-    adjacent = {P1: ch.neighbours(P1) for P1 in chambers}
     for P in chambers:
         row = dist[P]
         for P1 in chambers:
-            for P2 in adjacent[P1]:
+            for P2 in P1.adj:
                 instances += 1
                 if row[P2] != row[P1] + ch.keycoxeter_step(P, P1, P2):
                     failures.append({"check": "distance-step", "P": P.perm,
@@ -506,7 +505,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = base[pos]
         instances += 1
-        v1 = ch.psi_geometric(proj, H, m)
+        v1 = ch.psi_geometric(proj, H)
         v2 = ch.psi_analytic(S, Lam, H, fam)
         if v1 != v2:
             failures.append({"check": "psi-equality", "S": [c.perm for c in S], "H": H})

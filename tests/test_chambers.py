@@ -8,14 +8,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrlab.chambers import (Chamber, all_chambers, chamber_in_parabolic,
-                            check_orthogonal_positive, distance, epsilon_lambda,
-                            family_projection, flag, gallery_steps,
+from jrlab.chambers import (CHAMBER_MAX_RANK, Chamber, _table, all_chambers,
+                            chamber_in_parabolic, check_orthogonal_positive, distance,
+                            epsilon_lambda, family_projection, flag, gallery_steps,
                             gallery_walls, h_plus, in_positive_dual_cone,
                             is_convex, keycoxeter_step, labels, langlands_type_rep,
-                            minimal_galleries, neighbours,
-                            pairwise_orthogonal_positive, parabolics_above, phi,
-                            project_family, projection_scale, psi_analytic,
+                            minimal_galleries, pairwise_orthogonal_positive,
+                            parabolics_above, phi, project_family, projection_scale, psi_analytic,
                             psi_geometric, sigma_set, weyl_orbit_family)
 from jrlab.cones import (E0, ParabolicSubspace, _all_pos, _tau_hat_cov, above,
                          enumerate_parabolic_subspaces, epsilon_sign, full_group)
@@ -47,7 +46,7 @@ def ref_minimal_galleries(P1, P2):
         return [[P1]]
     out = []
     d = ref_distance(P2, P1)
-    for Q in neighbours(P1):
+    for Q in P1.adj:
         if ref_distance(P2, Q) == d - 1:
             for tail in ref_minimal_galleries(Q, P2):
                 out.append([P1] + tail)
@@ -203,14 +202,33 @@ def test_rank_predicates_match_references_on_all_pairs(m):
 @pytest.mark.parametrize("m", (2, 3, 4, 5))
 def test_swapped_chambers_equal_the_validated_ones(m):
     for C in all_chambers(m):
-        steps = []
+        assert C.rank == tuple(sorted(range(m), key=C.perm.__getitem__))
+        assert len(C.adj) == m - 1
         for i in range(m - 1):
             q = list(C.perm)
             q[i], q[i + 1] = q[i + 1], q[i]
-            D, want = C.swap(i), Chamber(q)
-            assert (D.perm, D.rank) == (want.perm, want.rank) and hash(D) == hash(want)
-            steps.append(want)
-        assert neighbours(C) == steps
+            assert C.adj[i] is Chamber(q) and C.adj[i].perm == tuple(q)
+
+
+def test_one_chamber_object_per_permutation():
+    """The suite's draws read chambers in `all_chambers` order, which is
+    lexicographic; ranks above the guard are refused before any table is
+    built."""
+    for m in range(CHAMBER_MAX_RANK + 1):
+        chambers = all_chambers(m)
+        assert [C.perm for C in chambers] == list(itertools.permutations(range(1, m + 1)))
+        assert all(Chamber(C.perm) is C is Chamber(list(C.perm)) for C in chambers)
+    assert repr(Chamber([2, 1])) == "Chamber(perm=(2, 1))"
+    for bad in ((1, 1), (0, 1), (2, 3), (1, 2, 4), ([1], [2])):
+        with pytest.raises(ValueError, match="permutation"):
+            Chamber(bad)
+    built = _table.cache_info().currsize
+    for m in (CHAMBER_MAX_RANK + 1, 11):
+        with pytest.raises(ValueError, match="guard"):
+            Chamber(range(1, m + 1))
+        with pytest.raises(ValueError, match="guard"):
+            all_chambers(m)
+    assert _table.cache_info().currsize == built
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -371,7 +389,7 @@ def test_distance_is_a_metric(P, P1, P2):
     assert d == distance(P1, P2) == len(sigma_set(P2, P1)) == _inversions(P2, P1)
     assert distance(P, P.opposite()) == m * (m - 1) // 2
     assert distance(P2, P) <= distance(P1, P) + d
-    assert all(distance(Q, P) == 1 for Q in neighbours(P))
+    assert all(distance(Q, P) == 1 for Q in P.adj)
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,7 +464,7 @@ def test_distance_equals_bfs_s4():
         q = deque([P1])
         while q:
             u = q.popleft()
-            for v in neighbours(u):
+            for v in u.adj:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     q.append(v)
@@ -461,7 +479,7 @@ def test_keycoxeter_exhaustive_s3():
     ch = all_chambers(3)
     for P in ch:
         for P1 in ch:
-            for P2 in neighbours(P1):
+            for P2 in P1.adj:
                 assert distance(P2, P) == distance(P1, P) + keycoxeter_step(P, P1, P2)
 
 
@@ -556,7 +574,7 @@ def test_psi_identities():
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = F(base[pos])
         assert in_positive_dual_cone(Lam, P)
-        v1 = psi_geometric(_projections(S, fam), H, m)
+        v1 = psi_geometric(_projections(S, fam), H)
         v2 = psi_analytic(S, Lam, H, fam)
         assert v1 == v2
         cond = all(sum(w0 * (F(h) - y) for w0, h, y in zip(w, H, fam[Pp])) <= 0
@@ -567,7 +585,7 @@ def test_psi_identities():
 
 def test_psi_empty():
     fam = {P: [F(0)] * 3 for P in all_chambers(3)}
-    assert psi_geometric(_projections([], fam), [F(1), F(2), F(0)], 3) == 0
+    assert psi_geometric(_projections([], fam), [F(1), F(2), F(0)]) == 0
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -583,7 +601,7 @@ def test_psi_geometric_matches_the_fraction_reference(m):
         assert list(proj) == parabolics_above(S)
         for _ in range(4):
             H = [rng.randint(-4, 4) for _ in range(m)]
-            assert psi_geometric(proj, H, m) == ref_psi_geometric(S, H, fam, m)
+            assert psi_geometric(proj, H) == ref_psi_geometric(S, H, fam, m)
 
 
 def test_chambers_suite_s3():
