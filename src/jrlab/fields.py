@@ -293,4 +293,4 @@ def is_integral(x, ctx: PLocalContext) -> bool:
     p-integral (1, sqrt(eps) is an integral basis since eps is a unit)."""
     if isinstance(x, EScalar):
         return is_integral(x.x, ctx) and is_integral(x.y, ctx)
-    return Fraction(x).denominator % ctx.p != 0
+    return x.denominator % ctx.p != 0

@@ -245,15 +245,15 @@ def conjugate_to_slice(X: Triple) -> tuple:
     """Change of basis putting X into the standard slice position; returns
     (g, g.X, r) with g the basis-change matrix inverse."""
     r = stratum(X)
-    return (*_to_slice(X, r), r)
+    return (*_to_slice(X, r)[1:], r)
 
 
 def _to_slice(X: Triple, r: int) -> tuple:
-    """(g, g.X) for X of stratum r, g the inverse of its canonical basis."""
+    """(T, g, g.X) for X of stratum r, T its canonical basis and g = T^{-1}."""
     dec = _decomposition(X, r)
     T = list(zip(*(dec.basis_plus + dec.basis_minus)))
     g = la.inverse(T)
-    return g, _conjugate(g, T, X)
+    return T, g, _conjugate(g, T, X)
 
 
 def jordan(X: Triple) -> tuple[Triple, Triple]:
@@ -265,12 +265,12 @@ def jordan(X: Triple) -> tuple[Triple, Triple]:
         return X, X - X
     # in slice position X_s is the plus block beside the semisimple part of
     # the minus block, with the vector and covector of the plus block
-    g, Y = _to_slice(X, r)
+    T, g, Y = _to_slice(X, r)
     zero = zero_like(X.A[0][0])
     As = la.block_diag([[row[:r] for row in Y.A[:r]],
                         la.semisimple_part([row[r:] for row in Y.A[r:]])], zero)
     pad = [zero] * (n - r)
-    Xs = _conjugate(la.inverse(g), g, Triple(As, list(Y.b[:r]) + pad, list(Y.c[:r]) + pad))
+    Xs = _conjugate(T, g, Triple(As, list(Y.b[:r]) + pad, list(Y.c[:r]) + pad))
     return Xs, X - Xs
 
 
@@ -285,7 +285,7 @@ def is_semisimple(X: Triple) -> bool:
     r = stratum(X)
     if r == n:
         return True
-    _, Y = _to_slice(X, r)
+    Y = _to_slice(X, r)[2]
     if any(Y.c[r:]) or any(Y.b[r:]):
         return False
     if any(Y.A[i][j] for i in range(n) for j in range(n) if (i < r) != (j < r)):

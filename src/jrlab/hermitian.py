@@ -191,8 +191,8 @@ def classify_form_local(form: HermitianForm, ctx: PLocalContext) -> dict:
     """At an odd inert unramified place the two classes are separated by
     whether the discriminant is a norm (equivalently: a self-dual lattice
     exists)."""
-    d = form.det()
-    return {"disc_is_norm": is_norm(d, ctx), "class": "norm" if is_norm(d, ctx) else "nonnorm"}
+    norm = is_norm(form.det(), ctx)
+    return {"disc_is_norm": norm, "class": "norm" if norm else "nonnorm"}
 
 
 def hankel_pair_for_point(a: InvariantPoint, ctx: PLocalContext):

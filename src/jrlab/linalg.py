@@ -6,8 +6,8 @@ new objects; nothing is mutated in place by callers.
 The kernels run on integers, each operand scaled into Z or Z[sqrt(eps)]
 once: products sum integer products over one common denominator per row
 and column; Krylov sequences and moments c A^k b iterate A's integer matrix
-on b's coordinates; det and rref eliminate fraction-free on scaled rows;
-charpoly is Berkowitz's division-free one, reading the moment kernel.
+on b's coordinates; det, rref and inverse eliminate fraction-free on scaled
+rows; charpoly is Berkowitz's division-free one, reading the moment kernel.
 """
 
 from __future__ import annotations
@@ -191,11 +191,11 @@ def block_diag(blocks, zero):
 
 def _coords(A):
     """A's rows scaled to integer coordinates by `_split` (over E, pairs (x, y)
-    in Z[sqrt(eps)]), the product of the row scales, and the context."""
+    in Z[sqrt(eps)]), the row scales, and the context."""
     rows = [_split(row) for row in A]
     ctx = reduce(_join, [r[3] for r in rows], None)
     return ([list(x) if ctx is None else list(zip(x, y or [0] * len(x))) for x, y, *_ in rows],
-            prod(r[2] for r in rows), ctx)
+            [r[2] for r in rows], ctx)
 
 
 def _ring(ctx):
@@ -252,10 +252,10 @@ def det(A):
     assert n == m, "determinant of a non-square matrix"
     if n < 2:
         return A[0][0] if n else Fraction(1)
-    M, d, ctx = _coords(A)
+    M, ds, ctx = _coords(A)
     pivots, p, sign = _bareiss(M, ctx, True)
-    p = p if len(pivots) == n else _ring(ctx)[0]
-    return _quotient(p, sign * d if ctx is None else (sign * d, 0), ctx)
+    p, d = p if len(pivots) == n else _ring(ctx)[0], sign * prod(ds)
+    return _quotient(p, d if ctx is None else (d, 0), ctx)
 
 
 def rref(A):
@@ -293,12 +293,18 @@ def solve(A, b):
 
 
 def inverse(A):
+    """Gauss-Jordan (`_bareiss`) takes [d_i A_i | d_i e_i], row i scaled to
+    integers by d_i, to [p I | p A^{-1}]; only the right half is divided."""
     n, m = dims(A)
     assert n == m
-    R, pivots = rref([list(row) + e for row, e in zip(A, identity(n, _one(A)))])
+    M, ds, ctx = _coords(A)
+    zero = _ring(ctx)[0]
+    for i, d in enumerate(ds):
+        M[i] += [zero] * i + [d if ctx is None else (d, 0)] + [zero] * (n - 1 - i)
+    pivots, p, _ = _bareiss(M, ctx, False)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in R[:n]]
+    return [[_quotient(a, p, ctx) for a in row[n:]] for row in M]
 
 
 def charpoly(A) -> Polynomial:

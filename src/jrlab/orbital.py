@@ -8,9 +8,9 @@ Hermite form.  The lattices between O^n and M O^n (M the moment matrix) are
 found bottom up: H^{-1} M is integral row by row from the last row, so each
 row of H is built below the rows already chosen, its entries grown p-adic
 digit by digit and dropped at the first digit that leaves a residual
-indivisible; every surviving H is confirmed by exact inversion.  Whether
-the lattice L^{-1} H O^n (L the dual-Krylov rows) is admissible is then
-decided on H itself, and only the lattices kept are given a basis L^{-1} H.
+indivisible; each surviving H is inverted once, confirmed by that inverse
+and handed on with it.  Admissibility of L^{-1} H O^n (L the dual-Krylov
+rows) is decided on H and H^{-1}; only the lattices kept get a basis L^{-1} H.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import linalg as la
 from .fields import (EScalar, PLocalContext, eta, is_integral,
                      residue, valuation, valuation_ext)
-from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r, d_r_of_point,
-                      dual_krylov_rows, invariants, stratum,
+from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r_of_point, moments,
+                      dual_krylov_rows, invariants, stratum,  # noqa: F401 (bench/test_bench.py)
                       transfer_factor_eta)
 from .hermitian import (HermitianPair, classify_form_local, companion_matrix,
                         hankel_pair_for_point, u_invariants)
@@ -110,10 +110,10 @@ def _integral(A, ctx: PLocalContext) -> bool:
 
 
 def _lattices_between(M, ctx: PLocalContext, ext: bool):
-    """All H O^n with O^n >= H O^n >= M O^n over O, or O_E when ext:
-    upper-triangular, p-power diagonal, each entry above it reduced modulo
-    its row's diagonal, ordered by diagonal exponents, then by the residues
-    above the diagonal column by column.  With Y = H^{-1} M and p^d the
+    """(H, H^{-1}) for all H O^n with O^n >= H O^n >= M O^n over O, or O_E
+    when ext: upper-triangular, p-power diagonal, each entry above it reduced
+    modulo its row's diagonal, ordered by diagonal exponents, then by the
+    residues above the diagonal column by column.  With Y = H^{-1} M and p^d the
     diagonal of row i, p^d Y_i = M_i - sum_{j>i} H_ij Y_j: a row's entries
     survive digit t only if that residual is divisible by p^(t+1).  Integers
     (pairs for x + y sqrt(eps)) exact modulo p^(v(det M) + 1 - exponents
@@ -158,14 +158,15 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
             H[i][i] = make(p ** diag[i], 0)
             for j, (x, y) in enumerate(hs[i], i + 1):
                 H[i][j] = make(x, y)
-        if _integral(la.mat_mul(la.inverse(H), M), ctx):
-            out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))), H))
-    return [H for _, H in sorted(out, key=lambda e: e[0])]
+        Hi = la.inverse(H)
+        if _integral(la.mat_mul(Hi, M), ctx):
+            out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))), H, Hi))
+    return [(H, Hi) for _, H, Hi in sorted(out, key=lambda e: e[0])]
 
 
 def intermediate_lattices(M, ctx: PLocalContext):
     """All H O^n with O^n >= H O^n >= M O^n, as upper-triangular p-power HNF
-    matrices (M p-integral, det nonzero)."""
+    matrices H paired with H^{-1} (M p-integral, det nonzero)."""
     return _lattices_between(M, ctx, ext=False)
 
 
@@ -173,32 +174,34 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, selfdual: bool):
     """Bases B = L^{-1} H of the lattices stable under A, containing b and
     integral against c, and self-dual for the form when selfdual (over O_E).
     With L the dual-Krylov rows and K the Krylov basis, L B lies between
-    M O^n and O^n, M = L K the moment matrix, so H = L B runs through the
-    lattices the enumerator finds.  Each test is one on H:
+    M O^n and O^n, M = L K the Hankel matrix (c A^{i+j} b), so H = L B runs
+    through the lattices the enumerator finds, with H^{-1}.  The tests:
     - c B = H[0], the first row of L B, integral as H is;
     - B^{-1} b = (H^{-1} M) e_1, as L b is M's first column, and the
       enumerator has confirmed H^{-1} M integral (it finds no H when M is
       not: c A^k b lies in O for every admissible lattice);
-    - B^{-1} A B = H^{-1} C H with C = L A L^{-1};
+    - B^{-1} A B = H^{-1} C H with C = L A L^{-1}, whose rows are e_2, ..., e_n
+      (row i of L A is row i + 1 of L) above c A^n L^{-1};
     - B* G B = H* M^{-1} H for the Gram matrix G, as L = K* G when A is
       self-adjoint, so that L^{-1}* G L^{-1} = (K* G K)^{-1} = M^{-1}."""
     n = X.n
-    if stratum(X) != n:
+    ms = moments(X, 2 * n - 1)
+    M = [ms[i:i + n] for i in range(n)]
+    if la.det(M) == 0:
         raise ValueError("admissible lattices need a regular semisimple element")
-    L = dual_krylov_rows(X, n)
-    M = la.mat_mul(L, basis_matrix(X))
-    if la.det(M) != d_r(X, n):
+    *L, last = dual_krylov_rows(X, n + 1)
+    if la.mat_mul(L, basis_matrix(X)) != M:
         raise AssertionError("the moment matrix does not have determinant d_n")
     Li = la.inverse(L)
-    C = la.mat_mul(L, la.mat_mul(X.A, Li))
+    cn = la.vec_mat(last, Li)
     Mi = la.inverse(M) if selfdual else None
     out = []
-    for H in (intermediate_lattices_ext if selfdual else intermediate_lattices)(M, ctx):
+    for H, Hi in (intermediate_lattices_ext if selfdual else intermediate_lattices)(M, ctx):
         if selfdual:
             gram = la.mat_mul(la.conj_transpose(H), la.mat_mul(Mi, H))
             if not _integral(gram, ctx) or valuation_ext(la.det(gram), ctx) != 0:
                 continue
-        if _integral(la.mat_mul(la.inverse(H), la.mat_mul(C, H)), ctx):
+        if _integral(la.mat_mul(Hi, H[1:] + [la.vec_mat(cn, H)]), ctx):
             out.append(la.mat_mul(Li, H))
     return out
 
@@ -237,7 +240,7 @@ def orbital_gl(X: Triple, ctx: PLocalContext) -> OrbitalReport:
 
 def intermediate_lattices_ext(M, ctx: PLocalContext):
     """Extension version of the intermediate-lattice enumeration: all
-    integral HNF bases H with O_E^n >= H O_E^n >= M O_E^n."""
+    integral HNF bases H with O_E^n >= H O_E^n >= M O_E^n, with H^{-1}."""
     return _lattices_between(M, ctx, ext=True)
 
 

@@ -2,15 +2,16 @@
 `mat_vec`, `vec_mat`, `krylov`, `moment_sequence`), against term-by-term
 loops on int, Fraction and EScalar entries and their mixes: equal values of
 the same type (and context), and no silent mixing of contexts there or in
-the elimination kernels."""
+the elimination kernels.  `inverse` against the reduced form of [A | I]."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jrlab import linalg as la
-from jrlab.fields import EScalar, PLocalContext
+from jrlab.fields import EScalar, PLocalContext, one_like
 
 CTXS = {3: PLocalContext(3), 5: PLocalContext(5)}
 
@@ -213,3 +214,44 @@ def test_new_kernels_refuse_mixed_contexts():
                     (la.moment_sequence, ([a, 1], A, [b, 1], 2))):
         with pytest.raises(ValueError):
             f(*args)
+
+
+def ref_inverse(A):
+    """The right half of the reduced form of [A | I], as `inverse` was."""
+    n = len(A)
+    R, pivots = la.rref([list(row) + e for row, e in zip(A, la.identity(n, one_like(A[0][0])))])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in R[:n]]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_matches_the_reduced_form_of_the_augmented_matrix(n):
+    """Rows over different denominators (a wrong row scale on the identity
+    block would pass on integer rows), over Q, over E and on ints: the same
+    values of the same type and context as `ref_inverse`, A A^{-1} = I, and
+    ZeroDivisionError on a singular matrix."""
+    rng = random.Random(760 + n)
+    ctx = CTXS[3]
+    domains = {"Q": (lambda d: F(rng.randint(-20, 20), d), F(1)),
+               "E": (lambda d: EScalar(F(rng.randint(-20, 20), d), F(rng.randint(-20, 20), d), ctx),
+                     ctx.embed(1)),
+               "int": (lambda d: rng.randint(-9, 9), F(1))}
+    singular = 0
+    for entry, one in domains.values():
+        I = la.identity(n, one)
+        for k in range(12):
+            A = [[entry(d) for _ in range(n)]
+                 for d in rng.sample([1, 2, 3, 5, 7, 9, 11, 10 ** 6 + 3], n)]
+            if k % 4 == 3:      # the last row a multiple of the first, 0 at n = 1
+                A[-1] = [a * (F(-2, 7) if n > 1 else 0) for a in A[0]]
+            if la.det(A):
+                inv = la.inverse(A)
+                _same(inv, ref_inverse(A))
+                assert la.mat_mul(A, inv) == I
+            else:
+                singular += 1
+                for f in (la.inverse, ref_inverse):
+                    with pytest.raises(ZeroDivisionError):
+                        f(A)
+    assert singular >= 9

@@ -9,7 +9,8 @@ from jrlab import linalg as la
 from jrlab.fields import (EScalar, PLocalContext, eta, is_integral, one_like,
                           valuation, valuation_ext, zero_like)
 from jrlab.gltilde import (InvariantPoint, Triple, act, basis_matrix, d_r,
-                           d_r_of_point, dual_krylov_rows, invariants, stratum)
+                           d_r_of_point, dual_krylov_rows, invariants, moments,
+                           stratum)
 from jrlab.hermitian import (HermitianForm, HermitianPair, classify_form_local,
                              hankel_pair_for_point, random_unitary,
                              unitary_act)
@@ -77,7 +78,10 @@ def _check_submodule_count(enumerate_, ctx, scalar, exps, q):
     n = len(exps)
     M = [[scalar(F(ctx.p) ** exps[i] if i == j else F(0)) for j in range(n)]
          for i in range(n)]
-    found = enumerate_(M, ctx)
+    pairs = enumerate_(M, ctx)
+    I = la.identity(n, scalar(F(1)))
+    assert all(la.mat_mul(H, Hi) == I for H, Hi in pairs)
+    found = [H for H, _ in pairs]
     assert len(found) == SUBMODULES[exps](q), (ctx.p, exps)
     assert len({tuple(map(tuple, H)) for H in found}) == len(found)
 
@@ -99,7 +103,7 @@ def _brute_force_lattices(M, ctx, residues, val):
     """Reference enumeration: every upper-triangular H with p-power
     diagonal (exponents summing to at most v(det M)) and entries above it
     running through residues(d) of their row's exponent d, in that order,
-    kept when H^{-1} M is integral."""
+    kept with H^{-1} when H^{-1} M is integral."""
     n = len(M)
     zero, one = zero_like(M[0][0]), one_like(M[0][0])
     vdet = val(la.det(M), ctx)
@@ -114,9 +118,9 @@ def _brute_force_lattices(M, ctx, residues, val):
                 H[k][k] = one * F(ctx.p) ** diag[k]
             for (i, j), c in zip(above, entries):
                 H[i][j] = c
-            HM = la.mat_mul(la.inverse(H), M)
-            if all(is_integral(x, ctx) for row in HM for x in row):
-                out.append(H)
+            Hi = la.inverse(H)
+            if all(is_integral(x, ctx) for row in la.mat_mul(Hi, M) for x in row):
+                out.append((H, Hi))
     return out
 
 
@@ -139,8 +143,8 @@ def _random_sandwich(rng, ctx, n, ext, v):
 
 
 def test_intermediate_lattices_match_the_brute_force():
-    """Same lattices in the same order as the reference enumeration, over
-    O and O_E, at n = 1..3 and p = 3, 5."""
+    """Same lattices in the same order, each with the same inverse, as the
+    reference enumeration, over O and O_E, at n = 1..3 and p = 3, 5."""
     rng = random.Random(44)
     # (n, ext) -> (largest v(det M) at p = 3, at p = 5, matrices per p);
     # the matrices run through v(det M) = 0, 1, ..., vmax, 0, 1, ...
@@ -163,8 +167,8 @@ def test_intermediate_lattices_match_the_brute_force():
                                             valuation_ext if ext else valuation)
                 got = fast(M, ctx)
                 assert got == ref, (p, n, ext, M)
-                assert [type(x) for H in got for row in H for x in row] == \
-                    [type(x) for H in ref for row in H for x in row]
+                assert [type(x) for pair in got for H in pair for row in H for x in row] == \
+                    [type(x) for pair in ref for H in pair for row in H for x in row]
                 seen += len(ref)
     assert seen > 150
 
@@ -277,7 +281,7 @@ def _reference_bases(X, ctx, lattices_between, keep=None):
         return []
     Li = la.inverse(L)
     out = []
-    for H in lattices_between(M, ctx):
+    for H, _ in lattices_between(M, ctx):
         B = la.mat_mul(Li, H)
         if keep is not None and not keep(B):
             continue
@@ -356,6 +360,84 @@ def test_admissible_bases_match_the_b_level_reference():
     raised = _outcome(_admissible_bases, X, CTX, False)
     assert raised == _outcome(_reference_bases, X, CTX, intermediate_lattices)
     assert raised[0] is ValueError
+
+
+def _conjugator(rng, n, entry, val, unimodular=True):
+    """A random invertible n x n matrix of 3-integral entries, with unit
+    determinant when unimodular."""
+    while True:
+        g = [[entry() for _ in range(n)] for _ in range(n)]
+        d = la.det(g)
+        if d and (val(d, CTX) == 0 or not unimodular):
+            return g
+
+
+@pytest.mark.parametrize("ext", [False, True], ids=["Q", "E"])
+def test_hankel_and_shift_rows_off_the_companion_model(ext):
+    """On regular triples g.X with g unimodular, whose Krylov basis K is not
+    the identity: the Hankel matrix of the moments is L K, and C = L A L^{-1}
+    has the unit shift rows e_{i+1} above c A^n L^{-1}, the matrices
+    `_admissible_bases` builds from the moments and one more dual-Krylov row."""
+    rng = random.Random(48 + ext)
+    val = valuation_ext if ext else valuation
+    scalar = (lambda f: lambda: EScalar(f(), f(), CTX)) if ext else (lambda f: f)
+    entry = scalar(lambda: F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5])))
+    integral = scalar(lambda: F(rng.randint(-3, 3), rng.choice([1, 2])))
+    seen = 0
+    for n in range(1, 5):
+        for _ in range(5):
+            X = Triple([[entry() for _ in range(n)] for _ in range(n)],
+                       [entry() for _ in range(n)], [entry() for _ in range(n)])
+            if stratum(X) != n:
+                continue
+            Y = act(_conjugator(rng, n, integral, val), X)
+            K = basis_matrix(Y)
+            zero, one = zero_like(K[0][0]), one_like(K[0][0])
+            assert n == 1 or K != la.identity(n, one)
+            ms = moments(Y, 2 * n - 1)
+            *L, last = dual_krylov_rows(Y, n + 1)
+            assert [[ms[i + j] for j in range(n)] for i in range(n)] == la.mat_mul(L, K)
+            Li = la.inverse(L)
+            shift = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+            assert shift + [la.vec_mat(last, Li)] == la.mat_mul(L, la.mat_mul(Y.A, Li))
+            seen += 1
+    assert seen >= 15
+
+
+def test_admissible_bases_match_the_reference_off_the_companion_model():
+    """The comparison above on g.X at p = 3, g unimodular for every other
+    point: K = g is not the identity there, so M = L K is not L, and where g
+    is not unimodular L O^n is not M O^n either, so a mix-up of the two
+    shows.  The unitary side conjugates the pair, its form becoming
+    g^{-*} G g^{-1}."""
+    rng = random.Random(49)
+    points = [InvariantPoint(tuple(map(F, a)), tuple(map(F, b))) for (a, b), _, _ in DEEP_POINTS]
+    points += [InvariantPoint((F(a1),), (F(b1),)) for a1, b1 in ((0, 9), (1, 27), (3, 81), (1, 2))]
+    while len(points) < 16:
+        a = InvariantPoint(*((F(rng.randint(-9, 9)), F(rng.randint(-9, 9))) for _ in range(2)))
+        d = d_r_of_point(a, 2)
+        if d and valuation(d, CTX) <= 4:
+            points.append(a)
+    q = lambda: F(rng.randint(-3, 3))
+    kept = 0
+    for k, a in enumerate(points):
+        n = a.n
+        g = _conjugator(rng, n, q, valuation, k % 2 == 0)
+        X = act(g, gl_representative_of_point(a))
+        assert n == 1 or basis_matrix(X) != la.identity(n)
+        got = _outcome(_admissible_bases, X, CTX, False)
+        assert got == _outcome(_reference_bases, X, CTX, intermediate_lattices)
+        Xu = hankel_pair_for_point(a, CTX)
+        g = _conjugator(rng, n, lambda: EScalar(q(), q(), CTX), valuation_ext, k % 2 == 0)
+        gi = la.inverse(g)
+        G = la.mat_mul(la.conj_transpose(gi), la.mat_mul(Xu.form.gram, gi))
+        Y = act(g, Xu.triple)
+        assert Y == HermitianPair(Y.A, Y.b, HermitianForm(G, CTX)).triple
+        got_u = _outcome(_admissible_bases, Y, CTX, True)
+        assert got_u == _outcome(_reference_bases, Y, CTX, intermediate_lattices_ext,
+                                 _reference_unimodular(G, CTX))
+        kept += len(got) + len(got_u)
+    assert kept > 30
 
 
 def test_orbital_gl_representative_independence():
