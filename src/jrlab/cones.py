@@ -15,6 +15,9 @@ all of a term's covectors at one integer point, and `signed_count` is the
 one evaluator.  A covector c read at H - X is stored as (c, -c) on the
 stacked point (H, X), and one read at H as (c, 0); one read at H - Y, for a
 fixed Y, as the affine covector (c, -c.Y) on the point (H, 1).
+
+A wall filter is the cached tuple of the distinct hyperplanes that a check's
+covectors cut out (`_hyperplanes`); a sample must lie on none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg as la
 
@@ -241,19 +245,15 @@ def _pull_back(w, support):
     return _scale_int([a - c0 if i in support else a for i, a in enumerate(w)])
 
 
-# The two sign tests: every covector is an integer vector, and points are
-# ints (the suites scale their rational points where they are built).  A
-# strict sign is invariant under positive scaling, so covectors are stored
-# scaled to integers.
+# The sign kernel: a covector's value at H is sum(map(mul, cov, H)).  Every
+# covector is an integer vector, and points are ints (the suites scale their
+# rational points where they are built; Fraction points work too).  A strict
+# sign is invariant under positive scaling, so covectors are stored as ints.
 
 def _all_pos(covs, H) -> int:
     """1 when every covector is strictly positive at H, else 0."""
     for cov in covs:
-        s = 0
-        for c, h in zip(cov, H):
-            if c:
-                s += c * h
-        if not (s > 0):
+        if sum(map(mul, cov, H)) <= 0:
             return 0
     return 1
 
@@ -262,11 +262,7 @@ def _nonzero(covs, points) -> bool:
     """Whether no covector vanishes at any of the points."""
     for cov in covs:
         for H in points:
-            s = 0
-            for c, h in zip(cov, H):
-                if c:
-                    s += c * h
-            if not s:
+            if not sum(map(mul, cov, H)):
                 return False
     return True
 
@@ -275,7 +271,27 @@ def signed_count(terms, point) -> int:
     """The sum of the signs of the terms (sign, covectors) whose covectors
     are all positive at the point: the one evaluator of a signed sum of
     cone indicators."""
-    return sum(sign for sign, covs in terms if _all_pos(covs, point))
+    total = 0
+    for sign, covs in terms:
+        for cov in covs:
+            if sum(map(mul, cov, point)) <= 0:
+                break
+        else:
+            total += sign
+    return total
+
+
+def _hyperplanes(covs):
+    """One primitive covector per hyperplane of the integer covectors (divided
+    by its gcd, first non-zero entry positive), in order of first appearance:
+    a covector vanishes where its primitive one does, so both filter alike."""
+    out = {}
+    for c in covs:
+        g = gcd(*c)
+        if g and next(x for x in c if x) < 0:
+            g = -g
+        out.setdefault(tuple(x // g for x in c) if g else tuple(c), None)
+    return tuple(out)
 
 
 def _read(terms):
@@ -305,12 +321,19 @@ def z_basis(P: ParabolicSubspace):
     return [_indicator(b, P.n + 1) for b in P.mblocks()]
 
 
+@functools.cache
+def _z_groups(P: ParabolicSubspace):
+    """The vector indices of P's distinguished block, then of each other block."""
+    at = lambda block: tuple(coordinate(l, P.n + 1) for l in block)
+    return at(P.e0_block()), tuple(map(at, P.mblocks()))
+
+
 def in_z_span(P: ParabolicSubspace, X) -> bool:
     """Whether X lies in the span of z_basis(P), the indicators of P's
     blocks off the distinguished line: X is constant on each of those
     blocks and vanishes on the distinguished block."""
-    at = lambda block: {X[coordinate(l, P.n + 1)] for l in block}
-    return at(P.e0_block()) == {0} and all(len(at(b)) == 1 for b in P.mblocks())
+    e0, blocks = _z_groups(P)
+    return not any(X[i] for i in e0) and all(X[i] == X[b[0]] for b in blocks for i in b)
 
 
 def a_basis(P: ParabolicSubspace):
@@ -461,6 +484,28 @@ def _sigma_hat_full_cov(P, Q):
     return tuple(_pull_back(w, range(P.n + 1)) for w in delta_hat(P, Q))
 
 
+@functools.cache
+def wall_hyperplanes(P: ParabolicSubspace, Q: ParabolicSubspace):
+    """The hyperplanes of tau, tau^, sigma and sigma^ of (P, Q)."""
+    return _hyperplanes(_tau_cov(P, Q) + _tau_hat_cov(P, Q) + _sigma_cov(P, Q)
+                        + _sigma_hat_cov(P, Q))
+
+
+@functools.cache
+def langlands_walls(Q: ParabolicSubspace, P: ParabolicSubspace):
+    """The Langlands filter: the hyperplanes of (Q, S) and (S, P), S between Q and P."""
+    return _hyperplanes(c for S in between(Q, P)
+                        for c in wall_hyperplanes(Q, S) + wall_hyperplanes(S, P))
+
+
+@functools.cache
+def kernel_walls(P: ParabolicSubspace):
+    """The kernels' filter: the hyperplanes of (P, R) and (R, G) for R above P."""
+    G = full_group(P.n)
+    return _hyperplanes(c for R in above(P)
+                        for c in wall_hyperplanes(P, R) + wall_hyperplanes(R, G))
+
+
 # -- the alternating sums as term lists ----------------------------------------
 #
 # A product of indicators is one term, reading all their covectors.
@@ -529,9 +574,8 @@ class GTilde:
         return _all_pos(_sigma_full_cov(P, Q), H)
 
     def wall_covectors(self, P, Q):
-        """All covectors entering the four characteristic functions (used to
-        filter wall-generic sample points)."""
-        return _tau_cov(P, Q) + _tau_hat_cov(P, Q) + _sigma_cov(P, Q) + _sigma_hat_cov(P, Q)
+        """The hyperplanes of the four indicators (`wall_hyperplanes`)."""
+        return wall_hyperplanes(P, Q)
 
     # -- alternating sums --------------------------------------------------------
 
@@ -554,39 +598,6 @@ class GTilde:
     def sigma_hat_expansion(self, P, H, X) -> tuple[int, int]:
         """Both sides of the expansion (`expansion_terms`)."""
         return tuple(signed_count(side, [*H, *X]) for side in expansion_terms(P))
-
-    # -- half-sum weights -----------------------------------------------------
-
-    def rho_underline(self, P: ParabolicSubspace):
-        """Sum of the determinant weights of the flag subspace and the dual
-        flag subspace, as a raw covector."""
-        ws, i, j = P.vflag_ij()
-        vset = set(range(1, self.n + 1))
-        w_i = _indicator(ws[i], self.N)
-        w_j_comp = _indicator(vset - set(ws[j]), self.N)
-        return [a - b for a, b in zip(w_i, w_j_comp)]
-
-    def rho_difference(self, P: ParabolicSubspace):
-        """2 rho of the extended parabolic minus 2 rho of the base parabolic,
-        as a raw covector on the ambient space."""
-        def two_rho(blocks, N):
-            out = [0] * N
-            sizes = [len(b) for b in blocks]
-            for m, b in enumerate(blocks):
-                wt = sum(sizes[m + 1:]) - sum(sizes[:m])
-                ind = _indicator(b, N)
-                out = [a + wt * c for a, c in zip(out, ind)]
-            return out
-
-        big = two_rho(P.blocks(), self.N)
-        ws, i, j = P.vflag_ij()
-        vblocks = []
-        prev = frozenset()
-        for m in ws[1:]:
-            vblocks.append(frozenset(m - prev))
-            prev = m
-        small = two_rho(vblocks, self.N)
-        return [a - b for a, b in zip(big, small)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +655,11 @@ def _relabel(subset, coords):
     return frozenset(pos[x] if x != E0 else E0 for x in subset)
 
 
+@functools.cache
 def parabolic_minus(Q: ParabolicSubspace, datum: DescentDatum) -> ProductParabolic:
     """The factorwise image: each chain member of Q cut down to the
     factor's lines plus the distinguished line, dropping empty, full and
-    repeated cuts."""
+    repeated cuts.  Cached (a bad Q raises on every call all the same)."""
     m1 = datum.m1_blocks()
     for member in Q.chain:
         if not _is_union_of(member, m1):
@@ -785,6 +797,20 @@ class DescentEngine:
         raw = tuple(tuple(-x for x in c) for c in self._lifted(pi_hat_raw, R))
         return (hat_sum(fbar), ((1, raw),), hat_sum(fib),
                 ((epsilon_sign(R, top), self._lifted(_sigma_hat_full_cov, R, top)),))
+
+    @functools.cache
+    def family_walls(self, R: ProductParabolic):
+        """The filters of the family identities: the hyperplanes both sides of
+        the closure-family identity read, then the fiber sum's (`family_sums`)."""
+        closure, closed_cone, fiber, _ = self.family_sums(R)
+        return _hyperplanes(_read(closure) + _read(closed_cone)), _hyperplanes(_read(fiber))
+
+    @functools.cache
+    def inversion_walls(self, R: ProductParabolic, P: ParabolicSubspace, basis):
+        """The filter of the fiber inversion over P on the span of the basis:
+        the hyperplanes `inversion_terms(R, P)` reads that miss some of it."""
+        return _hyperplanes(c for c in _read(self.inversion_terms(R, P))
+                            if any(_nonzero([c], [b]) for b in basis))
 
     @functools.cache
     def inversion_terms(self, R: ProductParabolic, P: ParabolicSubspace):

@@ -6,7 +6,8 @@ acceptance tests both drive these.
 Each signed sum of cone indicators is a term list (sign, covectors) built by
 `cones` once per process (the family kernels shifted by each family's
 points), and `cones.signed_count` reads it at one integer point per sample: the sample H,
-the stacked point (H, X), or the affine point (H, 1)."""
+the stacked point (H, X), or the affine point (H, 1).  With the wall filters
+cached there too, a sample costs its draws (`_ints`), its filter and its counts."""
 
 from __future__ import annotations
 
@@ -14,15 +15,15 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 from . import linalg as la
 from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
-                    _all_pos, _integer_basis, _nonzero, _read, _tau_hat_cov, a_basis,
-                    above, between, coordinate,
-                    enumerate_parabolic_subspaces,
+                    _all_pos, _integer_basis, _nonzero, _tau_hat_cov, a_basis,
+                    coordinate, enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, full_group, in_z_span,
-                    parabolic_minus, pi, pi_hat, projections,
-                    signed_count, z_basis, z_rel_basis)
+                    kernel_walls, langlands_walls, parabolic_minus, pi, pi_hat,
+                    projections, signed_count, z_basis, z_rel_basis)
 from . import chambers as ch
 from .serialize import parabolic_to_json
 
@@ -54,12 +55,30 @@ def _accepted(draw, target, tries):
             yield x
 
 
+def _ints(rng, lo, hi, k):
+    """What k calls of rng.randint(lo, hi) return, leaving rng in the same
+    state: CPython's randint draws getrandbits(w.bit_length()) until it is
+    below the width w (`Random._randbelow_with_getrandbits`), as done here
+    without randint's three Python frames per value."""
+    w = hi - lo + 1
+    if w < 1:
+        raise ValueError(f"empty range ({lo}, {hi})")
+    bits, b, out = rng.getrandbits, w.bit_length(), []
+    for _ in range(k):
+        r = bits(b)
+        while r >= w:
+            r = bits(b)
+        out.append(lo + r)
+    return out
+
+
 def _sample_span(rng, basis, N, lo=-30, hi=30):
     """A random integer combination of the basis (the origin when it is
     empty)."""
     if not basis:
         return [0] * N
-    return la.vec_mat([rng.randint(lo, hi) for _ in basis], basis)
+    coeffs = _ints(rng, lo, hi, len(basis))
+    return [sum(map(mul, coeffs, col)) for col in zip(*basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +101,6 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     g = GTilde(n)
     N = n + 1
     ps = enumerate_parabolic_subspaces(n)
-    G = full_group(n)
     failures = []
     instances = 0
     pairs = [(P, Q) for P in ps for Q in ps if P.le(Q)]
@@ -112,7 +130,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         covs = g.wall_covectors(P, Q)
 
         def draw():
-            H = [rng.randint(-40, 40) for _ in range(N)]
+            H = _ints(rng, -40, 40, N)
             # part 2 at arbitrary points
             r1, _, r1h, _ = projections(H)
             return (H, r1, r1h) if _nonzero(covs, [H, r1h]) else None
@@ -131,9 +149,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     # --- Langlands alternating sum: on the relative center space, scaled by D ---
     for Q, P in pairs:
         S, D = _integer_basis(z_rel_basis(Q, P))
-        covs = []
-        for R in between(Q, P):
-            covs += g.wall_covectors(Q, R) + g.wall_covectors(R, P)
+        covs = langlands_walls(Q, P)
 
         def draw():
             H = _sample_span(rng, S, N)
@@ -148,18 +164,13 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
                                  "pair": (parabolic_to_json(Q), parabolic_to_json(P)),
                                  "H": [str(Fraction(x, D)) for x in H]})
 
-    # wall covectors of the kernel terms above each P
-    kernel_covs = {P: [c for R in above(P)
-                       for c in g.wall_covectors(P, R) + g.wall_covectors(R, G)]
-                   for P in ps}
-
     # --- expansion of sigma-hat through B, on the zero-sum slice ---
     for P in ps:
-        covs = kernel_covs[P]
+        covs = kernel_walls(P)
 
         def draw():
-            H = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
-            X = _zero_base_sum([rng.randint(-40, 40) for _ in range(N)], n)
+            v = _ints(rng, -40, 40, 2 * N)
+            H, X = _zero_base_sum(v[:N], n), _zero_base_sum(v[N:], n)
             return (H, X) if _nonzero(covs, [H, X, la.vec_sub(H, X)]) else None
 
         for H, X in _accepted(draw, per_pair, 60 * per_pair):
@@ -175,7 +186,7 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         zero_sum = [la.vec_mat(t, ab) for t in la.nullspace([[sum(b) for b in ab]])]
         apg, D = _integer_basis(zero_sum)
         zb = [[D * x for x in v] for v in z_basis(P)]
-        covs = kernel_covs[P]
+        covs = kernel_walls(P)
 
         def draw():
             H = _sample_span(rng, zb, N)
@@ -247,13 +258,13 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
             # -- closure-family sum = closed-cone indicator (filtered on both
             # sides), fiber-family sum = signed product cone (on the left) --
             closure, closed_cone, fiber, product_cone = eng.family_sums(R)
+            closure_walls, fiber_walls = eng.family_walls(R)
             for check, lhs, rhs, covs in (
-                    ("closure-family", closure, closed_cone,
-                     _read(closure) + _read(closed_cone)),
-                    ("fiber-family", fiber, product_cone, _read(fiber))):
+                    ("closure-family", closure, closed_cone, closure_walls),
+                    ("fiber-family", fiber, product_cone, fiber_walls)):
 
                 def draw():
-                    H = [rng.randint(-20, 20) for _ in range(m)]
+                    H = _ints(rng, -20, 20, m)
                     Ha = eng.to_ambient(H)
                     return (H, Ha) if _nonzero(covs, [Ha]) else None
 
@@ -268,9 +279,9 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                 # P in the fiber over R, read off its factorwise image
                 in_fiber = parabolic_minus(P, datum) == R
                 for which, basis in (("generic", zR), ("rigid", eng.rigid_span(R, P))):
-                    # wall filter: the covectors that do not vanish on the
-                    # whole domain must not vanish at the sample
-                    covs = [c for c in _read(terms) if any(_nonzero([c], [b]) for b in basis)]
+                    # wall filter: the hyperplanes that do not hold the
+                    # whole domain must not hold the sample
+                    covs = eng.inversion_walls(R, P, basis)
 
                     def draw():
                         X = _sample_span(rng, basis, N, lo=-20, hi=20)
@@ -310,9 +321,9 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
     if len(blocksets) != 1:
         return None
     blocks = [frozenset(b) for b in next(iter(blocksets))]
-    c = {(i, j): rng.randint(0, 5)
-         for i in range(len(blocks)) for j in range(i + 1, len(blocks))}
-    base = {frozenset(b): rng.randint(-4, 4) for b in blocks}
+    pairs = list(itertools.combinations(range(len(blocks)), 2))
+    c = dict(zip(pairs, _ints(rng, 0, 5, len(pairs))))
+    base = dict(zip(blocks, _ints(rng, -4, 4, len(blocks))))
     fam = {}
     for P in f0:
         order = [frozenset(b) for b in P.blocks()]
@@ -480,7 +491,7 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         if not ch.check_orthogonal_positive(fam):
             failures.append({"check": "family-consistency"})
             return None
-        H = [rng.randint(-15, 15) for _ in range(m)]
+        H = _ints(rng, -15, 15, m)
         # wall filter on the parabolics above a member, at D H - D Y_Q
         proj = {Q: ch.family_projection(fam, Q) for Q in ch.parabolics_above(S)}
         HD = [ch.projection_scale(m) * h for h in H]

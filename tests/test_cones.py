@@ -3,6 +3,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,15 +84,40 @@ def test_borel_weight_display():
                     (F(0), F(0), F(-1), F(0))}
 
 
+def rho_underline(P):
+    """Sum of the determinant weights of the flag subspace and the dual
+    flag subspace, as a raw covector."""
+    ws, i, j = P.vflag_ij()
+    vset = set(range(1, P.n + 1))
+    w_i = cones._indicator(ws[i], P.n + 1)
+    w_j_comp = cones._indicator(vset - set(ws[j]), P.n + 1)
+    return [a - b for a, b in zip(w_i, w_j_comp)]
+
+
+def rho_difference(P):
+    """2 rho of the extended parabolic minus 2 rho of the base parabolic,
+    as a raw covector on the ambient space."""
+    def two_rho(blocks, N):
+        out = [0] * N
+        sizes = [len(b) for b in blocks]
+        for m, b in enumerate(blocks):
+            wt = sum(sizes[m + 1:]) - sum(sizes[:m])
+            out = [a + wt * c for a, c in zip(out, cones._indicator(b, N))]
+        return out
+
+    ws, _, _ = P.vflag_ij()
+    vblocks = [frozenset(m - prev) for prev, m in zip(ws, ws[1:])]
+    return [a - b for a, b in zip(two_rho(P.blocks(), P.n + 1), two_rho(vblocks, P.n + 1))]
+
+
 def test_rho_cross_check():
     for n in (1, 2, 3):
-        g = GTilde(n)
         for P in enumerate_parabolic_subspaces(n):
-            ru = g.rho_underline(P)
-            rd = g.rho_difference(P)
+            ru = rho_underline(P)
+            rd = rho_difference(P)
             for zb in z_basis(P):
                 assert la.dot(ru, zb) == la.dot(rd, zb)
-        assert g.rho_underline(full_group(n)) == [F(0)] * (n + 1)
+        assert rho_underline(full_group(n)) == [F(0)] * (n + 1)
 
 
 def test_langlands_sum_examples():
@@ -164,7 +190,9 @@ def test_covector_caches_are_shared_immutably():
         "_sigma_cov", "_sigma_full_cov", "_sigma_hat_cov", "_sigma_hat_full_cov",
         "families", "rigid_span", "sigma_descent_cov", "_lifted",
         "langlands_terms", "kernel_terms", "expansion_terms",
-        "family_sums", "inversion_terms", "_family_template"}
+        "family_sums", "inversion_terms", "_family_template",
+        "wall_hyperplanes", "langlands_walls", "kernel_walls", "family_walls",
+        "inversion_walls", "_z_groups", "parabolic_minus"}
     cones_suite(2, points=60, seed=1)
     descent_suite(2, seed=1, samples=4)
     sizes = [f.cache_info().currsize for f in caches]
@@ -180,13 +208,16 @@ def test_covector_caches_are_shared_immutably():
     for P in enumerate_parabolic_subspaces(2):
         shared(cones.pi_hat_raw, P)
         shared(cones.expansion_terms, P)
+        shared(cones.kernel_walls, P)
+        shared(cones._z_groups, P)
         for covs in ((cones._tau_hat_cov, cones._tau_cov), (_sigma_hat_cov, _sigma_cov)):
             shared(cones.kernel_terms, P, *covs)
         for Q in above(P):
             for build in (cones.delta, cones.delta_hat, cones.pi, cones.pi_hat,
                           cones._tau_cov, cones._tau_hat_cov, cones._sigma_cov,
                           cones._sigma_full_cov, cones._sigma_hat_cov,
-                          cones._sigma_hat_full_cov, cones.langlands_terms):
+                          cones._sigma_hat_full_cov, cones.langlands_terms,
+                          cones.wall_hyperplanes, cones.langlands_walls):
                 shared(build, P, Q)
     for datum in descent_data(2):
         engine = lambda: DescentEngine(datum)
@@ -196,12 +227,16 @@ def test_covector_caches_are_shared_immutably():
             shared(lambda R: engine().families(R), R)
             shared(lambda R: engine().family_sums(R), R)
             shared(lambda R: engine()._family_template(R), R)
+            shared(lambda R: engine().family_walls(R), R)
             for S in product_between(R, top):
                 for cov in (_sigma_full_cov, _sigma_hat_full_cov):
                     shared(lambda *a: engine()._lifted(*a), cov, R, S)
             for P in fbar:
                 shared(lambda R, P: engine().rigid_span(R, P), R, P)
                 shared(lambda R, P: engine().inversion_terms(R, P), R, P)
+                for basis in (engine().z_basis_product(R), engine().rigid_span(R, P)):
+                    shared(lambda *a: engine().inversion_walls(*a), R, P, basis)
+                assert parabolic_minus(P, datum) is parabolic_minus(P, datum)
             for P in f0:
                 for T in above(P):
                     shared(lambda P, T: engine().sigma_descent_cov(P, T), P, T)
@@ -306,6 +341,141 @@ def test_sign_helpers_agree_with_rational_dot(case):
         assert _all_pos(covs, point) == (1 if all(v > 0 for v in vals) else 0)
         assert _nonzero(covs, [point]) == all(v != 0 for v in vals)
     assert _nonzero(covs, [H, [lam * h for h in H]]) == _nonzero(covs, [H])
+
+
+def ref_all_pos(covs, H):
+    """The sign test as a loop over the entries, skipping zero entries."""
+    for cov in covs:
+        s = 0
+        for c, h in zip(cov, H):
+            if c:
+                s += c * h
+        if not (s > 0):
+            return 0
+    return 1
+
+
+def ref_nonzero(covs, points):
+    for cov in covs:
+        for H in points:
+            if not sum(c * h for c, h in zip(cov, H) if c):
+                return False
+    return True
+
+
+def ref_signed_count(terms, point):
+    return sum(sign for sign, covs in terms if ref_all_pos(covs, point))
+
+
+def test_sign_kernel_matches_the_entry_loops():
+    """_all_pos, _nonzero and signed_count agree with the entry loops on
+    every cone term list at n <= 2, read at int and Fraction points with
+    many zero entries."""
+    rng = random.Random(5)
+    for n in (1, 2):
+        N, G = n + 1, full_group(n)
+        lists = []
+        for P in enumerate_parabolic_subspaces(n):
+            lists += [(terms, 2 * N) for terms in cones.expansion_terms(P)]
+            lists += [(cones.kernel_terms(P, *covs), 2 * N)
+                      for covs in ((cones._tau_hat_cov, cones._tau_cov),
+                                   (_sigma_hat_cov, _sigma_cov))]
+            lists += [(cones.langlands_terms(P, Q), N) for Q in above(P)]
+            lists += [(((1, _sigma_hat_full_cov(P, G)),), N)]
+        for terms, width in lists:
+            for _ in range(6):
+                ints = [rng.randint(-2, 2) for _ in range(width)]
+                fracs = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+                for point in (ints, fracs):
+                    assert signed_count(terms, point) == ref_signed_count(terms, point)
+                    for _, covs in terms:
+                        assert _all_pos(covs, point) == ref_all_pos(covs, point)
+                        assert _nonzero(covs, [point]) == ref_nonzero(covs, [point])
+
+
+WIDTHS = [(0, 0), (-1, 0), (0, 5), (-4, 4), (-15, 15), (-20, 20), (-25, 25),
+          (-30, 30), (-40, 40), (0, 63), (0, 64)]
+
+
+def test_ints_is_the_randint_stream():
+    """suites._ints(rng, lo, hi, k) returns what k calls of rng.randint(lo, hi)
+    would, interleaved with plain randint calls, and leaves the generator in
+    the same state."""
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for i, (lo, hi) in enumerate(WIDTHS):
+            k = (seed + i) % 8
+            assert suites._ints(fast, lo, hi, k) == [slow.randint(lo, hi) for _ in range(k)]
+            assert fast.randint(lo, hi) == slow.randint(lo, hi)
+        assert fast.getstate() == slow.getstate()
+    with pytest.raises(ValueError):
+        suites._ints(random.Random(0), 1, 0, 1)
+
+
+def _on_wall(rng, c, N):
+    """A random int point on the hyperplane where the integer covector c
+    vanishes (any point for the zero covector)."""
+    H = [rng.randint(-9, 9) for _ in range(N)]
+    i = next((i for i, x in enumerate(c) if x), None)
+    if i is not None:
+        v = sum(a * h for a, h in zip(c, H))
+        H = [c[i] * h for h in H]
+        H[i] -= v
+    return H
+
+
+def _slope(c):
+    """The hyperplane of c as c over its first non-zero entry."""
+    first = next((x for x in c if x), 1)
+    return tuple(F(x, first) for x in c)
+
+
+def assert_filters_as(walls, raw, N, rng):
+    """walls lists each hyperplane of the raw covectors once, as a primitive
+    covector with a positive first non-zero entry, and rejects exactly the
+    points that raw rejects: random points and points on each raw wall."""
+    raw = [tuple(c) for c in raw]
+    assert type(walls) is tuple and all(type(c) is tuple for c in walls)
+    assert len(set(map(_slope, walls))) == len(walls)
+    assert set(map(_slope, walls)) == set(map(_slope, raw))
+    for c in walls:
+        if any(c):
+            assert gcd(*c) == 1 and next(x for x in c if x) > 0
+    points = [[rng.randint(-9, 9) for _ in range(N)] for _ in range(4)]
+    points += [_on_wall(rng, c, N) for c in raw]
+    for H in points:
+        assert _nonzero(walls, [H]) == ref_nonzero(raw, [H])
+
+
+def test_cached_wall_filters_reject_what_their_covectors_reject():
+    rng = random.Random(2)
+    for n in (1, 2):
+        N, G = n + 1, full_group(n)
+        ps = enumerate_parabolic_subspaces(n)
+        four = lambda P, Q: (cones._tau_cov(P, Q) + cones._tau_hat_cov(P, Q)
+                             + _sigma_cov(P, Q) + _sigma_hat_cov(P, Q))
+        for P in ps:
+            assert_filters_as(cones.kernel_walls(P),
+                              [c for R in above(P) for c in four(P, R) + four(R, G)], N, rng)
+            for Q in above(P):
+                assert GTilde(n).wall_covectors(P, Q) is cones.wall_hyperplanes(P, Q)
+                assert_filters_as(cones.wall_hyperplanes(P, Q), four(P, Q), N, rng)
+                assert_filters_as(cones.langlands_walls(P, Q),
+                                  [c for S in between(P, Q) for c in four(P, S) + four(S, Q)],
+                                  N, rng)
+        for datum in descent_data(n):
+            eng = DescentEngine(datum)
+            for R in enumerate_product_parabolics(datum):
+                closure, closed_cone, fiber, _ = eng.family_sums(R)
+                walls = eng.family_walls(R)
+                read = lambda terms: [c for _, covs in terms for c in covs]
+                assert_filters_as(walls[0], read(closure) + read(closed_cone), N, rng)
+                assert_filters_as(walls[1], read(fiber), N, rng)
+                for P in eng.families(R)[0]:
+                    for basis in (eng.z_basis_product(R), eng.rigid_span(R, P)):
+                        live = [c for c in read(eng.inversion_terms(R, P))
+                                if any(ref_nonzero([c], [b]) for b in basis)]
+                        assert_filters_as(eng.inversion_walls(R, P, basis), live, N, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
         for H in points:
             assert all(type(x) is int for x in H), H
 
-    all_pos, nonzero = cones._all_pos, cones._nonzero
+    all_pos, nonzero, count = cones._all_pos, cones._nonzero, cones.signed_count
 
     def checked_all_pos(covs, H):
         check(covs, [H])
@@ -57,8 +57,14 @@ def test_sign_tests_see_integer_covectors_and_exact_points(monkeypatch):
         check(covs, points)
         return nonzero(covs, points)
 
+    def checked_signed_count(terms, point):
+        for _, covs in terms:
+            check(covs, [point])
+        return count(terms, point)
+
     for mod in (cones, suites, chambers):
-        for name, fn in (("_all_pos", checked_all_pos), ("_nonzero", checked_nonzero)):
+        for name, fn in (("_all_pos", checked_all_pos), ("_nonzero", checked_nonzero),
+                         ("signed_count", checked_signed_count)):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, fn)
     for k in range(len(GOLDEN)):

@@ -14,8 +14,9 @@ child that is killed, or that ends through `os._exit`, leaves no hits, and
 a `sitecustomize` of the environment is shadowed in the children.
 
 The tracer slows the tests several times over, so the tests that assert a
-wall-clock budget may fail; the count does not depend on it.  The exit
-code is pytest's.  This is a tool, not part of Tier-1.
+wall-clock budget may fail; the count does not depend on it.  pytest gets
+`-rf` ahead of the given arguments, so its summary names every failed
+test.  The exit code is pytest's.  This is a tool, not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def main(argv):
         import pytest
         start()
         try:
-            code = pytest.main(argv)
+            code = pytest.main(["-rf", *argv])
         finally:
             sys.settrace(None)
             threading.settrace(None)
