@@ -8,9 +8,10 @@ Hermite form.  The lattices between O^n and M O^n (M the moment matrix) are
 found bottom up: H^{-1} M is integral row by row from the last row, so each
 row of H is built below the rows already chosen, its entries grown p-adic
 digit by digit and dropped at the first digit that leaves a residual
-indivisible; each surviving H is inverted once, confirmed by that inverse
-and handed on with it.  Admissibility of L^{-1} H O^n (L the dual-Krylov
-rows) is decided on H and H^{-1}; only the lattices kept get a basis L^{-1} H.
+indivisible.  H is then confirmed, and L^{-1} H O^n (L the dual-Krylov rows)
+tested, on integer coordinates alone: "H^{-1} X lies in p^k O^n" is one back
+substitution, self-duality a level and a congruence; scalars are built only
+for the H handed out, with H^{-1}, and the bases L^{-1} H kept.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import prod
 
 from . import linalg as la
 from .fields import (EScalar, PLocalContext, eta, is_integral,
@@ -109,6 +112,29 @@ def _integral(A, ctx: PLocalContext) -> bool:
     return all(is_integral(x, ctx) for row in A for x in row)
 
 
+def _pairs(v):
+    """v's entries as integer pairs (x, y) over one denominator d, and d; y is 0
+    over Q, so the ring `la._ring(ctx)` of E serves both sides."""
+    x, y, d, *_ = la._split(v)
+    return list(zip(x, y or [0] * len(x))), d
+
+
+def _in_lattice(H, cols, m, ring):
+    """Whether H^{-1} X lies in m O^n (m a power of p), for X's columns and H
+    integral, upper triangular with diagonal p^d_i, all as integer pairs: each
+    Y_i = (X_i - sum_{j>i} H_ij Y_j) / p^d_i must be a multiple of m."""
+    n, (_, _, mul, sub, _) = len(H), ring
+    for col in cols:
+        Y = [None] * n
+        for i in range(n - 1, -1, -1):
+            x, y = reduce(sub, map(mul, H[i][i + 1:], Y[i + 1:]), col[i])
+            q = H[i][i][0]
+            if x % (q * m) or y % (q * m):
+                return False
+            Y[i] = (x // q, y // q)
+    return True
+
+
 def _lattices_between(M, ctx: PLocalContext, ext: bool):
     """(H, H^{-1}) for all H O^n with O^n >= H O^n >= M O^n over O, or O_E
     when ext: upper-triangular, p-power diagonal, each entry above it reduced
@@ -117,7 +143,8 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
     diagonal of row i, p^d Y_i = M_i - sum_{j>i} H_ij Y_j: a row's entries
     survive digit t only if that residual is divisible by p^(t+1).  Integers
     (pairs for x + y sqrt(eps)) exact modulo p^(v(det M) + 1 - exponents
-    below) decide every test, as the exponents sum to at most v(det M)."""
+    below) decide every test, as the exponents sum to at most v(det M).  Each
+    H is confirmed on M's integer columns (`_in_lattice`), then inverted."""
     n, p, eps = len(M), ctx.p, ctx.eps
     if not _integral(M, ctx):
         return []
@@ -150,17 +177,16 @@ def _lattices_between(M, ctx: PLocalContext, ext: bool):
     for i in range(n - 1, -1, -1):
         partial = [((d,) + diag, (h,) + hs, (y,) + Ys, free - d)
                    for diag, hs, Ys, free in partial for d, h, y in rows(R[i], Ys, free)]
+    # M's denominator is prime to p, so M O^n is spanned by its numerators
+    cols, ring = [_pairs(col)[0] for col in zip(*M)], la._ring(ctx)
     make = (lambda x, y: EScalar(x, y, ctx)) if ext else (lambda x, y: Fraction(x))
     out = []
     for diag, hs, _, _ in partial:
-        H = [[make(0, 0)] * n for _ in range(n)]
-        for i in range(n):
-            H[i][i] = make(p ** diag[i], 0)
-            for j, (x, y) in enumerate(hs[i], i + 1):
-                H[i][j] = make(x, y)
-        Hi = la.inverse(H)
-        if _integral(la.mat_mul(Hi, M), ctx):
-            out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))), H, Hi))
+        Hc = [[(0, 0)] * i + [(p ** d, 0), *h] for i, (d, h) in enumerate(zip(diag, hs))]
+        if _in_lattice(Hc, cols, 1, ring):
+            H = [[make(x, y) for x, y in row] for row in Hc]
+            out.append(((diag, tuple(hs[i][j - i - 1] for j in range(n) for i in range(j))),
+                        H, la.inverse(H)))
     return [(H, Hi) for _, H, Hi in sorted(out, key=lambda e: e[0])]
 
 
@@ -175,33 +201,50 @@ def _admissible_bases(X: Triple, ctx: PLocalContext, selfdual: bool):
     integral against c, and self-dual for the form when selfdual (over O_E).
     With L the dual-Krylov rows and K the Krylov basis, L B lies between
     M O^n and O^n, M = L K the Hankel matrix (c A^{i+j} b), so H = L B runs
-    through the lattices the enumerator finds, with H^{-1}.  The tests:
+    through the lattices the enumerator finds.  The tests, on the numerators
+    of H's entries:
     - c B = H[0], the first row of L B, integral as H is;
     - B^{-1} b = (H^{-1} M) e_1, as L b is M's first column, and the
       enumerator has confirmed H^{-1} M integral (it finds no H when M is
       not: c A^k b lies in O for every admissible lattice);
     - B^{-1} A B = H^{-1} C H with C = L A L^{-1}, whose rows are e_2, ..., e_n
-      (row i of L A is row i + 1 of L) above c A^n L^{-1};
+      (row i of L A is row i + 1 of L) above cn = x / D = c A^n L^{-1}:
+      H^{-1} (D H[1:] above x H) must lie in p^v(D) O^n;
     - B* G B = H* M^{-1} H for the Gram matrix G, as L = K* G when A is
-      self-adjoint, so that L^{-1}* G L^{-1} = (K* G K)^{-1} = M^{-1}."""
-    n = X.n
+      self-adjoint, so that L^{-1}* G L^{-1} = (K* G K)^{-1} = M^{-1}: its
+      determinant has valuation 2 sum d_i - v(det M), and with M^{-1} = N / D_M
+      it is integral when p^v(D_M) divides H* N H."""
+    n, p = X.n, ctx.p
     ms = moments(X, 2 * n - 1)
     M = [ms[i:i + n] for i in range(n)]
-    if la.det(M) == 0:
+    if (dM := la.det(M)) == 0:
         raise ValueError("admissible lattices need a regular semisimple element")
     *L, last = dual_krylov_rows(X, n + 1)
     if la.mat_mul(L, basis_matrix(X)) != M:
         raise AssertionError("the moment matrix does not have determinant d_n")
     Li = la.inverse(L)
-    cn = la.vec_mat(last, Li)
-    Mi = la.inverse(M) if selfdual else None
+    ring = la._ring(ctx)
+    dot = lambda u, v: tuple(map(sum, zip(*map(ring[2], u, v))))
+    cn, D = _pairs(la.vec_mat(last, Li))
+    m = p ** valuation(D, ctx)
+    if selfdual:
+        level = valuation_ext(dM, ctx)
+        N, DM = _pairs([z for row in la.inverse(M) for z in row])
+        N, mM = [N[i:i + n] for i in range(0, n * n, n)], p ** valuation(DM, ctx)
+    coords = (lambda z: (z.x.numerator, z.y.numerator)) if selfdual else (lambda z: (z.numerator, 0))
     out = []
-    for H, Hi in (intermediate_lattices_ext if selfdual else intermediate_lattices)(M, ctx):
+    for H, _ in (intermediate_lattices_ext if selfdual else intermediate_lattices)(M, ctx):
+        Hc = [[coords(z) for z in row] for row in H]
+        Hcols = list(zip(*Hc))
         if selfdual:
-            gram = la.mat_mul(la.conj_transpose(H), la.mat_mul(Mi, H))
-            if not _integral(gram, ctx) or valuation_ext(la.det(gram), ctx) != 0:
+            if prod(Hc[i][i][0] for i in range(n)) ** 2 != p ** level:
                 continue
-        if _integral(la.mat_mul(Hi, H[1:] + [la.vec_mat(cn, H)]), ctx):
+            NH = [[dot(row, col) for col in Hcols] for row in N]
+            gram = [dot([(x, -y) for x, y in a], b) for a in Hcols for b in zip(*NH)]
+            if any(x % mM or y % mM for x, y in gram):
+                continue
+        CH = [[(D * x, D * y) for x, y in row] for row in Hc[1:]] + [[dot(cn, c) for c in Hcols]]
+        if _in_lattice(Hc, zip(*CH), m, ring):
             out.append(la.mat_mul(Li, H))
     return out
 

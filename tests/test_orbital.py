@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from jrlab import linalg as la
 from jrlab.fields import (EScalar, PLocalContext, eta, is_integral, one_like,
@@ -175,28 +175,35 @@ def test_intermediate_lattices_match_the_brute_force():
 
 @st.composite
 def sandwich_cases(draw):
-    """M = A diag(3^e) B with 1 <= v(det M) <= 3 (2 at n = 3) and two
-    integral matrices U, V with unit determinant, n = 1..3, over O or (ext)
-    O_E at p = 3."""
+    """M = A diag(3^e) B with 1 <= sum(e) = v(det M) <= 3 (2 at n = 3) and
+    two more integral matrices U, V with unit determinant, n = 1..3, over O
+    or (ext) O_E at p = 3.  A, B, U and V are unimodular by construction, a
+    lower and an upper unitriangular matrix times a signed permutation, so
+    no draw is thrown away."""
     n, ext = draw(st.integers(1, 3)), draw(st.booleans())
-    val = valuation_ext if ext else valuation
+    one = CTX.embed(1) if ext else F(1)
+    zero = one * 0
 
-    def matrix():
-        def entry():
-            x = F(draw(st.integers(-4, 4)))
-            return EScalar(x, F(draw(st.integers(-4, 4))), CTX) if ext else x
-        A = [[entry() for _ in range(n)] for _ in range(n)]
-        d = la.det(A)
-        assume(d)
-        return A, val(d, CTX)
+    def entry():
+        x = F(draw(st.integers(-4, 4)))
+        return EScalar(x, F(draw(st.integers(-4, 4))), CTX) if ext else x
 
-    e = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    (A, _), (B, _) = matrix(), matrix()
+    def unimodular():
+        lower = [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
+        upper = [[entry() if j > i else one if j == i else zero for j in range(n)] for i in range(n)]
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([one, -one]), min_size=n, max_size=n))
+        signed = [[signs[i] if j == perm[i] else zero for j in range(n)] for i in range(n)]
+        return la.mat_mul(lower, la.mat_mul(upper, signed))
+
+    left, e = draw(st.integers(1, 2 if n == 3 else 3)), []
+    for _ in range(n - 1):
+        e.append(draw(st.integers(0, left)))
+        left -= e[-1]
+    e.append(left)
+    A, B = unimodular(), unimodular()
     M = la.mat_mul(A, [[x * 3 ** k for x in row] for k, row in zip(e, B)])
-    assume(1 <= val(la.det(M), CTX) <= (2 if n == 3 else 3))
-    (U, u), (V, w) = matrix(), matrix()
-    assume(u == w == 0)
-    return M, U, V, intermediate_lattices_ext if ext else intermediate_lattices
+    return M, unimodular(), unimodular(), intermediate_lattices_ext if ext else intermediate_lattices
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,15 +249,20 @@ def test_hand_checked_n2_counts():
     assert rh.lattice_count == 4 and rh.value == 0
 
 
-# p = 3, n = 2 points (a, b) with v(d_2) = 3 and 4, and (gl value, gl
+# p = 3, n = 2 points (a, b) with v(d_2) = 3, 4 and 6, and (gl value, gl
 # lattices, u value, u lattices, disc is a norm) as the brute-force
-# enumeration gave them.  Odd v(d_2) puts the form off the norm class.
+# enumeration gave them.  Odd v(d_2) puts the form off the norm class.  The
+# last three have A-stable lattices of unit level whose Gram matrix is not
+# integral, so their unitary counts need the Gram test as well as the level.
 DEEP_POINTS = [
     (((0, 12), (-3, 9)), 3, (0, 4, 0, 0, False)),
     (((3, 12), (12, 0)), 3, (0, 4, 0, 0, False)),
     (((1, 2), (18, 0)), 4, (3, 3, 3, 3, True)),
     (((-1, 1), (-36, -27)), 4, (1, 5, 1, 1, True)),
     (((-2, 2), (-36, 27)), 4, (3, 3, 3, 3, True)),
+    (((1, -2), (18, -27)), 4, (4, 8, 4, 4, True)),
+    (((-1, -2), (-36, 27)), 4, (4, 8, 4, 4, True)),
+    (((2, 1), (54, 81)), 6, (4, 16, 4, 4, True)),
 ]
 
 
@@ -413,7 +425,7 @@ def test_admissible_bases_match_the_reference_off_the_companion_model():
     rng = random.Random(49)
     points = [InvariantPoint(tuple(map(F, a)), tuple(map(F, b))) for (a, b), _, _ in DEEP_POINTS]
     points += [InvariantPoint((F(a1),), (F(b1),)) for a1, b1 in ((0, 9), (1, 27), (3, 81), (1, 2))]
-    while len(points) < 16:
+    while len(points) < 19:
         a = InvariantPoint(*((F(rng.randint(-9, 9)), F(rng.randint(-9, 9))) for _ in range(2)))
         d = d_r_of_point(a, 2)
         if d and valuation(d, CTX) <= 4:
@@ -481,6 +493,22 @@ def test_sides_agree_on_nonintegral_moment_data():
     assert classify_form_local(Xu.form, CTX)["disc_is_norm"]
     assert selfdual_admissible_lattices(Xu, CTX) == []
     assert orbital_u(Xu, CTX).value == orbital_gl(gl_representative_of_point(a), CTX).value == 0
+
+
+@pytest.mark.parametrize("a, b", [((F(1, 3),), (F(9),)), ((F(1, 3), F(1)), (F(1), F(3)))])
+def test_nonintegral_characteristic_polynomial_admits_no_lattice(a, b):
+    """A lattice stable under A makes A's characteristic polynomial
+    integral, so where a has a 3 in a denominator no lattice qualifies on
+    either side, although M is integral and lattices lie between M O^n and
+    O^n (the form is in the norm class, so the unitary side does count)."""
+    pt = InvariantPoint(a, b)
+    Xgl, Xu = gl_representative_of_point(pt), hankel_pair_for_point(pt, CTX)
+    assert classify_form_local(Xu.form, CTX)["disc_is_norm"]
+    for X, enumerate_ in ((Xgl, intermediate_lattices), (Xu.triple, intermediate_lattices_ext)):
+        ms = moments(X, 2 * X.n - 1)
+        assert enumerate_([ms[i:i + X.n] for i in range(X.n)], CTX)
+    assert admissible_lattices_gl(Xgl, CTX) == selfdual_admissible_lattices(Xu, CTX) == []
+    assert orbital_gl(Xgl, CTX).value == orbital_u(Xu, CTX).value == 0
 
 
 def test_orbital_u_unitary_invariance():
