@@ -166,17 +166,17 @@ def dual_krylov_rows(X: Triple, r: int) -> list:
 
 
 def canonical_decomposition(X: Triple) -> Decomposition:
-    return _decomposition(X, stratum(X))
-
-
-def _decomposition(X: Triple, r: int) -> Decomposition:
-    """The canonical direct sum of X, whose stratum r is known."""
-    plus = krylov_columns(X, r)
-    minus = la.nullspace(dual_krylov_rows(X, r)) if r else la.identity(X.n, one_like(X.A[0][0]))
+    plus, minus = _summands(X, stratum(X))
     T = [list(col) for col in zip(*(plus + minus))]
     if len(plus) + len(minus) != X.n or la.det(T) == 0:
         raise AssertionError("canonical summands do not give a direct sum")
     return Decomposition(tuple(tuple(v) for v in plus), tuple(tuple(v) for v in minus))
+
+
+def _summands(X: Triple, r: int) -> tuple:
+    """Plus basis b, ..., A^{r-1}b and minus basis ker(c, ..., cA^{r-1}) of X of stratum r."""
+    minus = la.nullspace(dual_krylov_rows(X, r)) if r else la.identity(X.n, one_like(X.A[0][0]))
+    return krylov_columns(X, r), minus
 
 
 def iota(Xp: Triple | None, Y: Triple) -> Triple:
@@ -250,9 +250,11 @@ def conjugate_to_slice(X: Triple) -> tuple:
 
 def _to_slice(X: Triple, r: int) -> tuple:
     """(T, g, g.X) for X of stratum r, T its canonical basis and g = T^{-1}."""
-    dec = _decomposition(X, r)
-    T = list(zip(*(dec.basis_plus + dec.basis_minus)))
-    g = la.inverse(T)
+    T = [list(col) for col in zip(*sum(_summands(X, r), []))]
+    try:
+        g = la.inverse(T)
+    except ZeroDivisionError:
+        raise AssertionError("canonical summands do not give a direct sum") from None
     return T, g, _conjugate(g, T, X)
 
 
@@ -275,22 +277,27 @@ def jordan(X: Triple) -> tuple[Triple, Triple]:
 
 
 def is_semisimple(X: Triple) -> bool:
-    """Stability of both canonical summands under A plus ordinary
-    semisimplicity of the induced map on the minus summand; the vector must
-    lie in the plus summand and the covector must kill the minus summand
-    (otherwise the full Krylov spans outgrow the canonical ones and the
-    orbit is not closed).  All are read off X in slice position; a
-    regular triple has no minus summand and is semisimple."""
-    n = X.n
-    r = stratum(X)
+    """Both canonical summands A-stable and A semisimple on the minus one,
+    read from Krylov data in X's own basis.  At r = 0, b and c must vanish.
+    For 0 < r < n, b is in the plus summand and c kills the minus one, and
+    the summands are stable exactly when A^r b = sum alpha_i A^i b and
+    c A^r = sum alpha_i c A^i, alpha solving (c A^{i+j} b) alpha = (c A^{r+j} b)."""
+    n, ms = X.n, moments(X, 2 * X.n - 1)
+    r, Am = _top_stratum(ms, n), X.A
     if r == n:
         return True
-    Y = _to_slice(X, r)[2]
-    if any(Y.c[r:]) or any(Y.b[r:]):
+    if not r and (any(X.b) or any(X.c)):
         return False
-    if any(Y.A[i][j] for i in range(n) for j in range(n) if (i < r) != (j < r)):
-        return False
-    Am = [row[r:] for row in Y.A[r:]]
+    if r:
+        alpha = la.solve([ms[i:i + r] for i in range(r)], ms[r:2 * r])
+        cols, rows = krylov_columns(X, r + 1), dual_krylov_rows(X, r + 1)
+        if la.vec_mat(alpha, cols[:r]) != cols[r] or la.vec_mat(alpha, rows[:r]) != rows[r]:
+            return False
+        # the minus block sends a basis vector v to A v read at the free columns:
+        # v's own is its last non-zero entry, and the other basis vectors are 0 there
+        minus = la.nullspace(rows[:r])
+        free = [max(j for j, x in enumerate(v) if x) for v in minus]
+        Am = la.mat_mul([X.A[f] for f in free], list(zip(*minus)))
     return la.is_zero_matrix(la.poly_apply(squarefree_part(la.charpoly(Am)), Am))
 
 

@@ -93,9 +93,16 @@ def adjoint(M, form: HermitianForm):
     return la.mat_mul(la.inverse(G), la.mat_mul(la.conj_transpose(M), G))
 
 
+def _derived(A, b, form: HermitianForm) -> HermitianPair:
+    """A pair derived from a checked one, built without `HermitianPair`'s checks."""
+    X = object.__new__(HermitianPair)
+    X.__dict__.update(A=tuple(map(tuple, A)), b=tuple(b), form=form)
+    return X
+
+
 def unitary_act(g, X: HermitianPair) -> HermitianPair:
     gi = la.inverse(g)
-    return HermitianPair(la.mat_mul(g, la.mat_mul(X.A, gi)), la.mat_vec(g, X.b), X.form)
+    return _derived(la.mat_mul(g, la.mat_mul(X.A, gi)), la.mat_vec(g, X.b), X.form)
 
 
 def is_unitary(g, form: HermitianForm) -> bool:
@@ -165,7 +172,7 @@ def u_jordan(X: HermitianPair) -> tuple[HermitianPair, HermitianPair]:
     """X = X_s + X_n on the hermitian side; the sum is taken componentwise
     on (A, b), the form being common."""
     Xs, Xn = jordan(X.triple)
-    return HermitianPair(Xs.A, Xs.b, X.form), HermitianPair(Xn.A, Xn.b, X.form)
+    return _derived(Xs.A, Xs.b, X.form), _derived(Xn.A, Xn.b, X.form)
 
 
 def u_is_semisimple(X: HermitianPair) -> bool:

@@ -7,7 +7,7 @@ The kernels run on integers, each operand scaled into Z or Z[sqrt(eps)]
 once: products sum integer products over one common denominator per row
 and column; Krylov sequences and moments c A^k b iterate A's integer matrix
 on b's coordinates; det, rref and inverse eliminate fraction-free on scaled
-rows; charpoly is Berkowitz's division-free one, reading the moment kernel.
+rows; charpoly is Berkowitz's division-free one, run on A's integer matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import lcm, prod
 from operator import floordiv, mul, sub
 
 from .fields import EScalar, one_like
-from .poly import Polynomial
+from .poly import Polynomial, squarefree_part
 
 
 def _one(A):
@@ -105,15 +105,20 @@ def _join(a, b):
 def _pair(su, sv):
     """u . v for split u and v, summed in integers: an int when both are all
     ints, else a Fraction, or over E an EScalar in the context `_join` gives."""
-    ux, uy, du, cu, iu = su
-    vx, vy, dv, cv, iv = sv
+    x, y, ctx = _dotz(su, sv)
+    return _scalar(x, y, su[2] * sv[2], ctx, su[4] and sv[4])
+
+
+def _dotz(su, sv):
+    """Integers x, y and ctx with u . v = (x + y sqrt(eps)) / (du dv); over Q, (x, None, None)."""
+    ux, uy, _, cu, _ = su
+    vx, vy, _, cv, _ = sv
     x = sum(map(mul, ux, vx))
     if cu is cv is None:
-        return x if iu and iv else Fraction(x, du * dv)
+        return x, None, None
     ctx = _join(cu, cv)
     uy, vy = uy or [0] * len(ux), vy or [0] * len(vx)
-    x += ctx.eps * sum(map(mul, uy, vy))
-    return _scalar(x, sum(map(mul, ux, vy)) + sum(map(mul, uy, vx)), du * dv, ctx, False)
+    return x + ctx.eps * sum(map(mul, uy, vy)), sum(map(mul, ux, vy)) + sum(map(mul, uy, vx)), ctx
 
 
 def _scalar(x, y, d, ctx, ints):
@@ -308,34 +313,40 @@ def inverse(A):
 
 
 def charpoly(A) -> Polynomial:
-    """Monic characteristic polynomial det(tI - A) by Berkowitz's
-    division-free recursion (Inf. Process. Lett. 18, 1984): the polynomial
-    of each leading (r+1) x (r+1) block is a Toeplitz matrix, built from
-    the new row R, column C and corner a as 1, -a and the negated moments
-    -R C, -R A_r C, ... (`moment_sequence`), times the polynomial of the
-    r x r block A_r."""
+    """Monic det(tI - A) by Berkowitz's division-free recursion (Inf.
+    Process. Lett. 18, 1984) on A = M / D, A's rows split once: the t^(n-i)
+    coefficient is det(sI - M)'s over D^i.  Each leading block of M adds a
+    Toeplitz factor from its corner a, row R and column C: 1, -a and the
+    negated moments -R C, -R M_r C, ... (`_iterates` on M's rows)."""
     n, m = dims(A)
     assert n == m
-    one = _one(A) if n else 1
-    c = [one]                   # descending: t^r coefficient first
+    if n < 2:
+        return Polynomial([-A[0][0] * _one(A), _one(A)] if n else [1])
+    rows = [_split(row) for row in A]
+    D, ctx = lcm(*[s[2] for s in rows]), reduce(_join, [s[3] for s in rows], None)
+    X = [[a * (D // d) for a in x] for x, _, d, *_ in rows]
+    Y = [[a * (D // d) for a in y or [0] * n] for _, y, d, *_ in rows] if ctx else X
+    vec = lambda x, y, *_: (x, ctx and y, 1, ctx, True)
+    c = vec([1], [0])           # descending: s^r coefficient first
     for r in range(n):
-        Ar, R, C = [row[:r] for row in A[:r]], A[r][:r], [row[r] for row in A[:r]]
-        q = [one, -A[r][r]] + [-t for t in moment_sequence(R, Ar, C, r)]
-        sc = _split(c)
-        c = [one] + [_pair(_split(q[i::-1]), sc) for i in range(1, r + 2)]
-    return Polynomial(c[::-1])
+        C = vec([x[r] for x in X[:r]], [y[r] for y in Y[:r]])
+        it = _iterates([vec(x[:r], y[:r]) for x, y in zip(X[:r], Y)], C, r) if r else ()
+        moments = (_dotz(vec(X[r][:r], Y[r][:r]), v) for v in it)
+        qx, qy = zip((1, 0), (-X[r][r], -Y[r][r]), *((-x, -(y or 0)) for x, y, _ in moments))
+        c = vec(*zip(*[_dotz(vec(qx[i::-1], qy[i::-1]), c) for i in range(r + 2)]))
+    return Polynomial([_scalar(x, ctx and c[1][i], D ** i, ctx, False)
+                       for i, x in enumerate(c[0])][::-1])
 
 
 def poly_apply(p: Polynomial, A):
-    """p(A) for a square matrix A (Horner)."""
+    """p(A) by Horner, each step adding c to the diagonal of out A (A's columns split once)."""
     n, _ = dims(A)
-    one = _one(A)
-    out = None
-    for c in reversed(p.coeffs):
-        cI = mat_scale(identity(n, one), c)
-        out = cI if out is None else mat_add(mat_mul(out, A), cI)
-    if out is None:
-        out = mat_scale(identity(n, one), 0)
+    out = mat_scale(identity(n, _one(A)), p.coeffs[-1] if p.coeffs else 0)
+    cols = [_split(col) for col in zip(*A)]
+    for c in reversed(p.coeffs[:-1]):
+        out = [[_pair(row, col) for col in cols] for row in map(_split, out)]
+        for i in range(n):
+            out[i][i] += c
     return out
 
 
@@ -347,8 +358,6 @@ def semisimple_part(A):
     """The semisimple summand of the additive Jordan decomposition, as a
     polynomial in A: Newton iteration on the squarefree part of the
     characteristic polynomial."""
-    from .poly import squarefree_part
-
     chi = charpoly(A)
     P = squarefree_part(chi)
     dP = P.derivative()

@@ -298,12 +298,13 @@ def orbital_u(X: HermitianPair, ctx: PLocalContext) -> OrbitalReport:
     """Count of self-dual stable lattices containing the vector; zero when
     the form carries no self-dual lattice (empty rational fiber for the
     unit datum on that class)."""
-    cls = classify_form_local(X.form, ctx)
-    if not cls["disc_is_norm"]:
-        return OrbitalReport("unitary", u_invariants(X), Fraction(0), 0, ctx.p)
-    lats = selfdual_admissible_lattices(X, ctx)
-    return OrbitalReport("unitary", u_invariants(X), Fraction(len(lats)),
-                         len(lats), ctx.p)
+    return _orbital_u(X, ctx, classify_form_local(X.form, ctx)["disc_is_norm"])
+
+
+def _orbital_u(X: HermitianPair, ctx: PLocalContext, norm: bool) -> OrbitalReport:
+    """`orbital_u` for a form whose class is known (`norm`: its discriminant is a norm)."""
+    lats = selfdual_admissible_lattices(X, ctx) if norm else []
+    return OrbitalReport("unitary", u_invariants(X), Fraction(len(lats)), len(lats), ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +384,9 @@ def fl_check(n: int, ctx: PLocalContext, budget: int, seed: int = 0,
         Xgl = gl_representative_of_point(a)
         gl_rep = orbital_gl(Xgl, ctx)
         Xu = hankel_pair_for_point(a, ctx)
-        u_rep = orbital_u(Xu, ctx)
-        cls = classify_form_local(Xu.form, ctx)
-        if cls["disc_is_norm"]:
+        norm = classify_form_local(Xu.form, ctx)["disc_is_norm"]
+        u_rep = _orbital_u(Xu, ctx, norm)
+        if norm:
             ok = gl_rep.value == u_rep.value
         else:
             ok = gl_rep.value == 0 and u_rep.value == 0
@@ -396,7 +397,7 @@ def fl_check(n: int, ctx: PLocalContext, budget: int, seed: int = 0,
                  "a": {"a": [str(x) for x in a.a], "b": [str(x) for x in a.b]},
                  "v_dn": valuation(dn, ctx),
                  "gl": str(gl_rep.value), "gl_lattices": gl_rep.lattice_count,
-                 "u": str(u_rep.value), "disc_is_norm": cls["disc_is_norm"],
+                 "u": str(u_rep.value), "disc_is_norm": norm,
                  "ok": ok}
         results.append(entry)
         if not ok:

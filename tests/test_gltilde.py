@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from jrlab import linalg as la
-from jrlab.fields import PLocalContext
+from jrlab.fields import EScalar, PLocalContext
 from jrlab.gltilde import (InvariantPoint, Triple, act, canonical_decomposition,
-                           d_r, invariants, iota, iota_inverse, is_semisimple,
-                           jordan, moments, pairing, slice_compatibility_check,
-                           stratum, transfer_factor_eta)
+                           conjugate_to_slice, d_r, invariants, iota, iota_inverse,
+                           is_semisimple, jordan, moments, pairing,
+                           slice_compatibility_check, stratum, transfer_factor_eta)
+from jrlab.poly import Polynomial, squarefree_part
 
 CTX3 = PLocalContext(3)
 
@@ -244,3 +245,199 @@ def test_jordan_inverts_the_slice_basis_once(monkeypatch):
     Xs, Xn = jordan(X)
     assert sizes.count(3) == 1
     assert invariants(Xs) == invariants(X) and invariants(Xn).is_nilpotent()
+
+
+# ---------------------------------------------------------------------------
+# is_semisimple against the slice-position test it replaced
+
+
+def ref_is_semisimple(X):
+    """Conjugate X into slice position and read the blocks off: the vector
+    and covector must vanish off the plus block, the off-diagonal blocks of
+    A must vanish, and the minus block must be semisimple."""
+    n, r = X.n, stratum(X)
+    if r == n:
+        return True
+    Y = conjugate_to_slice(X)[1]
+    if any(Y.c[r:]) or any(Y.b[r:]):
+        return False
+    if any(Y.A[i][j] for i in range(n) for j in range(n) if (i < r) != (j < r)):
+        return False
+    Am = [row[r:] for row in Y.A[r:]]
+    return la.is_zero_matrix(ref_poly_apply(squarefree_part(ref_charpoly(Am)), Am))
+
+
+def ref_charpoly(A):
+    """Berkowitz's recursion on scalars: each step splits the leading block,
+    its row and column, and every reversed prefix of q afresh."""
+    n = len(A)
+    one = la._one(A) if n else 1
+    c = [one]
+    for r in range(n):
+        Ar, R, C = [row[:r] for row in A[:r]], A[r][:r], [row[r] for row in A[:r]]
+        q = [one, -A[r][r]] + [-t for t in la.moment_sequence(R, Ar, C, r)]
+        sc = la._split(c)
+        c = [one] + [la._pair(la._split(q[i::-1]), sc) for i in range(1, r + 2)]
+    return Polynomial(c[::-1])
+
+
+def ref_poly_apply(p, A):
+    """Horner with a scaled identity matrix added at every step."""
+    n, one, out = len(A), la._one(A), None
+    for c in reversed(p.coeffs):
+        cI = la.mat_scale(la.identity(n, one), c)
+        out = cI if out is None else la.mat_add(la.mat_mul(out, A), cI)
+    return la.mat_scale(la.identity(n, one), 0) if out is None else out
+
+
+def _typed(x):
+    """A scalar with its type, for comparisons that must keep the type."""
+    return (type(x).__name__, x.x, x.y) if isinstance(x, EScalar) else (type(x).__name__, x)
+
+
+def _rnd_scalar(rng, dom, sparse=0.0):
+    if rng.random() < sparse:
+        return {"int": 0, "Q": F(0), "E": CTX3.embed(0)}[dom]
+    if dom == "int":
+        return rng.randint(-4, 4)
+    q = F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 9]))
+    return q if dom == "Q" else EScalar(q, F(rng.randint(-2, 2), rng.choice([1, 3])), CTX3)
+
+
+@pytest.mark.parametrize("dom", ["int", "Q", "E"])
+def test_charpoly_and_poly_apply_match_the_references(dom):
+    rng = random.Random(31)
+    for n in range(7):
+        for _ in range(12 if n < 5 else 4):
+            A = [[_rnd_scalar(rng, dom, 0.3) for _ in range(n)] for _ in range(n)]
+            chi = la.charpoly(A)
+            assert list(map(_typed, chi.coeffs)) == list(map(_typed, ref_charpoly(A).coeffs))
+            coeffs = [_rnd_scalar(rng, "Q" if dom == "int" else dom) for _ in range(rng.randint(0, 4))]
+            for p in (chi, Polynomial(coeffs), Polynomial([])):
+                got, ref = la.poly_apply(p, A), ref_poly_apply(p, A)
+                assert [list(map(_typed, row)) for row in got] == [list(map(_typed, row)) for row in ref]
+            if n:
+                assert la.is_zero_matrix(la.poly_apply(chi, A))
+
+
+def test_charpoly_of_a_mixed_matrix_has_the_reference_values():
+    """Rows of rationals beside rows of extension scalars: the values agree,
+    every coefficient in E."""
+    A = [[F(1), F(2), F(0)], [CTX3.embed(1), EScalar(F(1), F(1), CTX3), F(3)], [F(1, 2), F(0), F(5)]]
+    assert la.charpoly(A) == ref_charpoly(A)
+    assert la.is_zero_matrix(la.poly_apply(la.charpoly(A), A))
+
+
+def _regular(rng, r, dom):
+    while True:
+        X = Triple(*[[[_rnd_scalar(rng, dom) for _ in range(r)] for _ in range(r)]]
+                   + [[_rnd_scalar(rng, dom) for _ in range(r)] for _ in range(2)])
+        if stratum(X) == r:
+            return X
+
+
+def _minus_block(rng, m, dom, shape):
+    """A triple of stratum 0 in dimension m: its matrix "jordan" (one
+    repeated eigenvalue, not semisimple), "diag" (semisimple, with repeats)
+    or "random"; its vector and covector both zero, only the vector, only
+    the covector, or ("split") the vector on the first half of a block upper
+    triangular matrix and the covector on the second half."""
+    one = CTX3.embed(1) if dom == "E" else F(1)
+    zero, (mat, vec) = 0 * one, shape
+    if mat == "jordan":
+        A = [[2 * one if i == j else one if j == i + 1 else zero for j in range(m)] for i in range(m)]
+    elif mat == "diag":
+        A = [[one * rng.choice([1, 1, 2]) if i == j else zero for j in range(m)] for i in range(m)]
+    else:
+        A = [[_rnd_scalar(rng, dom, 0.4) for _ in range(m)] for _ in range(m)]
+    nz = lambda: _rnd_scalar(rng, dom) or one
+    b = [nz() if vec in ("b", "split") and (vec == "b" or 2 * i < m) else zero for i in range(m)]
+    c = [nz() if vec in ("c", "split") and (vec == "c" or 2 * i >= m) else zero for i in range(m)]
+    if vec == "split":
+        A = [[a if not (2 * i >= m > 2 * j) else zero for j, a in enumerate(row)] for i, row in enumerate(A)]
+    return Triple(A, b, c)
+
+
+def _case(rng, n, r, dom, shape):
+    """A triple of stratum r from a regular plus part and a stratum-0 minus
+    part (`_minus_block`), moved out of slice position by a random g."""
+    Y = _minus_block(rng, n - r, dom, shape) if r < n else None
+    Z = Y if not r else _regular(rng, r, dom) if Y is None else iota(_regular(rng, r, dom), Y)
+    while True:
+        g = [[_rnd_scalar(rng, dom, 0.3) for _ in range(n)] for _ in range(n)]
+        if la.det(g):
+            return act(g, Z)
+
+
+@pytest.mark.parametrize("dom", ["Q", "E"])
+def test_is_semisimple_matches_the_slice_position_test(dom):
+    rng = random.Random(32 if dom == "Q" else 33)
+    seen = set()
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for shape in [(mat, vec) for mat in ("jordan", "diag", "random")
+                          for vec in ("none", "b", "c", "split")][::1 if n < 4 else 3]:
+                X = _case(rng, n, r, dom, shape)
+                assert stratum(X) == r
+                got = is_semisimple(X)
+                assert got == ref_is_semisimple(X), (n, r, shape)
+                seen.add((r == n, got))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _failing_tests(X):
+    """The tests of `ref_is_semisimple` that X fails, read in slice position:
+    "vectors" (b or c off the plus block), "krylov" (the block sending the
+    plus summand to the minus one, nonzero exactly when A^r b is outside the
+    Krylov span), "dual" (the other off-diagonal block, nonzero exactly when
+    c A^r is outside the dual span) and "minus" (a minus block that is not
+    semisimple)."""
+    g, Y, r = conjugate_to_slice(X)
+    n, out = X.n, set()
+    if any(Y.b[r:]) or any(Y.c[r:]):
+        out.add("vectors")
+    if any(Y.A[i][j] for i in range(r, n) for j in range(r)):
+        out.add("krylov")
+    if any(Y.A[i][j] for i in range(r) for j in range(r, n)):
+        out.add("dual")
+    Am = [row[r:] for row in Y.A[r:]]
+    if not la.is_zero_matrix(ref_poly_apply(squarefree_part(ref_charpoly(Am)), Am)):
+        out.add("minus")
+    return out
+
+
+@pytest.mark.parametrize("dom", ["Q", "E"])
+def test_is_semisimple_fails_exactly_one_test(dom):
+    """A^r b outside the Krylov span, c A^r outside the dual span, a minus
+    block that is not semisimple, and at r = 0 a nonzero vector or
+    covector: each case fails that test alone."""
+    rng = random.Random(34)
+    cases = {("diag", "b"): "krylov", ("diag", "c"): "dual", ("jordan", "none"): "minus"}
+    for n in range(2, 6):
+        for r in range(1, n):
+            for shape, fails in cases.items():
+                if shape[0] == "jordan" and n - r < 2:
+                    continue
+                X = _case(rng, n, r, dom, shape)
+                assert _failing_tests(X) == {fails}
+                assert not is_semisimple(X) and not ref_is_semisimple(X)
+            X = _case(rng, n, r, dom, ("diag", "none"))
+            assert not _failing_tests(X) and is_semisimple(X) and ref_is_semisimple(X)
+        for vec in ("b", "c"):
+            X = _case(rng, n, 0, dom, ("diag", vec))
+            assert stratum(X) == 0 and _failing_tests(X) == {"vectors"}
+            assert not is_semisimple(X) and not ref_is_semisimple(X)
+            assert is_semisimple(Triple(X.A, [0 * x for x in X.b], [0 * x for x in X.c]))
+
+
+def test_is_semisimple_matches_on_random_sparse_triples():
+    rng = random.Random(35)
+    kinds = set()
+    for _ in range(400):
+        n, dom = rng.randint(1, 4), rng.choice(["Q", "E"])
+        X = Triple(*[[[_rnd_scalar(rng, dom, 0.6) for _ in range(n)] for _ in range(n)]]
+                   + [[_rnd_scalar(rng, dom, 0.6) for _ in range(n)] for _ in range(2)])
+        got = is_semisimple(X)
+        assert got == ref_is_semisimple(X)
+        kinds.add((stratum(X) == n, got))
+    assert kinds == {(True, True), (False, True), (False, False)}

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jrlab import linalg as la
+from jrlab import hermitian, linalg as la
 from jrlab.fields import EScalar, PLocalContext, eta, is_integral, valuation_ext
 from jrlab.gltilde import InvariantPoint
 from jrlab.hermitian import (HermitianForm, HermitianPair, adjoint, cayley_gl,
@@ -20,6 +20,8 @@ from jrlab.hermitian import (HermitianForm, HermitianPair, adjoint, cayley_gl,
                              unitary_act, _moment_basis_det)
 from jrlab import serialize as ser
 from jrlab.poly import Polynomial
+
+from tests import test_acceptance as acceptance
 
 CTX = PLocalContext(3)
 ONE, ZERO = CTX.embed(1), CTX.embed(0)
@@ -94,6 +96,23 @@ def test_u_jordan_suite():
         gXs, _ = u_jordan(unitary_act(g, X))
         ref = unitary_act(g, Xs)
         assert gXs.A == ref.A and gXs.b == ref.b
+
+
+def test_derived_pairs_pass_the_public_checks(monkeypatch):
+    """`u_jordan` and `unitary_act` build their pairs without the checks of
+    `HermitianPair`.  Every pair they build for the instance sets of
+    criteria 2 and 4, built again through `HermitianPair`, passes them."""
+    made = {}
+    derived = hermitian._derived
+    for crit in (acceptance.test_criterion_02_jordan_suite,
+                 acceptance.test_criterion_04_cayley_suite):
+        built = made.setdefault(crit.__name__, [])
+        monkeypatch.setattr(hermitian, "_derived", lambda *a: built.append(a) or derived(*a))
+        crit()
+    for A, b, form in made["test_criterion_02_jordan_suite"] + made["test_criterion_04_cayley_suite"]:
+        X = HermitianPair(A, b, form)
+        assert X == derived(A, b, form)
+    assert len(made["test_criterion_02_jordan_suite"]) == 1060
 
 
 def test_u_stratum_and_dr():
