@@ -247,6 +247,21 @@ def test_jordan_inverts_the_slice_basis_once(monkeypatch):
     assert invariants(Xs) == invariants(X) and invariants(Xn).is_nilpotent()
 
 
+def test_a_slice_basis_that_does_not_invert_is_reported_as_no_direct_sum(monkeypatch):
+    """The slice basis is inverted without a determinant first; a singular
+    one, which the stratum read from the moments rules out, still fails as
+    `canonical_decomposition` does."""
+    X = Triple([[F(3), F(0)], [F(0), F(2)]], [F(1), F(0)], [F(2), F(0)])
+    assert stratum(X) == 1
+
+    def singular(A):
+        raise ZeroDivisionError("singular matrix")
+
+    monkeypatch.setattr(la, "inverse", singular)
+    with pytest.raises(AssertionError, match="canonical summands do not give a direct sum"):
+        conjugate_to_slice(X)
+
+
 # ---------------------------------------------------------------------------
 # is_semisimple against the slice-position test it replaced
 
@@ -328,10 +343,15 @@ def test_charpoly_of_a_mixed_matrix_has_the_reference_values():
     assert la.is_zero_matrix(la.poly_apply(la.charpoly(A), A))
 
 
+def _rnd_triple(rng, n, dom, sparse=0.0):
+    return Triple([[_rnd_scalar(rng, dom, sparse) for _ in range(n)] for _ in range(n)],
+                  [_rnd_scalar(rng, dom, sparse) for _ in range(n)],
+                  [_rnd_scalar(rng, dom, sparse) for _ in range(n)])
+
+
 def _regular(rng, r, dom):
     while True:
-        X = Triple(*[[[_rnd_scalar(rng, dom) for _ in range(r)] for _ in range(r)]]
-                   + [[_rnd_scalar(rng, dom) for _ in range(r)] for _ in range(2)])
+        X = _rnd_triple(rng, r, dom)
         if stratum(X) == r:
             return X
 
@@ -351,8 +371,8 @@ def _minus_block(rng, m, dom, shape):
     else:
         A = [[_rnd_scalar(rng, dom, 0.4) for _ in range(m)] for _ in range(m)]
     nz = lambda: _rnd_scalar(rng, dom) or one
-    b = [nz() if vec in ("b", "split") and (vec == "b" or 2 * i < m) else zero for i in range(m)]
-    c = [nz() if vec in ("c", "split") and (vec == "c" or 2 * i >= m) else zero for i in range(m)]
+    b = [nz() if vec == "b" or vec == "split" and 2 * i < m else zero for i in range(m)]
+    c = [nz() if vec == "c" or vec == "split" and 2 * i >= m else zero for i in range(m)]
     if vec == "split":
         A = [[a if not (2 * i >= m > 2 * j) else zero for j, a in enumerate(row)] for i, row in enumerate(A)]
     return Triple(A, b, c)
@@ -392,7 +412,7 @@ def _failing_tests(X):
     Krylov span), "dual" (the other off-diagonal block, nonzero exactly when
     c A^r is outside the dual span) and "minus" (a minus block that is not
     semisimple)."""
-    g, Y, r = conjugate_to_slice(X)
+    _, Y, r = conjugate_to_slice(X)
     n, out = X.n, set()
     if any(Y.b[r:]) or any(Y.c[r:]):
         out.add("vectors")
@@ -435,8 +455,7 @@ def test_is_semisimple_matches_on_random_sparse_triples():
     kinds = set()
     for _ in range(400):
         n, dom = rng.randint(1, 4), rng.choice(["Q", "E"])
-        X = Triple(*[[[_rnd_scalar(rng, dom, 0.6) for _ in range(n)] for _ in range(n)]]
-                   + [[_rnd_scalar(rng, dom, 0.6) for _ in range(n)] for _ in range(2)])
+        X = _rnd_triple(rng, n, dom, 0.6)
         got = is_semisimple(X)
         assert got == ref_is_semisimple(X)
         kinds.add((stratum(X) == n, got))
