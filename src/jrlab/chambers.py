@@ -5,7 +5,9 @@ with orthogonal-positive point assignments.
 
 A chamber is a permutation of (1..m) read as the decreasing order of
 coordinates: perm = (a, b, c) is the open cone H_a > H_b > H_c.  A root is
-an ordered pair (a, b) standing for the functional H_a - H_b.
+an ordered pair (a, b) standing for the functional H_a - H_b, one bit of
+`root_bits(m)`: a chamber's root sets are integer masks, so distances,
+gallery steps and convexity are ANDs and popcounts.
 
 Parabolics are `cones.ParabolicSubspace`s at n = m - 1, chamber label m read
 as the distinguished label `E0`; both sit at vector index m - 1, so
@@ -30,11 +32,12 @@ CHAMBER_MAX_RANK = 6
 
 class Chamber:
     """A chamber of rank m: `perm`, its `rank` (rank[a - 1] is the position
-    of coordinate a in the order) and `adj` (adj[i] is the chamber across
-    the pair at positions i, i + 1).  There is one object per permutation,
-    made once in its rank's table: Chamber(perm) returns it, so chambers
-    compare and hash by identity."""
-    __slots__ = ("perm", "rank", "adj")
+    of coordinate a in the order), `adj` (adj[i] is the chamber across the
+    pair at positions i, i + 1, whose root bit is cuts[i]) and `pos` (the
+    bits of its positive roots, the pairs (a, b) with a before b).  There is
+    one object per permutation, made once in its rank's table: Chamber(perm)
+    returns it, so chambers compare and hash by identity."""
+    __slots__ = ("perm", "rank", "adj", "pos", "cuts")
 
     def __new__(cls, perm):
         perm = tuple(perm)
@@ -59,15 +62,23 @@ class Chamber:
 
 
 @functools.cache
+def root_bits(m: int):
+    """root -> bit for the ordered roots (a, b), a != b, in lexicographic order."""
+    return {r: 1 << i for i, r in enumerate(itertools.permutations(range(1, m + 1), 2))}
+
+
+@functools.cache
 def _table(m: int):
     """perm -> chamber for every permutation of 1..m, in lexicographic
     order: the one place chambers are made."""
     if m > CHAMBER_MAX_RANK:
         raise ValueError(f"chamber table guard exceeded: m={m} > {CHAMBER_MAX_RANK}")
-    table = {}
+    table, bits = {}, root_bits(m)
     for p in itertools.permutations(range(1, m + 1)):
         C = table[p] = object.__new__(Chamber)
         C.perm, C.rank = p, tuple(map(p.index, range(1, m + 1)))
+        C.pos = sum(bits[r] for r in itertools.combinations(p, 2))
+        C.cuts = tuple(map(bits.__getitem__, zip(p, p[1:])))
     for p, C in table.items():
         C.adj = tuple(table[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for i in range(m - 1))
     return table
@@ -95,22 +106,20 @@ def labels(Q: ParabolicSubspace):
 
 def sigma_set(P2: Chamber, P1: Chamber):
     """Sigma(P2|P1): roots positive for P1 and negative for P2, i.e. the
-    pairs in P1's order that P2 reverses."""
-    p, r = P1.perm, P2.rank
-    return {(a, b) for i, a in enumerate(p) for b in p[i + 1:] if r[a - 1] > r[b - 1]}
+    pairs in P1's order that P2 reverses (the mask P1.pos & ~P2.pos)."""
+    mask = P1.pos & ~P2.pos
+    return {r for r, bit in root_bits(P1.m).items() if mask & bit}
 
 
 def distance(P2: Chamber, P1: Chamber) -> int:
-    """The number of inversions of P2's ranks read in P1's order."""
-    seq = [P2.rank[a - 1] for a in P1.perm]
-    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    """|Sigma(P2|P1)|: the popcount of P1's positive roots that P2 lacks."""
+    return (P1.pos & ~P2.pos).bit_count()
 
 
-def _steps(P: Chamber, rank):
-    """The neighbours of P one step closer to the chamber with these ranks:
-    those across an adjacent pair that it reverses."""
-    p, adj = P.perm, P.adj
-    return [adj[i] for i in range(len(p) - 1) if rank[p[i] - 1] > rank[p[i + 1] - 1]]
+def _steps(P: Chamber, Q: Chamber):
+    """The neighbours of P one step closer to Q: those across a cut whose
+    root Q reverses (its bit is not in Q.pos)."""
+    return [C for C, w in zip(P.adj, P.cuts) if not w & Q.pos]
 
 
 def wall(P1: Chamber, P2: Chamber):
@@ -133,7 +142,7 @@ def minimal_galleries(P1: Chamber, P2: Chamber):
         raise ValueError(f"gallery enumeration guard exceeded: m={P1.m} > {GALLERY_MAX_RANK}")
 
     def walk(P):
-        steps = _steps(P, P2.rank)
+        steps = _steps(P, P2)
         return [[P] + tail for Q in steps for tail in walk(Q)] if steps else [[P]]
     return walk(P1)
 
@@ -145,7 +154,7 @@ def gallery_steps(P2: Chamber, order):
     which lie one closer to P2 and so come earlier in `order`."""
     g, out = {}, []
     for P1 in order:
-        steps = _steps(P1, P2.rank)
+        steps = _steps(P1, P2)
         g[P1] = 1 if P1 == P2 else sum(g[Q] for Q in steps)
         out.append((P1, steps, g[P1]))
     return out
@@ -158,7 +167,7 @@ def gallery_walls(gallery):
 
 
 # Largest rank at which convexity is checked, and so the largest rank of the
-# chambers suite (each check tests |S|^2 (m - 1) steps).
+# chambers suite, whose distance and gallery tables grow as (m!)^2.
 CONVEXITY_MAX_RANK = 5
 
 
@@ -166,12 +175,13 @@ def is_convex(S) -> bool:
     """Every minimal gallery between members stays inside.  The chambers on
     the minimal galleries from members into a member Q form the closure of
     S under steps towards Q, which stays in S exactly when every single
-    step from a member towards Q lands in S."""
+    step from a member towards Q lands in S: every cut leading out of S
+    has its root in `common`, the roots positive for every member."""
     S = list(S)
     if S and S[0].m > CONVEXITY_MAX_RANK:
         raise ValueError(f"convexity guard exceeded: m={S[0].m} > {CONVEXITY_MAX_RANK}")
-    inside = set(S)
-    return all(C in inside for Q in S for P in S for C in _steps(P, Q.rank))
+    inside, common = set(S), functools.reduce(int.__and__, (Q.pos for Q in S), -1)
+    return all(w & common for P in S for C, w in zip(P.adj, P.cuts) if C not in inside)
 
 
 def h_plus(alpha, m: int):
@@ -182,9 +192,10 @@ def h_plus(alpha, m: int):
 
 def keycoxeter_step(P: Chamber, P1: Chamber, P2: Chamber) -> int:
     """The distance step d(P2,P) - d(P1,P) for P2 adjacent to P1: -1 when the
-    crossed wall separates P from P1, +1 otherwise."""
-    a, b = wall(P1, P2)
-    return -1 if P.rank[a - 1] > P.rank[b - 1] else 1
+    crossed wall (P1's cut towards P2) is negative for P, +1 otherwise."""
+    if P2 not in P1.adj:
+        raise ValueError("chambers are not adjacent")
+    return 1 if P1.cuts[P1.adj.index(P2)] & P.pos else -1
 
 
 def _check_rank(Q: ParabolicSubspace, C: Chamber):
@@ -312,17 +323,21 @@ def check_orthogonal_positive(fam) -> bool:
     return True
 
 
+@functools.cache
+def _below(Q: ParabolicSubspace):
+    """The chambers below Q: the products of its blocks' orderings."""
+    return tuple(Chamber(sum(orders, ())) for orders in
+                 itertools.product(*(itertools.permutations(blk) for blk in labels(Q))))
+
+
 def family_projection(fam, Q: ParabolicSubspace):
     """D Y_Q, D = projection_scale(m), for a parabolic above some member
     chamber: blockwise average of any contained chamber's point
-    (independence asserted), an integer vector for an integer family.  The
-    chambers below are the products of the blocks' orderings."""
+    (independence asserted), an integer vector for an integer family."""
     if fam:
         _check_rank(Q, next(iter(fam)))
     m, blocks = Q.n + 1, labels(Q)
-    perms = (sum(orders, ()) for orders in
-             itertools.product(*(itertools.permutations(blk) for blk in blocks)))
-    YQ = project_family([Y for p in perms if (Y := fam.get(Chamber(p))) is not None],
+    YQ = project_family([Y for C in _below(Q) if (Y := fam.get(C)) is not None],
                         [[x - 1 for x in blk] for blk in blocks], projection_scale(m))
     if YQ is None:
         raise ValueError("no chamber of the family below this parabolic")

@@ -412,7 +412,8 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     failures = []
     instances = 0
     chambers = ch.all_chambers(m)
-    roots = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    bits = ch.root_bits(m)
+    roots = list(bits)
     G = full_group(m - 1)
 
     # distances agree with breadth-first graph distance on all ordered pairs;
@@ -442,20 +443,21 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     # P1 has a step towards P2 exactly when P1 != P2, Sigma(P2|P2) is empty,
     # and each step Q crosses a wall of Sigma(P2|P1) and leaves the rest as
     # Sigma(P2|Q).  By induction on the distance to P2, the walls along any
-    # minimal gallery from P1 are then distinct and form Sigma(P2|P1).  One
+    # minimal gallery from P1 are then distinct and form Sigma(P2|P1).  Root
+    # sets are masks over `bits`, and each wall is mapped to its bit.  One
     # instance per gallery, counted by recursion and cross-checked against
     # the listed galleries from the base chamber (relabelling coordinates
     # moves it to any chamber and keeps galleries).
     base = chambers[0]
     for P2 in chambers:
-        sigma = {P1: ch.sigma_set(P2, P1) for P1 in chambers}
+        sigma = {P1: P1.pos & ~P2.pos for P1 in chambers}
         order = sorted(chambers, key=dist[P2].__getitem__)
         for P1, steps, count in ch.gallery_steps(P2, order):
             instances += count
-            end, walls = P1 == P2, [ch.wall(P1, Q) for Q in steps]
-            if bool(steps) == end or (end and sigma[P1]) or any(
-                    w not in sigma[P1] or sigma[Q] != sigma[P1] - {w}
-                    for Q, w in zip(steps, walls)):
+            end, s1 = P1 == P2, sigma[P1]
+            walls = [bits[ch.wall(P1, Q)] for Q in steps]
+            if bool(steps) == end or (end and s1) or any(
+                    not s1 & w or sigma[Q] != s1 ^ w for Q, w in zip(steps, walls)):
                 failures.append({"check": "gallery-walls", "P1": P1.perm, "P2": P2.perm})
             if P1 == base:
                 listed = len(ch.minimal_galleries(P1, P2))

@@ -15,7 +15,7 @@ from jrlab.chambers import (CHAMBER_MAX_RANK, Chamber, _table, all_chambers,
                             is_convex, keycoxeter_step, labels, langlands_type_rep,
                             minimal_galleries, pairwise_orthogonal_positive,
                             parabolics_above, phi, project_family, projection_scale, psi_analytic,
-                            psi_geometric, sigma_set, weyl_orbit_family)
+                            psi_geometric, root_bits, sigma_set, weyl_orbit_family)
 from jrlab.cones import (E0, ParabolicSubspace, _all_pos, _tau_hat_cov, above,
                          enumerate_parabolic_subspaces, epsilon_sign, full_group)
 from jrlab.suites import chambers_suite
@@ -199,6 +199,34 @@ def test_rank_predicates_match_references_on_all_pairs(m):
             assert minimal_galleries(P1, P2) == ref_minimal_galleries(P1, P2)
 
 
+def test_rank_predicates_match_references_at_rank_5():
+    """Every pair for the root sets and distances; the galleries from three
+    chambers (relabelling coordinates moves any chamber to any other and
+    keeps galleries)."""
+    chambers = all_chambers(5)
+    for P1 in chambers:
+        for P2 in chambers:
+            assert sigma_set(P2, P1) == ref_sigma_set(P2, P1)
+            assert distance(P2, P1) == ref_distance(P2, P1)
+    for P1 in (chambers[0], chambers[57], chambers[-1]):
+        for P2 in chambers:
+            assert minimal_galleries(P1, P2) == ref_minimal_galleries(P1, P2)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
+def test_root_masks_agree_with_the_ranks(m):
+    """pos holds the bit of (a, b) exactly when a comes before b, and cuts[i]
+    is the bit of the pair at positions i, i + 1; the m(m - 1) ordered roots
+    have distinct single bits."""
+    bits = root_bits(m)
+    assert sorted(bits) == [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    assert sorted(bits.values()) == [1 << i for i in range(m * (m - 1))]
+    for C in all_chambers(m):
+        assert all(bool(C.pos & bit) == (C.rank[a - 1] < C.rank[b - 1])
+                   for (a, b), bit in bits.items())
+        assert C.cuts == tuple(bits[C.perm[i], C.perm[i + 1]] for i in range(m - 1))
+
+
 @pytest.mark.parametrize("m", (2, 3, 4, 5))
 def test_swapped_chambers_equal_the_validated_ones(m):
     for C in all_chambers(m):
@@ -369,6 +397,16 @@ def test_convexity_matches_reference():
         assert is_convex(S) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_convexity_matches_reference_on_every_family_at_rank_3():
+    chambers = all_chambers(3)
+    verdicts = []
+    for mask in range(2 ** len(chambers)):
+        S = [C for i, C in enumerate(chambers) if mask >> i & 1]
+        verdicts.append(is_convex(S))
+        assert verdicts[-1] == ref_is_convex(S)
+    assert len(verdicts) == 64 and True in verdicts and False in verdicts
 
 
 _m = st.shared(st.integers(2, 6), key="m")
