@@ -54,7 +54,14 @@ CASES = {
     "fl-n2": (["fl", "--n", "2", "--budget-valuation", "2", "--instances", "4",
                "--seed", "1"], None),
     "toy": (["toy", "--p", "5", "--budget-valuation", "4"], None),
+    "chambers-m2": (["chambers", "--m", "2", "--instances", "20", "--seed", "3"], None),
     "chambers-m3": (["chambers", "--m", "3", "--instances", "20", "--seed", "1"], None),
+    "chambers-m4": (["chambers", "--m", "4", "--instances", "20", "--seed", "3"], None),
+    "chambers-m5": (["chambers", "--m", "5", "--instances", "4", "--seed", "3"], None),
+    "cones-n0": (["cones", "--n", "0", "--grid", "200", "--instances", "32",
+                  "--seed", "3"], None),
+    "cones-n1": (["cones", "--n", "1", "--grid", "200", "--instances", "32",
+                  "--seed", "3"], None),
     "cones-n2": (["cones", "--n", "2", "--grid", "200", "--instances", "16",
                   "--seed", "1"], None),
     # a known kernel-expansion failure at n = 3, pinned with its exit code 1
@@ -73,7 +80,12 @@ GOLDEN = {
     'fl-n1': (0, '403da1bdb98206e86a0af3e98fdea07b6bd6fd1f4579d774612036025f141455'),
     'fl-n2': (0, 'a1880d00f20dc25bc3f470e6c716d18c97c4bfd4c5d1d7c94c9742224efcd7a5'),
     'toy': (0, 'f27c91c0df74e4980221cf302542eb423aa27d350b85b756cbf852ffb8da9ef8'),
+    'chambers-m2': (0, '51fb9a9c726c8c810b553a66ad7852c2373cacf212e3dd04aafc69d45ce47af5'),
     'chambers-m3': (0, 'dfa1a1187ad46bd1be645d985718c47e2e622d756a0c3007ea490ffe1695d411'),
+    'chambers-m4': (0, '2f4afd8c0f75cac63d1d8c8d1f48b8522034a68dabe0f319fb24e741e6c5bd98'),
+    'chambers-m5': (0, '3e657d78f77f9ff8b50e3474e5fd0c3db7cfec845f2e0b3bf93dbb4abcea4d5a'),
+    'cones-n0': (0, '4bf3b9baf2f3247dc1358ced20fffa4c55b1f6afac49f3a909e85e1b7719e158'),
+    'cones-n1': (0, '3ac88b1fa631a9c8c84ce244cdef4d47c917d78132fb0e2f1a75f5b309762d2a'),
     'cones-n2': (0, '0219af4d9a8f9dc2862302974f2d7f392c31f449472ba6688b2d9b3055a01911'),
     'cones-n3': (1, '86eaf94a649ed58f43d334e282f39663b8e63cddb4083f6ac20d6ca889bebd8f'),
 }

@@ -1,8 +1,9 @@
 """Every identity check of the cones, descent and chambers suites can fail.
 
 Each case monkeypatches one term of one identity.  The suite's report must
-then carry that check's failure record with its keys, the record must pass
-`json.dumps` as it is, and the command that runs the suite must exit 1.
+then carry that check's failure record with its keys in order (the order is
+command-line output), the record must pass `json.dumps` as it is, and the
+command that runs the suite must exit 1.
 
 A cached term builder is wrapped, so its cached values stay as they are;
 every other patch replaces an uncached evaluation point (indicators,
@@ -20,34 +21,35 @@ from jrlab import chambers, cli, suites
 from jrlab.cones import DescentEngine, GTilde
 from jrlab.suites import chambers_suite, cones_suite, descent_suite
 
-# suite -> check -> keys of its failure record
+# suite -> check -> keys of its failure record, in the order the record
+# prints them
 KEYS = {
     "descent": {
-        "family-resummation": {"check", "datum", "R", "H"},
-        "family-splitting": {"check", "datum", "R", "H"},
-        "fiber-inversion": {"check", "datum", "R", "P", "X", "domain", "got", "expect"},
-        "closure-family": {"check", "datum", "R", "H"},
-        "fiber-family": {"check", "datum", "R", "H"},
-        "family-structure": {"check", "datum", "R", "note"},
+        "family-resummation": ("check", "datum", "R", "H"),
+        "family-splitting": ("check", "datum", "R", "H"),
+        "fiber-inversion": ("check", "datum", "R", "P", "X", "domain", "got", "expect"),
+        "closure-family": ("check", "datum", "R", "H"),
+        "fiber-family": ("check", "datum", "R", "H"),
+        "family-structure": ("check", "datum", "R", "note"),
     },
     "chambers": {
-        "gallery-walls": {"check", "P1", "P2"},
-        "gallery-count": {"check", "P1", "P2", "count", "listed"},
-        "distance-step": {"check", "P", "P1", "P2"},
-        "psi-equality": {"check", "S", "H"},
-        "distance": {"check", "P1", "P2"},
-        "halfspace-convex": {"check", "alpha"},
-        "family-consistency": {"check"},
-        "representative": {"check", "error"},
-        "psi-trichotomy": {"check", "S", "H"},
+        "gallery-walls": ("check", "P1", "P2"),
+        "gallery-count": ("check", "P1", "P2", "count", "listed"),
+        "distance-step": ("check", "P", "P1", "P2"),
+        "psi-equality": ("check", "S", "H"),
+        "distance": ("check", "P1", "P2"),
+        "halfspace-convex": ("check", "alpha"),
+        "family-consistency": ("check",),
+        "representative": ("check", "error"),
+        "psi-trichotomy": ("check", "S", "H"),
     },
     "cones": {
-        "dual-bases": {"check", "pair"},
-        "exchange-hat": {"check", "pair", "H"},
-        "exchange": {"check", "pair", "H"},
-        "alternating-sum": {"check", "pair", "H"},
-        "kernel-expansion": {"check", "P", "H", "X"},
-        "truncation-kernels": {"check", "P", "H", "T"},
+        "dual-bases": ("check", "pair"),
+        "exchange-hat": ("check", "pair", "H"),
+        "exchange": ("check", "pair", "H"),
+        "alternating-sum": ("check", "pair", "H"),
+        "kernel-expansion": ("check", "P", "H", "X"),
+        "truncation-kernels": ("check", "P", "H", "T"),
     },
 }
 CASES = [(suite, check) for suite, checks in KEYS.items() for check in checks]
@@ -142,6 +144,6 @@ def test_a_broken_term_fails_its_check(monkeypatch, suite, check):
     records = [r for r in run()["failures"] if r["check"] == check]
     assert records
     for r in records:
-        assert set(r) == KEYS[suite][check]
+        assert tuple(r) == KEYS[suite][check]
         json.dumps(r)    # raises on any value JSON cannot carry
     assert _exit_code(argv) == 1
