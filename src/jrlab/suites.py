@@ -7,13 +7,15 @@ Each signed sum of cone indicators is a term list (sign, covectors) built by
 `cones` once per process (the family kernels shifted by each family's
 points), and `cones.signed_count` reads it at one integer point per sample: the sample H,
 the stacked point (H, X), or the affine point (H, 1).  With the wall filters
-cached there too, a sample costs its draws (`_ints`), its filter and its counts."""
+cached there too, a sample costs its draws (`_ints`), its filter and the count
+that its suite's `_Run` keeps, with the run's random stream and failure records."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import time
+from collections import deque
 from fractions import Fraction
 from operator import mul
 
@@ -28,17 +30,29 @@ from . import chambers as ch
 from .serialize import parabolic_to_json
 
 
-def _report(suite, instances, failures, seed, t0, extra=None):
-    rep = {
-        "suite": suite,
-        "instances": instances,
-        "failures": failures,
-        "seed": seed,
-        "wall_time": round(time.time() - t0, 3),
-    }
-    if extra:
-        rep.update(extra)
-    return rep
+class _Run:
+    """One suite run: its seeded random stream, its instance count, its
+    failure records and its report, which ends with the extra keywords."""
+
+    def __init__(self, suite, seed, **extra):
+        self.t0 = time.time()
+        self.suite, self.seed, self.extra = suite, seed, extra
+        self.rng = random.Random(seed)
+        self.instances, self.records = 0, []
+
+    def sample(self, draw, target, tries, per=1):
+        """What `_accepted` yields, counting per instances for each value."""
+        for x in _accepted(draw, target, tries):
+            self.instances += per
+            yield x
+
+    def fail(self, check, **record):
+        self.records.append({"check": check, **record})
+
+    def report(self):
+        return {"suite": self.suite, "instances": self.instances,
+                "failures": self.records, "seed": self.seed,
+                "wall_time": round(time.time() - self.t0, 3), **self.extra}
 
 
 def _accepted(draw, target, tries):
@@ -96,19 +110,16 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
     quotient weights agree (everything is exact rational arithmetic with
     strict inequalities, and sampled points are wall-generic).
     """
-    t0 = time.time()
-    rng = random.Random(seed)
+    run = _Run("cones", seed, n=n)
     g = GTilde(n)
     N = n + 1
     ps = enumerate_parabolic_subspaces(n)
-    failures = []
-    instances = 0
     pairs = [(P, Q) for P in ps for Q in ps if P.le(Q)]
     per_pair = max(1, points // max(1, len(pairs)))
 
     # --- newRoots: exact dual bases, obtuse/acute (no sampling) ---
     for P, Q in pairs:
-        instances += 1
+        run.instances += 1
         roots, weights = pi(P, Q), pi_hat(P, Q)
         k = len(roots)
         ok = len(weights) == k
@@ -122,29 +133,25 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             ok = ok and all(la.dot(weights[i], weights[j]) >= 0
                             for i in range(k) for j in range(k) if i != j)
         if not ok:
-            failures.append({"check": "dual-bases",
-                             "pair": (parabolic_to_json(P), parabolic_to_json(Q))})
+            run.fail("dual-bases", pair=(parabolic_to_json(P), parabolic_to_json(Q)))
 
     # --- sig-tau exchange ---
     for P, Q in pairs:
         covs = g.wall_covectors(P, Q)
 
         def draw():
-            H = _ints(rng, -40, 40, N)
+            H = _ints(run.rng, -40, 40, N)
             # part 2 at arbitrary points
             r1, _, r1h, _ = projections(H)
             return (H, r1, r1h) if _nonzero(covs, [H, r1h]) else None
 
-        for H, r1, r1h in _accepted(draw, per_pair, 50 * per_pair):
-            instances += 2
+        for H, r1, r1h in run.sample(draw, per_pair, 50 * per_pair, per=2):
             if g.sigma_hat_full(P, Q, H) != g.tau_hat(P, Q, r1h):
-                failures.append({"check": "exchange-hat",
-                                 "pair": (parabolic_to_json(P), parabolic_to_json(Q)),
-                                 "H": [str(x) for x in H]})
+                run.fail("exchange-hat", pair=(parabolic_to_json(P), parabolic_to_json(Q)),
+                         H=[str(x) for x in H])
             if g.tau(P, Q, H) != g.sigma(P, Q, r1):
-                failures.append({"check": "exchange",
-                                 "pair": (parabolic_to_json(P), parabolic_to_json(Q)),
-                                 "H": [str(x) for x in H]})
+                run.fail("exchange", pair=(parabolic_to_json(P), parabolic_to_json(Q)),
+                         H=[str(x) for x in H])
 
     # --- Langlands alternating sum: on the relative center space, scaled by D ---
     for Q, P in pairs:
@@ -152,33 +159,29 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         covs = langlands_walls(Q, P)
 
         def draw():
-            H = _sample_span(rng, S, N)
+            H = _sample_span(run.rng, S, N)
             return H if not S or _nonzero(covs, [H]) else None
 
         # an empty basis spans the single point 0
-        for H in _accepted(draw, per_pair if S else 1, 60 * per_pair):
-            instances += 1
-            val = g.langlands_sum(Q, P, H)
-            if val != (1 if Q == P else 0):
-                failures.append({"check": "alternating-sum",
-                                 "pair": (parabolic_to_json(Q), parabolic_to_json(P)),
-                                 "H": [str(Fraction(x, D)) for x in H]})
+        for H in run.sample(draw, per_pair if S else 1, 60 * per_pair):
+            if g.langlands_sum(Q, P, H) != (1 if Q == P else 0):
+                run.fail("alternating-sum", pair=(parabolic_to_json(Q), parabolic_to_json(P)),
+                         H=[str(Fraction(x, D)) for x in H])
 
     # --- expansion of sigma-hat through B, on the zero-sum slice ---
     for P in ps:
         covs = kernel_walls(P)
 
         def draw():
-            v = _ints(rng, -40, 40, 2 * N)
+            v = _ints(run.rng, -40, 40, 2 * N)
             H, X = _zero_base_sum(v[:N], n), _zero_base_sum(v[N:], n)
             return (H, X) if _nonzero(covs, [H, X, la.vec_sub(H, X)]) else None
 
-        for H, X in _accepted(draw, per_pair, 60 * per_pair):
-            instances += 1
+        for H, X in run.sample(draw, per_pair, 60 * per_pair):
             lhs, rhs = g.sigma_hat_expansion(P, H, X)
             if lhs != rhs:
-                failures.append({"check": "kernel-expansion", "P": parabolic_to_json(P),
-                                 "H": [str(x) for x in H], "X": [str(x) for x in X]})
+                run.fail("kernel-expansion", P=parabolic_to_json(P),
+                         H=[str(x) for x in H], X=[str(x) for x in X])
 
     # --- Gamma'/B relation on its stated domain, scaled by D ---
     for P in ps:
@@ -189,8 +192,8 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
         covs = kernel_walls(P)
 
         def draw():
-            H = _sample_span(rng, zb, N)
-            T = _sample_span(rng, apg, N)
+            H = _sample_span(run.rng, zb, N)
+            T = _sample_span(run.rng, apg, N)
             r1T, r2T, _, _ = projections(T)
             HT = la.vec_sub(H, T)
             _, _, _, r2hH = projections(H)
@@ -198,14 +201,12 @@ def cones_suite(n: int, points: int = 10000, seed: int = 0) -> dict:
             keep = _nonzero(covs, [HT, la.vec_sub(HT, r2hH), Hm, la.vec_sub(Hm, r2T)])
             return (H, T, HT, r2hH, Hm, r2T) if keep else None
 
-        for H, T, HT, r2hH, Hm, r2T in _accepted(draw, per_pair, 60 * per_pair):
-            instances += 1
+        for H, T, HT, r2hH, Hm, r2T in run.sample(draw, per_pair, 60 * per_pair):
             if g.gamma_prime(P, HT, r2hH) != g.b_function(P, Hm, r2T):
-                failures.append({"check": "truncation-kernels", "P": parabolic_to_json(P),
-                                 "H": [str(Fraction(x, D)) for x in H],
-                                 "T": [str(Fraction(t, D)) for t in T]})
+                run.fail("truncation-kernels", P=parabolic_to_json(P),
+                         H=[str(Fraction(x, D)) for x in H], T=[str(Fraction(t, D)) for t in T])
 
-    return _report("cones", instances, failures, seed, t0, {"n": n})
+    return run.report()
 
 
 def _zero_base_sum(v, n):
@@ -244,10 +245,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     """The closure / fiber / rigid-fiber family identities attached to the
     factorwise image of parabolic subspaces, and the two kernel-sum
     identities for orthogonal-positive point families."""
-    t0 = time.time()
-    rng = random.Random(seed)
-    failures = []
-    instances = 0
+    run = _Run("descent", seed, n=n)
     N = n + 1
     for datum in descent_data(n):
         eng = DescentEngine(datum)
@@ -264,15 +262,13 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     ("fiber-family", fiber, product_cone, fiber_walls)):
 
                 def draw():
-                    H = _ints(rng, -20, 20, m)
+                    H = _ints(run.rng, -20, 20, m)
                     Ha = eng.to_ambient(H)
                     return (H, Ha) if _nonzero(covs, [Ha]) else None
 
-                for H, Ha in _accepted(draw, samples, 40 * samples):
-                    instances += 1
+                for H, Ha in run.sample(draw, samples, 40 * samples):
                     if signed_count(lhs, Ha) != signed_count(rhs, Ha):
-                        failures.append({"check": check, "datum": _djson(datum),
-                                         "R": _prodjson(R), "H": H})
+                        run.fail(check, datum=_djson(datum), R=_prodjson(R), H=H)
             # -- pointwise inversion over the fiber (vanishing off the rigid set) --
             for P in fbar:
                 terms = eng.inversion_terms(R, P)
@@ -284,28 +280,24 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                     covs = eng.inversion_walls(R, P, basis)
 
                     def draw():
-                        X = _sample_span(rng, basis, N, lo=-20, hi=20)
+                        X = _sample_span(run.rng, basis, N, lo=-20, hi=20)
                         return X if _nonzero(covs, [X]) else None
 
                     # an empty basis spans the single point 0
                     target = max(4, samples // 3) if basis else 1
-                    for X in _accepted(draw, target, 40 * samples):
-                        instances += 1
+                    for X in run.sample(draw, target, 40 * samples):
                         tot = signed_count(terms, X)
                         expect = int(in_fiber and in_z_span(P, X))
                         if tot != expect:
-                            failures.append({"check": "fiber-inversion", "datum": _djson(datum),
-                                             "R": _prodjson(R), "P": parabolic_to_json(P),
-                                             "X": _on_minus(eng, X),
-                                             "domain": which, "got": tot, "expect": expect})
+                            run.fail("fiber-inversion", datum=_djson(datum), R=_prodjson(R),
+                                     P=parabolic_to_json(P), X=_on_minus(eng, X),
+                                     domain=which, got=tot, expect=expect)
             # -- kernel sums for orthogonal-positive families --
             if f0:
-                fam = _orth_positive_family(rng, eng, R, f0)
+                fam = _orth_positive_family(run.rng, eng, R, f0)
                 if fam is not None:
-                    inst, fails = _family_checks(rng, eng, R, fam, samples)
-                    instances += inst
-                    failures += fails
-    return _report("descent", instances, failures, seed, t0, {"n": n})
+                    _family_checks(run, eng, R, fam, samples)
+    return run.report()
 
 
 def _orth_positive_family(rng, eng: DescentEngine, R, f0):
@@ -343,7 +335,7 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
     return fam
 
 
-def _family_checks(rng, eng: DescentEngine, R, fam, samples):
+def _family_checks(run, eng: DescentEngine, R, fam, samples):
     """The resummation identity for the family kernel and the generic-point
     splitting of the product kernel into the rigid members' kernels, on the
     terms of `DescentEngine.family_plan`.  The family's points come scaled
@@ -353,8 +345,6 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
     datum = eng.datum
     N = datum.n + 1
     s = ch.projection_scale(N)
-    failures = []
-    instances = 0
     zR = eng.z_basis_product(R)
 
     # Y_Q, the block projection of any rigid member's point inside Q, for
@@ -364,26 +354,23 @@ def _family_checks(rng, eng: DescentEngine, R, fam, samples):
         ys[Q] = ch.project_family([Y for P, Y in fam.items() if P.le(Q)],
                                   [[coordinate(l, N) for l in b] for b in Q.blocks()], s)
         if ys[Q] is None:
-            return 0, [{"check": "family-structure", "datum": _djson(datum),
-                        "R": _prodjson(R), "note": "closure member without rigid member"}]
+            return run.fail("family-structure", datum=_djson(datum), R=_prodjson(R),
+                            note="closure member without rigid member")
     walls, fiber, resummed, kernel, split = eng.family_plan(R, ys)
 
     def draw():
-        H = _sample_span(rng, zR, N, lo=-25, hi=25)
+        H = _sample_span(run.rng, zR, N, lo=-25, hi=25)
         point = [s * s * x for x in H] + [1]
         return (H, point) if _nonzero(walls, [point]) else None
 
-    for H, point in _accepted(draw, samples, 60 * samples):
-        instances += 1
+    for H, point in run.sample(draw, samples, 60 * samples):
         # resummation: fiber sum with shifts = signed sum of family kernels
         if signed_count(fiber, point) != signed_count(resummed, point):
-            failures.append({"check": "family-resummation", "datum": _djson(datum),
-                             "R": _prodjson(R), "H": _on_minus(eng, H)})
+            run.fail("family-resummation", datum=_djson(datum), R=_prodjson(R),
+                     H=_on_minus(eng, H))
         # generic splitting into rigid members' kernels
         if signed_count(kernel, point) != signed_count(split, point):
-            failures.append({"check": "family-splitting", "datum": _djson(datum),
-                             "R": _prodjson(R), "H": _on_minus(eng, H)})
-    return instances, failures
+            run.fail("family-splitting", datum=_djson(datum), R=_prodjson(R), H=_on_minus(eng, H))
 
 
 def _on_minus(eng: DescentEngine, v):
@@ -407,10 +394,7 @@ def _prodjson(R: ProductParabolic):
 def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     if m > ch.CONVEXITY_MAX_RANK:
         raise ValueError(f"convexity guard exceeded: m={m} > {ch.CONVEXITY_MAX_RANK}")
-    t0 = time.time()
-    rng = random.Random(seed)
-    failures = []
-    instances = 0
+    run = _Run("chambers", seed, m=m)
     chambers = ch.all_chambers(m)
     bits = ch.root_bits(m)
     roots = list(bits)
@@ -419,7 +403,6 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
     # distances agree with breadth-first graph distance on all ordered pairs;
     # the table dist[P1][P2] = distance(P2, P1), the diagonal included,
     # serves the checks below
-    from collections import deque
     dist = {}
     for P1 in chambers:
         bfs = {P1: 0}
@@ -435,9 +418,9 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
             row[P2] = ch.distance(P2, P1)
             if P1 == P2:
                 continue
-            instances += 1
+            run.instances += 1
             if bfs[P2] != row[P2]:
-                failures.append({"check": "distance", "P1": P1.perm, "P2": P2.perm})
+                run.fail("distance", P1=P1.perm, P2=P2.perm)
 
     # wall sets along every minimal gallery, certified one step at a time:
     # P1 has a step towards P2 exactly when P1 != P2, Sigma(P2|P2) is empty,
@@ -453,47 +436,45 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         sigma = {P1: P1.pos & ~P2.pos for P1 in chambers}
         order = sorted(chambers, key=dist[P2].__getitem__)
         for P1, steps, count in ch.gallery_steps(P2, order):
-            instances += count
+            run.instances += count
             end, s1 = P1 == P2, sigma[P1]
             walls = [bits[ch.wall(P1, Q)] for Q in steps]
             if bool(steps) == end or (end and s1) or any(
                     not s1 & w or sigma[Q] != s1 ^ w for Q, w in zip(steps, walls)):
-                failures.append({"check": "gallery-walls", "P1": P1.perm, "P2": P2.perm})
+                run.fail("gallery-walls", P1=P1.perm, P2=P2.perm)
             if P1 == base:
                 listed = len(ch.minimal_galleries(P1, P2))
                 if count != listed:
-                    failures.append({"check": "gallery-count", "P1": P1.perm,
-                                     "P2": P2.perm, "count": count, "listed": listed})
+                    run.fail("gallery-count", P1=P1.perm, P2=P2.perm, count=count, listed=listed)
 
     # half-space families convex
     for alpha in roots:
-        instances += 1
+        run.instances += 1
         if not ch.is_convex(ch.h_plus(alpha, m)):
-            failures.append({"check": "halfspace-convex", "alpha": alpha})
+            run.fail("halfspace-convex", alpha=alpha)
 
     # one-step distance recursion, exhaustively, read off the distance table
     for P in chambers:
         row = dist[P]
         for P1 in chambers:
             for P2 in P1.adj:
-                instances += 1
+                run.instances += 1
                 if row[P2] != row[P1] + ch.keycoxeter_step(P, P1, P2):
-                    failures.append({"check": "distance-step", "P": P.perm,
-                                     "P1": P1.perm, "P2": P2.perm})
+                    run.fail("distance-step", P=P.perm, P1=P1.perm, P2=P2.perm)
 
-    # representative lemma + the two psi sums on random data
+    # representative lemma + the two psi sums on random data (three instances per draw)
     def draw():
         S = set(chambers)
-        for _ in range(rng.randint(0, 3)):
-            S &= set(ch.h_plus(rng.choice(roots), m))
+        for _ in range(run.rng.randint(0, 3)):
+            S &= set(ch.h_plus(run.rng.choice(roots), m))
         S = sorted(S, key=lambda c: c.perm)
         if not S:
             return None
-        fam = ch.pairwise_orthogonal_positive(m, rng)
+        fam = ch.pairwise_orthogonal_positive(m, run.rng)
         if not ch.check_orthogonal_positive(fam):
-            failures.append({"check": "family-consistency"})
+            run.fail("family-consistency")
             return None
-        H = _ints(rng, -15, 15, m)
+        H = _ints(run.rng, -15, 15, m)
         # wall filter on the parabolics above a member, at D H - D Y_Q
         proj = {Q: ch.family_projection(fam, Q) for Q in ch.parabolics_above(S)}
         HD = [ch.projection_scale(m) * h for h in H]
@@ -501,30 +482,27 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
                    for Q, YD in proj.items())
         return (S, fam, H, proj) if keep else None
 
-    for S, fam, H, proj in _accepted(draw, families, 50 * families):
+    for S, fam, H, proj in run.sample(draw, families, 50 * families, per=3):
         # representative lemma on a random parabolic above a member
-        P = rng.choice(S)
-        Q = rng.choice(list(proj))
-        instances += 1
+        P = run.rng.choice(S)
+        Q = run.rng.choice(list(proj))
         try:
             P1 = ch.langlands_type_rep(S, P, Q)
             if P1 not in S or not ch.chamber_in_parabolic(P1, Q):
                 raise AssertionError("bad representative")
         except AssertionError as e:
-            failures.append({"check": "representative", "error": str(e)})
+            run.fail("representative", error=str(e))
         # psi sums
         Lam = [0] * m
-        base = sorted(rng.sample(range(1, 60), m), reverse=True)
+        base = sorted(run.rng.sample(range(1, 60), m), reverse=True)
         for pos, a in enumerate(P.perm):
             Lam[a - 1] = base[pos]
-        instances += 1
         v1 = ch.psi_geometric(proj, H)
         v2 = ch.psi_analytic(S, Lam, H, fam)
         if v1 != v2:
-            failures.append({"check": "psi-equality", "S": [c.perm for c in S], "H": H})
+            run.fail("psi-equality", S=[c.perm for c in S], H=H)
         cond = not any(_all_pos([w], [h - y for h, y in zip(H, fam[Pp])])
                        for Pp in S for w in _tau_hat_cov(ch.flag(Pp.perm), G))
-        instances += 1
         if (v1 != 0) != cond or (v1 not in (0, 1)):
-            failures.append({"check": "psi-trichotomy", "S": [c.perm for c in S], "H": H})
-    return _report("chambers", instances, failures, seed, t0, {"m": m})
+            run.fail("psi-trichotomy", S=[c.perm for c in S], H=H)
+    return run.report()
