@@ -53,6 +53,11 @@ CASES = {
     "fl-n1": (["fl", "--n", "1", "--budget-valuation", "3", "--seed", "5"], None),
     "fl-n2": (["fl", "--n", "2", "--budget-valuation", "2", "--instances", "4",
                "--seed", "1"], None),
+    "fl-n2-p5": (["fl", "--n", "2", "--p", "5", "--budget-valuation", "2",
+                  "--instances", "12", "--seed", "7"], None),
+    # the points of criterion 10
+    "fl-n2-s110": (["fl", "--n", "2", "--budget-valuation", "2", "--instances", "20",
+                    "--seed", "110"], None),
     "toy": (["toy", "--p", "5", "--budget-valuation", "4"], None),
     "chambers-m2": (["chambers", "--m", "2", "--instances", "20", "--seed", "3"], None),
     "chambers-m3": (["chambers", "--m", "3", "--instances", "20", "--seed", "1"], None),
@@ -79,6 +84,8 @@ GOLDEN = {
     'match': (0, '4d78e764ef6cd4a6b87e1f699bb23f375418120debd50e0422398042c7978546'),
     'fl-n1': (0, '403da1bdb98206e86a0af3e98fdea07b6bd6fd1f4579d774612036025f141455'),
     'fl-n2': (0, 'a1880d00f20dc25bc3f470e6c716d18c97c4bfd4c5d1d7c94c9742224efcd7a5'),
+    'fl-n2-p5': (0, '5b2d3492bee4ab9fd1c4053719ba4e4f09e9c86efabbac3685af1bf7cc9dc184'),
+    'fl-n2-s110': (0, '9f5bc231ffc0bf6417ea88a048186e55b439a59fb5886b68ab911410f356b717'),
     'toy': (0, 'f27c91c0df74e4980221cf302542eb423aa27d350b85b756cbf852ffb8da9ef8'),
     'chambers-m2': (0, '51fb9a9c726c8c810b553a66ad7852c2373cacf212e3dd04aafc69d45ce47af5'),
     'chambers-m3': (0, 'dfa1a1187ad46bd1be645d985718c47e2e622d756a0c3007ea490ffe1695d411'),
