@@ -10,9 +10,10 @@ from fractions import Fraction as F
 from jrlab.fields import PLocalContext
 from jrlab.gltilde import InvariantPoint, Triple
 from jrlab.hermitian import classify_form_local, hankel_pair_for_point
-from jrlab.orbital import (admissible_lattices_gl, fl_check,
+from jrlab.orbital import (admissible_lattices_gl,
                            gl_representative_of_point, orbital_gl, orbital_u,
                            toy_gl_orbital, toy_transfer_check, toy_u_orbital)
+from jrlab.suites import fl_check
 
 ctx = PLocalContext(3)
 print("place: p =", ctx.p, ", quadratic extension by sqrt(", ctx.eps, ")")

@@ -15,13 +15,14 @@ from .hermitian import (CayleyParams, HermitianForm, HermitianPair,
                         omega_factor, omega_group,
                         orbit_inventory, u_d_r, u_invariants,
                         u_is_semisimple, u_jordan, u_pairing, u_stratum)
-from .cones import (DescentDatum, DescentEngine, GTilde, ParabolicSubspace,
+from .cones import (DescentEngine, GTilde, ParabolicSubspace,
                     enumerate_parabolic_subspaces, parabolic_minus, projections)
 from .chambers import (Chamber, all_chambers, distance, h_plus, is_convex,
                        langlands_type_rep, minimal_galleries, psi_analytic,
                        psi_geometric, sigma_set)
 from .orbital import (Lattice, OrbitalReport, admissible_lattices_gl,
-                      fl_check, is_instable, orbital_gl, orbital_u,
+                      is_instable, orbital_gl, orbital_u,
                       toy_gl_orbital, toy_transfer_check, toy_u_orbital)
+from .suites import fl_check
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from .gltilde import d_r, invariants, jordan, stratum
 from .hermitian import (cayley_gl, cayley_inverse, group_moments,
                         match_invariants_group, standard_cayley_params)
 from . import serialize as ser
-from .orbital import fl_check, toy_transfer_check
-from .suites import chambers_suite, cones_suite, descent_suite
+from .orbital import toy_transfer_check
+from .suites import chambers_suite, cones_suite, descent_suite, fl_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -18,6 +18,9 @@ fixed Y, as the affine covector (c, -c.Y) on the point (H, 1).
 
 A wall filter is the cached tuple of the distinct hyperplanes that a check's
 covectors cut out (`_hyperplanes`); a sample must lie on none of them.
+
+A descent datum is its own `DescentEngine`, a frozen dataclass whose cached
+methods give the families, spans and term lists of its product side.
 """
 
 from __future__ import annotations
@@ -605,37 +608,6 @@ class GTilde:
 
 
 @dataclass(frozen=True)
-class DescentDatum:
-    """Partition of the base coordinates into a plus part and one-dimensional
-    lines grouped by factor index."""
-
-    n: int
-    vplus: frozenset
-    parts: tuple         # tuple of tuples of coordinate labels, one per factor
-
-    def __post_init__(self):
-        object.__setattr__(self, "vplus", frozenset(self.vplus))
-        object.__setattr__(self, "parts", tuple(tuple(sorted(p)) for p in self.parts))
-        cover = set(self.vplus)
-        for p in self.parts:
-            if not p:
-                raise ValueError("empty factor")
-            if cover & set(p):
-                raise ValueError("factor overlaps earlier data")
-            cover |= set(p)
-        if cover != set(range(1, self.n + 1)):
-            raise ValueError("datum must cover all base coordinates")
-
-    def m1_blocks(self):
-        """Blocks of the distinguished Levi: the plus part with the line,
-        then singleton lines."""
-        blocks = [frozenset(self.vplus | {E0})]
-        for p in self.parts:
-            blocks += [frozenset([x]) for x in p]
-        return blocks
-
-
-@dataclass(frozen=True)
 class ProductParabolic:
     """One parabolic subspace per factor, each over its own relabeled
     ambient space of dimension n_i + 1."""
@@ -656,7 +628,7 @@ def _relabel(subset, coords):
 
 
 @functools.cache
-def parabolic_minus(Q: ParabolicSubspace, datum: DescentDatum) -> ProductParabolic:
+def parabolic_minus(Q: ParabolicSubspace, datum: DescentEngine) -> ProductParabolic:
     """The factorwise image: each chain member of Q cut down to the
     factor's lines plus the distinguished line, dropping empty, full and
     repeated cuts.  Cached (a bad Q raises on every call all the same)."""
@@ -684,7 +656,7 @@ def _is_union_of(member, blocks) -> bool:
     return not rest
 
 
-def enumerate_product_parabolics(datum: DescentDatum):
+def enumerate_product_parabolics(datum: DescentEngine):
     """All factorwise parabolic subspaces containing the per-factor minimal
     Levi (singleton lines plus the distinguished line)."""
     per_factor = []
@@ -700,25 +672,47 @@ def product_between(R: ProductParabolic, S: ProductParabolic):
     return tuple(ProductParabolic(t) for t in itertools.product(*per))
 
 
-def product_full(datum: DescentDatum) -> ProductParabolic:
+def product_full(datum: DescentEngine) -> ProductParabolic:
     return ProductParabolic(tuple(full_group(len(p)) for p in datum.parts))
 
 
 @dataclass(frozen=True)
 class DescentEngine:
-    """Evaluation helpers tying the ambient side and the product side of a
-    descent datum together.  Every basis and covector lives on the ambient
-    space, the product side's placed there factor by factor (`_lifted`);
-    the minus labels only give the coordinates of the suite's random draws
-    (`to_ambient`) and of its failure records.  Engines over equal data are
-    equal, so they share the cached families, spans and covectors."""
+    """A descent datum, a partition of the base coordinates into a plus part
+    and one-dimensional lines grouped by factor index, with the evaluation
+    helpers tying its ambient side and its product side together.  Every
+    basis and covector lives on the ambient space, the product side's placed
+    there factor by factor (`_lifted`); the minus labels only give the
+    coordinates of the suite's random draws (`to_ambient`) and of its
+    failure records.  Engines over equal data are equal, so they share the
+    cached families, spans and covectors."""
 
-    datum: DescentDatum
+    n: int
+    vplus: frozenset
+    parts: tuple         # tuple of tuples of coordinate labels, one per factor
     minus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        minus = sorted(c for p in self.datum.parts for c in p)
-        object.__setattr__(self, "minus", tuple(minus))
+        object.__setattr__(self, "vplus", frozenset(self.vplus))
+        object.__setattr__(self, "parts", tuple(tuple(sorted(p)) for p in self.parts))
+        cover = set(self.vplus)
+        for p in self.parts:
+            if not p:
+                raise ValueError("empty factor")
+            if cover & set(p):
+                raise ValueError("factor overlaps earlier data")
+            cover |= set(p)
+        if cover != set(range(1, self.n + 1)):
+            raise ValueError("datum must cover all base coordinates")
+        object.__setattr__(self, "minus", tuple(sorted(c for p in self.parts for c in p)))
+
+    def m1_blocks(self):
+        """Blocks of the distinguished Levi: the plus part with the line,
+        then singleton lines."""
+        blocks = [frozenset(self.vplus | {E0})]
+        for p in self.parts:
+            blocks += [frozenset([x]) for x in p]
+        return blocks
 
     # -- placement on the ambient space ---------------------------------------
 
@@ -726,7 +720,7 @@ class DescentEngine:
         """The entries of vec at the given base labels of the ambient space,
         zero elsewhere (entries past the labels, such as a factor vector's
         distinguished-line entry, are dropped)."""
-        v = [0] * (self.datum.n + 1)
+        v = [0] * (self.n + 1)
         for l, x in zip(labels, vec):
             v[l - 1] = x
         return v
@@ -742,7 +736,7 @@ class DescentEngine:
         (a factor basis of R, or the covectors cov(r) of R or cov(r, s) of R
         inside S), placed on the ambient space: a product indicator is 1
         where all its covectors are positive."""
-        return tuple(tuple(self._place(vec, self.datum.parts[k]))
+        return tuple(tuple(self._place(vec, self.parts[k]))
                      for k, fs in enumerate(zip(*(R.factors for R in Rs)))
                      for vec in vectors(*fs))
 
@@ -778,8 +772,8 @@ class DescentEngine:
         for w in delta(P, T):
             # the other side of the wall is where w has the opposite sign
             # to its distinguished entry
-            parts = [p for p in self.datum.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
-            covs.append(_pull_back(w, {self.datum.n} | {l - 1 for p in parts for l in p}))
+            parts = [p for p in self.parts if any(w[l - 1] * w[-1] < 0 for l in p)]
+            covs.append(_pull_back(w, {self.n} | {l - 1 for p in parts for l in p}))
         return tuple(covs)
 
     # -- the family sums as term lists, read at the ambient sample ----------------
@@ -790,7 +784,7 @@ class DescentEngine:
         sigma^_P^G, over the closure family; the cone where every raw factor
         weight of R is negative), then of the fiber-family identity (the hat
         sum over the fiber family; sign(R, G) sigma^_prod(R, G))."""
-        G, top = full_group(self.datum.n), product_full(self.datum)
+        G, top = full_group(self.n), product_full(self)
         fbar, fib, _ = self.families(R)
         hat_sum = lambda family: tuple((epsilon_sign(P, G), _sigma_hat_cov(P, G))
                                        for P in family)
@@ -816,7 +810,7 @@ class DescentEngine:
     def inversion_terms(self, R: ProductParabolic, P: ParabolicSubspace):
         """The fiber inversion over P: sign(Q, P) sigma_prod(R, Q_-) sigma^_Q^P
         for Q in the closure family of R below P, Q_- its factorwise image."""
-        lift = lambda Q: self._lifted(_sigma_cov, R, parabolic_minus(Q, self.datum))
+        lift = lambda Q: self._lifted(_sigma_cov, R, parabolic_minus(Q, self))
         return tuple((epsilon_sign(Q, P), lift(Q) + _sigma_hat_cov(Q, P))
                      for Q in self.families(R)[0] if Q.le(P))
 
@@ -830,7 +824,7 @@ class DescentEngine:
         pairs (c, Q): c read at H - Y_Q, or at H when Q is None.  These pairs,
         every covector the terms read, are the wall filter; every product
         sigma-hat covector above R is among them."""
-        G, top = full_group(self.datum.n), product_full(self.datum)
+        G, top = full_group(self.n), product_full(self)
         _, fib, f0 = self.families(R)
         sups = product_between(R, top)
         keys = {}
@@ -870,11 +864,11 @@ class DescentEngine:
         parabolic subspaces above the distinguished Levi, sorted by the
         factorwise image.  A fiber member is rigid when z_P and z_R span the
         same space, that is when `rigid_span` has the dimension of both."""
-        m1 = self.datum.m1_blocks()
-        cands = enumerate_parabolic_subspaces(self.datum.n, levi_blocks=m1)
+        m1 = self.m1_blocks()
+        cands = enumerate_parabolic_subspaces(self.n, levi_blocks=m1)
         fbar, fib, f0 = [], [], []
         for P in cands:
-            Pm = parabolic_minus(P, self.datum)
+            Pm = parabolic_minus(P, self)
             if R.le(Pm):
                 fbar.append(P)
             if Pm == R:

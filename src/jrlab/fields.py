@@ -126,19 +126,16 @@ class EScalar:
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other):
+        """The other operand as an element of this extension, or None when
+        it is not a scalar; elements of different extensions (another p)
+        never mix."""
         if isinstance(other, EScalar):
-            if other.ctx is not self.ctx:
-                self._check_ctx(other)
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
+                raise ValueError(f"mixed contexts: {self.ctx} and {other.ctx}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.embed(other)
         return None
-
-    def _check_ctx(self, other: "EScalar"):
-        """Elements of different extensions (another p) never mix;
-        callers test `other.ctx is self.ctx` first, the common case."""
-        if other.ctx != self.ctx:
-            raise ValueError(f"mixed contexts: {self.ctx} and {other.ctx}")
 
     def conj(self) -> "EScalar":
         return EScalar(self.x, -self.y, self.ctx)
@@ -174,10 +171,6 @@ class EScalar:
         return hash((self.x, self.y))
 
     def __add__(self, other):
-        if type(other) is EScalar:
-            if other.ctx is not self.ctx:
-                self._check_ctx(other)
-            return EScalar(self.x + other.x, self.y + other.y, self.ctx)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -189,10 +182,6 @@ class EScalar:
         return EScalar(-self.x, -self.y, self.ctx)
 
     def __sub__(self, other):
-        if type(other) is EScalar:
-            if other.ctx is not self.ctx:
-                self._check_ctx(other)
-            return EScalar(self.x - other.x, self.y - other.y, self.ctx)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -205,15 +194,11 @@ class EScalar:
         return EScalar(o.x - self.x, o.y - self.y, self.ctx)
 
     def __mul__(self, other):
-        if type(other) is EScalar:
-            if other.ctx is not self.ctx:
-                self._check_ctx(other)
-        else:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return EScalar(self.x * other.x + self.y * other.y * self.ctx.eps,
-                       self.x * other.y + self.y * other.x, self.ctx)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return EScalar(self.x * o.x + self.y * o.y * self.ctx.eps,
+                       self.x * o.y + self.y * o.x, self.ctx)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,7 @@ from .fields import (EScalar, PLocalContext, eta, eta_ext, is_norm, one_like,
 from .gltilde import (InvariantPoint, Triple, d_r_of_point, extend_moments,
                       hankel_d, invariants, is_semisimple, jordan, moments,
                       pairing, stratum, stratum_of_point)
-from .poly import Polynomial, discriminant, is_squarefree, monic_coeffs
+from .poly import Polynomial, discriminant, monic_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,9 @@ def orbit_inventory(a: InvariantPoint, factored, ctx: PLocalContext) -> list[dic
     for (P_i, n_i, flag) in factored:
         if flag not in ("inert", "split"):
             raise ValueError(f"unknown flag {flag!r}: expected 'inert' or 'split'")
+        # so squarefree: degree 1, or 2 with a non-square (nonzero) discriminant
         if not _irreducible_deg_le2(P_i):
             raise ValueError("factor fails the irreducibility certificate")
-        if not is_squarefree(P_i):
-            raise ValueError("factor is not squarefree")
         split = splits_over_ext(P_i, ctx)
         if flag == "inert" and split:
             raise ValueError("unverifiable flags: factor splits over the extension")

@@ -28,9 +28,7 @@ from .fields import (EScalar, PLocalContext, eta, is_integral,
 from .gltilde import (InvariantPoint, Triple, basis_matrix, d_r_of_point, moments,
                       dual_krylov_rows, invariants, stratum,  # noqa: F401 (bench/test_bench.py)
                       transfer_factor_eta)
-from .hermitian import (HermitianPair, classify_form_local, companion_matrix,
-                        hankel_pair_for_point, u_invariants)
-from .suites import _accepted
+from .hermitian import HermitianPair, classify_form_local, companion_matrix, u_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -361,67 +359,6 @@ def gl_representative_of_point(a: InvariantPoint) -> Triple:
     b = [Fraction(1)] + [Fraction(0)] * (n - 1)
     c = [Fraction(x) for x in a.b]
     return Triple(C, b, c)
-
-
-def fl_check(n: int, ctx: PLocalContext, budget: int, seed: int = 0,
-             samples: int = 20) -> dict:
-    """Unit-function comparison across the two sides over matched invariant
-    points: exhaustive in the moment valuation at n = 1, sampled at n = 2.
-    Odd valuation forces both sides to vanish; the non-norm form class
-    carries the zero unit component, so there the linear side must vanish
-    by itself."""
-    import random
-
-    if n not in (1, 2):
-        raise ValueError("the comparison runs at n = 1 or 2")
-    rng = random.Random(seed)
-    p = ctx.p
-    eps = ctx.eps
-    results = []
-    failures = []
-
-    def compare(a: InvariantPoint, tag):
-        Xgl = gl_representative_of_point(a)
-        gl_rep = orbital_gl(Xgl, ctx)
-        Xu = hankel_pair_for_point(a, ctx)
-        norm = classify_form_local(Xu.form, ctx)["disc_is_norm"]
-        u_rep = _orbital_u(Xu, ctx, norm)
-        if norm:
-            ok = gl_rep.value == u_rep.value
-        else:
-            ok = gl_rep.value == 0 and u_rep.value == 0
-        dn = d_r_of_point(a, n)
-        if valuation(dn, ctx) % 2 == 1:
-            ok = ok and gl_rep.value == 0
-        entry = {"tag": tag,
-                 "a": {"a": [str(x) for x in a.a], "b": [str(x) for x in a.b]},
-                 "v_dn": valuation(dn, ctx),
-                 "gl": str(gl_rep.value), "gl_lattices": gl_rep.lattice_count,
-                 "u": str(u_rep.value), "disc_is_norm": norm,
-                 "ok": ok}
-        results.append(entry)
-        if not ok:
-            failures.append(entry)
-
-    if n == 1:
-        for w in range(budget + 1):
-            for unit in (1, eps):
-                for a1 in (0, 1, p):
-                    b1 = Fraction(unit * p ** w)
-                    compare(InvariantPoint((Fraction(a1),), (b1,)),
-                            f"v={w},u={unit},a1={a1}")
-    else:
-        def draw():
-            a = InvariantPoint((Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p))),
-                               (Fraction(rng.randint(-p, p)), Fraction(rng.randint(-p, p))))
-            dn = d_r_of_point(a, 2)
-            return a if dn and 0 <= valuation(dn, ctx) <= budget else None
-
-        for k, a in enumerate(_accepted(draw, samples, 500 * samples)):
-            compare(a, f"sample{k}")
-    return {"n": n, "p": p, "seed": seed, "results": results,
-            "failures": failures,
-            "pass": f"{len(results) - len(failures)}/{len(results)}"}
 
 
 def is_instable(coeffs_and_translates, ctx: PLocalContext, sample_points) -> dict:

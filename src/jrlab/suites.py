@@ -1,14 +1,17 @@
 """Verification suites: each function runs one battery of finitely checkable
-identities and returns a report dict with the instance count, failures (with
-reproduction data) and the seed.  The command-line front end and the
-acceptance tests both drive these.
+identities on one `_Run`, which holds the seeded random stream and, in
+`_Run.sample`, the program's only rejection loop.  The polyhedral suites
+return the run's report (instance count, failures with reproduction data,
+seed); `fl_check`, the unit-function comparison, returns its own, which
+lists every point.  The command-line front end and the acceptance tests
+both drive these.
 
 Each signed sum of cone indicators is a term list (sign, covectors) built by
 `cones` once per process (the family kernels shifted by each family's
-points), and `cones.signed_count` reads it at one integer point per sample: the sample H,
-the stacked point (H, X), or the affine point (H, 1).  With the wall filters
-cached there too, a sample costs its draws (`_ints`), its filter and the count
-that its suite's `_Run` keeps, with the run's random stream and failure records."""
+points), and `cones.signed_count` reads it at one integer point per sample:
+the sample H, the stacked point (H, X), or the affine point (H, 1).  With
+the wall filters cached there too, a sample costs its draws (`_ints`), its
+filter and its count."""
 
 from __future__ import annotations
 
@@ -20,13 +23,17 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg as la
-from .cones import (DescentDatum, DescentEngine, GTilde, ProductParabolic,
+from .cones import (DescentEngine, GTilde, ProductParabolic,
                     _all_pos, _integer_basis, _nonzero, _tau_hat_cov, a_basis,
                     coordinate, enumerate_parabolic_subspaces,
                     enumerate_product_parabolics, full_group, in_z_span,
                     kernel_walls, langlands_walls, parabolic_minus, pi, pi_hat,
                     projections, signed_count, z_basis, z_rel_basis)
 from . import chambers as ch
+from .fields import PLocalContext, valuation
+from .gltilde import InvariantPoint, d_r_of_point
+from .hermitian import classify_form_local, hankel_pair_for_point
+from .orbital import _orbital_u, gl_representative_of_point, orbital_gl
 from .serialize import parabolic_to_json
 
 
@@ -41,10 +48,19 @@ class _Run:
         self.instances, self.records = 0, []
 
     def sample(self, draw, target, tries, per=1):
-        """What `_accepted` yields, counting per instances for each value."""
-        for x in _accepted(draw, target, tries):
-            self.instances += per
-            yield x
+        """Rejection sampling, the program's only loop of it: the values of
+        draw() that are not None, until target of them have come or draw()
+        has run tries times, counting per instances for each.  draw() makes
+        the random draws and applies the filter, rejecting with None."""
+        got = 0
+        for _ in range(tries):
+            if got == target:
+                return
+            x = draw()
+            if x is not None:
+                got += 1
+                self.instances += per
+                yield x
 
     def fail(self, check, **record):
         self.records.append({"check": check, **record})
@@ -53,20 +69,6 @@ class _Run:
         return {"suite": self.suite, "instances": self.instances,
                 "failures": self.records, "seed": self.seed,
                 "wall_time": round(time.time() - self.t0, 3), **self.extra}
-
-
-def _accepted(draw, target, tries):
-    """Rejection sampling: the values of draw() that are not None, until
-    target of them have come or draw() has run tries times.  draw() makes
-    the random draws and applies the filter, rejecting with None."""
-    got = 0
-    for _ in range(tries):
-        if got == target:
-            return
-        x = draw()
-        if x is not None:
-            got += 1
-            yield x
 
 
 def _ints(rng, lo, hi, k):
@@ -223,9 +225,9 @@ def _zero_base_sum(v, n):
 
 
 def descent_data(n: int):
-    """All descent shapes at base dimension n with one or two factors
-    (deduplicated up to factor order: the first factor holds the least
-    minus label)."""
+    """The engines of all descent shapes at base dimension n with one or two
+    factors (deduplicated up to factor order: the first factor holds the
+    least minus label)."""
     if n > 3:
         raise ValueError("descent enumeration guard: n <= 3")
     out = []
@@ -237,7 +239,7 @@ def descent_data(n: int):
                 for combo in itertools.combinations(rest, k):
                     other = tuple(c for c in rest if c not in combo)
                     parts = ((first, *combo),) + ((other,) if other else ())
-                    out.append(DescentDatum(n, frozenset(vplus), parts))
+                    out.append(DescentEngine(n, frozenset(vplus), parts))
     return out
 
 
@@ -247,10 +249,9 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
     identities for orthogonal-positive point families."""
     run = _Run("descent", seed, n=n)
     N = n + 1
-    for datum in descent_data(n):
-        eng = DescentEngine(datum)
+    for eng in descent_data(n):
         m = len(eng.minus)
-        for R in enumerate_product_parabolics(datum):
+        for R in enumerate_product_parabolics(eng):
             fbar, _, f0 = eng.families(R)
             zR = eng.z_basis_product(R)
             # -- closure-family sum = closed-cone indicator (filtered on both
@@ -268,12 +269,12 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
 
                 for H, Ha in run.sample(draw, samples, 40 * samples):
                     if signed_count(lhs, Ha) != signed_count(rhs, Ha):
-                        run.fail(check, datum=_djson(datum), R=_prodjson(R), H=H)
+                        run.fail(check, datum=_djson(eng), R=_prodjson(R), H=H)
             # -- pointwise inversion over the fiber (vanishing off the rigid set) --
             for P in fbar:
                 terms = eng.inversion_terms(R, P)
                 # P in the fiber over R, read off its factorwise image
-                in_fiber = parabolic_minus(P, datum) == R
+                in_fiber = parabolic_minus(P, eng) == R
                 for which, basis in (("generic", zR), ("rigid", eng.rigid_span(R, P))):
                     # wall filter: the hyperplanes that do not hold the
                     # whole domain must not hold the sample
@@ -289,7 +290,7 @@ def descent_suite(n: int, seed: int = 0, samples: int = 24) -> dict:
                         tot = signed_count(terms, X)
                         expect = int(in_fiber and in_z_span(P, X))
                         if tot != expect:
-                            run.fail("fiber-inversion", datum=_djson(datum), R=_prodjson(R),
+                            run.fail("fiber-inversion", datum=_djson(eng), R=_prodjson(R),
                                      P=parabolic_to_json(P), X=_on_minus(eng, X),
                                      domain=which, got=tot, expect=expect)
             # -- kernel sums for orthogonal-positive families --
@@ -306,8 +307,7 @@ def _orth_positive_family(rng, eng: DescentEngine, R, f0):
     disagree (which would violate the convexity lemma).  The points are
     scaled by s = `chambers.projection_scale(n + 1)`, a multiple of every
     block size, so they are integers."""
-    datum = eng.datum
-    N = datum.n + 1
+    N = eng.n + 1
     s = ch.projection_scale(N)
     blocksets = {tuple(sorted(tuple(sorted(b)) for b in P.blocks())) for P in f0}
     if len(blocksets) != 1:
@@ -342,8 +342,7 @@ def _family_checks(run, eng: DescentEngine, R, fam, samples):
     by s (`_orth_positive_family`) and `project_family` scales by s again,
     so every Y_Q, and each sample H with it, is scaled by s^2; the failure
     records print H itself, on the minus coordinates."""
-    datum = eng.datum
-    N = datum.n + 1
+    N = eng.n + 1
     s = ch.projection_scale(N)
     zR = eng.z_basis_product(R)
 
@@ -354,7 +353,7 @@ def _family_checks(run, eng: DescentEngine, R, fam, samples):
         ys[Q] = ch.project_family([Y for P, Y in fam.items() if P.le(Q)],
                                   [[coordinate(l, N) for l in b] for b in Q.blocks()], s)
         if ys[Q] is None:
-            return run.fail("family-structure", datum=_djson(datum), R=_prodjson(R),
+            return run.fail("family-structure", datum=_djson(eng), R=_prodjson(R),
                             note="closure member without rigid member")
     walls, fiber, resummed, kernel, split = eng.family_plan(R, ys)
 
@@ -366,11 +365,11 @@ def _family_checks(run, eng: DescentEngine, R, fam, samples):
     for H, point in run.sample(draw, samples, 60 * samples):
         # resummation: fiber sum with shifts = signed sum of family kernels
         if signed_count(fiber, point) != signed_count(resummed, point):
-            run.fail("family-resummation", datum=_djson(datum), R=_prodjson(R),
+            run.fail("family-resummation", datum=_djson(eng), R=_prodjson(R),
                      H=_on_minus(eng, H))
         # generic splitting into rigid members' kernels
         if signed_count(kernel, point) != signed_count(split, point):
-            run.fail("family-splitting", datum=_djson(datum), R=_prodjson(R), H=_on_minus(eng, H))
+            run.fail("family-splitting", datum=_djson(eng), R=_prodjson(R), H=_on_minus(eng, H))
 
 
 def _on_minus(eng: DescentEngine, v):
@@ -379,7 +378,7 @@ def _on_minus(eng: DescentEngine, v):
     return [str(v[c - 1]) for c in eng.minus]
 
 
-def _djson(d: DescentDatum):
+def _djson(d: DescentEngine):
     return {"n": d.n, "vplus": sorted(d.vplus), "parts": [list(p) for p in d.parts]}
 
 
@@ -506,3 +505,57 @@ def chambers_suite(m: int, seed: int = 0, families: int = 200) -> dict:
         if (v1 != 0) != cond or (v1 not in (0, 1)):
             run.fail("psi-trichotomy", S=[c.perm for c in S], H=H)
     return run.report()
+
+
+# ---------------------------------------------------------------------------
+# criterion: the unit-function comparison
+
+
+def fl_check(n: int, ctx: PLocalContext, budget: int, seed: int = 0,
+             samples: int = 20) -> dict:
+    """Unit-function comparison across the two sides over matched invariant
+    points: exhaustive in the moment valuation at n = 1, sampled at n = 2
+    by a `_Run`.  Odd valuation forces both sides to vanish; the non-norm
+    form class carries the zero unit component, so there the linear side
+    must vanish by itself.  The report lists every point's entry."""
+    if n not in (1, 2):
+        raise ValueError("the comparison runs at n = 1 or 2")
+    run = _Run("fl", seed)
+    p = ctx.p
+    results = []
+
+    def compare(a: InvariantPoint, tag):
+        gl_rep = orbital_gl(gl_representative_of_point(a), ctx)
+        Xu = hankel_pair_for_point(a, ctx)
+        norm = classify_form_local(Xu.form, ctx)["disc_is_norm"]
+        u_rep = _orbital_u(Xu, ctx, norm)
+        ok = gl_rep.value == u_rep.value if norm else gl_rep.value == 0 == u_rep.value
+        v_dn = valuation(d_r_of_point(a, n), ctx)
+        if v_dn % 2 == 1:
+            ok = ok and gl_rep.value == 0
+        results.append({"tag": tag,
+                        "a": {"a": [str(x) for x in a.a], "b": [str(x) for x in a.b]},
+                        "v_dn": v_dn,
+                        "gl": str(gl_rep.value), "gl_lattices": gl_rep.lattice_count,
+                        "u": str(u_rep.value), "disc_is_norm": norm,
+                        "ok": ok})
+
+    if n == 1:
+        for w in range(budget + 1):
+            for unit in (1, ctx.eps):
+                for a1 in (0, 1, p):
+                    compare(InvariantPoint((Fraction(a1),), (Fraction(unit * p ** w),)),
+                            f"v={w},u={unit},a1={a1}")
+    else:
+        def draw():
+            v = [Fraction(x) for x in _ints(run.rng, -p, p, 4)]
+            a = InvariantPoint(tuple(v[:2]), tuple(v[2:]))
+            dn = d_r_of_point(a, 2)
+            return a if dn and 0 <= valuation(dn, ctx) <= budget else None
+
+        for k, a in enumerate(run.sample(draw, samples, 500 * samples)):
+            compare(a, f"sample{k}")
+    failures = [e for e in results if not e["ok"]]
+    return {"n": n, "p": p, "seed": seed, "results": results,
+            "failures": failures,
+            "pass": f"{len(results) - len(failures)}/{len(results)}"}

@@ -19,8 +19,8 @@ from jrlab.hermitian import (HermitianForm, HermitianPair, adjoint, cayley_gl,
                              standard_cayley_params, u_invariants,
                              u_is_semisimple, u_jordan, random_unitary,
                              unitary_act)
-from jrlab.orbital import fl_check, toy_transfer_check
-from jrlab.suites import chambers_suite, cones_suite, descent_suite
+from jrlab.orbital import toy_transfer_check
+from jrlab.suites import chambers_suite, cones_suite, descent_suite, fl_check
 
 CTX = PLocalContext(3)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jrlab import cones, linalg as la, suites
 from jrlab.chambers import project_family, projection_scale
-from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
+from jrlab.cones import (DescentEngine, GTilde,
                          ParabolicSubspace, _all_pos, _nonzero, _sigma_cov,
                          _sigma_full_cov, _sigma_hat_cov,
                          _sigma_hat_full_cov, above, between, coordinate,
@@ -19,7 +19,8 @@ from jrlab.cones import (DescentDatum, DescentEngine, GTilde,
                          full_group, parabolic_minus, pi, pi_hat_raw,
                          product_between, product_full, projections,
                          signed_count, z_basis)
-from jrlab.suites import cones_suite, descent_data, descent_suite
+from jrlab.fields import PLocalContext
+from jrlab.suites import cones_suite, descent_data, descent_suite, fl_check
 
 
 def test_enumeration_counts():
@@ -132,7 +133,7 @@ def test_langlands_sum_examples():
 
 def test_parabolic_minus_worked_example():
     # two lines, ambient flag containing the distinguished member plus one
-    datum = DescentDatum(2, frozenset(), ((1,), (2,)))
+    datum = DescentEngine(2, frozenset(), ((1,), (2,)))
     Q = ParabolicSubspace(2, (frozenset({0}), frozenset({0, 1})))
     Qm = parabolic_minus(Q, datum)
     # factor over {1}: flag pointer couple (0, 0); factor over {2}: same
@@ -148,7 +149,7 @@ def test_parabolic_minus_worked_example():
     bad = ParabolicSubspace(2, (frozenset({1, 2}),))
     with pytest.raises(ValueError):
         parabolic_minus(ParabolicSubspace(2, (frozenset({1}),)),
-                        DescentDatum(2, frozenset({1}), ((2,),)))
+                        DescentEngine(2, frozenset({1}), ((2,),)))
 
 
 def test_parabolic_intervals_are_built_once_and_shared_immutably():
@@ -220,7 +221,7 @@ def test_covector_caches_are_shared_immutably():
                           cones.wall_hyperplanes, cones.langlands_walls):
                 shared(build, P, Q)
     for datum in descent_data(2):
-        engine = lambda: DescentEngine(datum)
+        engine = lambda: DescentEngine(datum.n, datum.vplus, datum.parts)
         top = product_full(datum)
         for R in enumerate_product_parabolics(datum):
             fbar, _, f0 = engine().families(R)
@@ -243,15 +244,14 @@ def test_covector_caches_are_shared_immutably():
 
 
 def test_families_structure():
-    datum = DescentDatum(2, frozenset(), ((1, 2),))
-    eng = DescentEngine(datum)
-    for R in enumerate_product_parabolics(datum):
+    eng = DescentEngine(2, frozenset(), ((1, 2),))
+    for R in enumerate_product_parabolics(eng):
         fbar, fib, f0 = eng.families(R)
         assert set(map(id, f0)) <= set(map(id, fib))
         for P in fib:
             assert P in fbar
         # the fiber over the full product contains the full group
-        if R == product_full(datum):
+        if R == product_full(eng):
             assert any(P.is_group() for P in fib)
 
 
@@ -290,23 +290,41 @@ def test_descent_suite_small():
     assert not rep["failures"], rep["failures"][:2]
 
 
+def _sample_calls(monkeypatch):
+    """Wrap `suites._Run.sample`, the program's only rejection loop: the
+    returned list gets [target, values yielded] for each call."""
+    calls, original = [], suites._Run.sample
+
+    def sample(self, draw, target, tries, per=1):
+        call = [target, 0]
+        calls.append(call)
+        for x in original(self, draw, target, tries, per):
+            call[1] += 1
+            yield x
+
+    monkeypatch.setattr(suites._Run, "sample", sample)
+    return calls
+
+
 def test_descent_suite_draws_reach_every_target(monkeypatch):
     """No sampler of the n = 3 descent suite comes back short.  The
     fiber-inversion wall filter must pair the hat covectors with the domain
     in ambient coordinates: read on the minus coordinates, covectors that
     vanish on the whole domain pass as live, and 20 domains got no draw."""
-    calls, original = [], suites._accepted
-
-    def accepted(draw, target, tries):
-        got = list(original(draw, target, tries))
-        calls.append((target, len(got)))
-        return got
-
-    monkeypatch.setattr("jrlab.suites._accepted", accepted)
+    calls = _sample_calls(monkeypatch)
     rep = descent_suite(3, seed=0, samples=1)
     assert not rep["failures"] and rep["instances"] == 10465
     # every draw goes through the patched sampler, and none comes back short
     assert calls and all(got == target for target, got in calls)
+
+
+def test_fl_check_draws_reach_every_target(monkeypatch):
+    """The n = 2 comparison draws its points through the same sampler, and
+    criterion 10's run gets all 20."""
+    calls = _sample_calls(monkeypatch)
+    rep = fl_check(2, PLocalContext(3), 2, seed=110, samples=20)
+    assert rep["pass"] == "20/20"
+    assert calls == [[20, 20]]
 
 
 @st.composite
@@ -463,9 +481,8 @@ def test_cached_wall_filters_reject_what_their_covectors_reject():
                 assert_filters_as(cones.langlands_walls(P, Q),
                                   [c for S in between(P, Q) for c in four(P, S) + four(S, Q)],
                                   N, rng)
-        for datum in descent_data(n):
-            eng = DescentEngine(datum)
-            for R in enumerate_product_parabolics(datum):
+        for eng in descent_data(n):
+            for R in enumerate_product_parabolics(eng):
                 closure, closed_cone, fiber, _ = eng.family_sums(R)
                 walls = eng.family_walls(R)
                 read = lambda terms: [c for _, covs in terms for c in covs]
@@ -513,7 +530,7 @@ def ref_sigma_hat_expansion(g, P, H, X):
 def ref_to_factor(eng, H, k):
     """A point on the minus coordinates restricted to the k-th factor."""
     lut = dict(zip(eng.minus, H))
-    return [lut[c] for c in eng.datum.parts[k]] + [0]
+    return [lut[c] for c in eng.parts[k]] + [0]
 
 
 def ref_to_minus(eng, vectors, *Rs):
@@ -523,7 +540,7 @@ def ref_to_minus(eng, vectors, *Rs):
     ambient placement."""
     out = []
     for k, fs in enumerate(zip(*(R.factors for R in Rs))):
-        pos = [eng.minus.index(c) for c in eng.datum.parts[k]]
+        pos = [eng.minus.index(c) for c in eng.parts[k]]
         for vec in vectors(*fs):
             v = [0] * len(eng.minus)
             for i, x in zip(pos, vec):
@@ -548,7 +565,7 @@ def ref_product(eng, cov, R, S, H):
 
 
 def ref_closure_family(eng, R, H):
-    G = full_group(eng.datum.n)
+    G = full_group(eng.n)
     Ha = eng.to_ambient(H)
     raw = [[-x for x in c] for c in ref_to_minus(eng, pi_hat_raw, R)]
     return (sum(epsilon_sign(P, G) * GTilde(G.n).sigma_hat(P, G, Ha) for P in eng.families(R)[0]),
@@ -556,7 +573,7 @@ def ref_closure_family(eng, R, H):
 
 
 def ref_fiber_family(eng, R, H):
-    G, top = full_group(eng.datum.n), product_full(eng.datum)
+    G, top = full_group(eng.n), product_full(eng)
     Ha = eng.to_ambient(H)
     return (sum(epsilon_sign(P, G) * GTilde(G.n).sigma_hat(P, G, Ha) for P in eng.families(R)[1]),
             epsilon_sign(R, top) * ref_product(eng, _sigma_hat_full_cov, R, top, H))
@@ -564,7 +581,7 @@ def ref_fiber_family(eng, R, H):
 
 def ref_inversion(eng, R, P, X):
     Xa = eng.to_ambient(X)
-    return sum(epsilon_sign(Q, P) * ref_product(eng, _sigma_cov, R, parabolic_minus(Q, eng.datum), X)
+    return sum(epsilon_sign(Q, P) * ref_product(eng, _sigma_cov, R, parabolic_minus(Q, eng), X)
                * GTilde(P.n).sigma_hat(Q, P, Xa) for Q in eng.families(R)[0] if Q.le(P))
 
 
@@ -600,9 +617,8 @@ def test_descent_term_lists_match_the_per_sample_sums(n):
     at the ambient image of the sample, give the per-sample sums."""
     rng = random.Random(80 + n)
     families = 0
-    for datum in descent_data(n):
-        eng = DescentEngine(datum)
-        for R in enumerate_product_parabolics(datum):
+    for eng in descent_data(n):
+        for R in enumerate_product_parabolics(eng):
             families += 1
             for H in _points(rng, len(eng.minus), 2):
                 Ha = eng.to_ambient(H)
@@ -616,7 +632,7 @@ def test_descent_term_lists_match_the_per_sample_sums(n):
 
 def ref_b_function_descent(eng, P, H, X):
     """Ambient kernel in the descent realization."""
-    g = GTilde(eng.datum.n)
+    g = GTilde(eng.n)
     return ref_kernel(P, H, X, g.sigma_hat,
                       lambda P, T, H: _all_pos(eng.sigma_descent_cov(P, T), H))
 
@@ -625,10 +641,10 @@ def ref_b_family(eng, R, H, points):
     """The family kernel: double alternating sum over the product groups
     above R and the fiber members of each, with the family's points
     shifting the hat arguments; H lives on the minus coordinates."""
-    G = full_group(eng.datum.n)
+    G = full_group(eng.n)
     Ha = eng.to_ambient(H)
     total = 0
-    for T in product_between(R, product_full(eng.datum)):
+    for T in product_between(R, product_full(eng)):
         sig = ref_product(eng, _sigma_full_cov, R, T, H)
         if not sig:
             continue
@@ -636,14 +652,14 @@ def ref_b_family(eng, R, H, points):
         inner = 0
         for Q in fibT:
             arg = [a - b for a, b in zip(Ha, points[Q])]
-            inner += epsilon_sign(Q, G) * GTilde(eng.datum.n).sigma_hat(Q, G, arg)
+            inner += epsilon_sign(Q, G) * GTilde(eng.n).sigma_hat(Q, G, arg)
         total += sig * inner
     return total
 
 
 def ref_wall_filter(eng, R, H, points):
     """The family checks' wall filter at H, one covector family at a time."""
-    G, top = full_group(eng.datum.n), product_full(eng.datum)
+    G, top = full_group(eng.n), product_full(eng)
     fbar, _, f0 = eng.families(R)
     Ha = eng.to_ambient(H)
     shifted = {Q: la.vec_sub(Ha, points[Q]) for Q in fbar}
@@ -659,7 +675,7 @@ def ref_wall_filter(eng, R, H, points):
 
 def ref_orth_positive_family(rng, eng, R, f0):
     """The orthogonal-positive family on Fraction points."""
-    N = eng.datum.n + 1
+    N = eng.n + 1
     blocksets = {tuple(sorted(tuple(sorted(b)) for b in P.blocks())) for P in f0}
     if len(blocksets) != 1:
         return None
@@ -718,10 +734,9 @@ def test_family_plan_matches_the_fraction_kernels(n):
     N = n + 1
     s = projection_scale(N)
     families = 0
-    for datum in descent_data(n):
-        eng = DescentEngine(datum)
-        G, top = full_group(n), product_full(datum)
-        for R in enumerate_product_parabolics(datum):
+    for eng in descent_data(n):
+        G, top = full_group(n), product_full(eng)
+        for R in enumerate_product_parabolics(eng):
             fbar, fib, f0 = eng.families(R)
             state = rng.getstate()
             fam = suites._orth_positive_family(rng, eng, R, f0) if f0 else None
@@ -767,9 +782,8 @@ def test_family_plan_matches_the_fraction_kernels(n):
 def test_in_z_span_decides_span_membership():
     rng = random.Random(7)
     for n in (1, 2, 3):
-        for datum in descent_data(n):
-            eng = DescentEngine(datum)
-            for P in eng.families(enumerate_product_parabolics(datum)[0])[0]:
+        for eng in descent_data(n):
+            for P in eng.families(enumerate_product_parabolics(eng)[0])[0]:
                 zP = z_basis(P)
                 for k in range(6):
                     X = (suites._sample_span(rng, zP, n + 1, -3, 3) if k % 2
@@ -781,9 +795,8 @@ def test_rigid_domains_are_the_fraction_bases_as_integer_vectors():
     """The rigid span, read on the minus coordinates, is the Fraction
     intersection of the bases placed there by the reference."""
     for n in (1, 2, 3):
-        for datum in descent_data(n):
-            eng = DescentEngine(datum)
-            for R in enumerate_product_parabolics(datum):
+        for eng in descent_data(n):
+            for R in enumerate_product_parabolics(eng):
                 zR = ref_to_minus(eng, z_basis, R)
                 for P in eng.families(R)[0]:
                     basis = eng.rigid_span(R, P)
@@ -837,9 +850,8 @@ def test_parabolic_minus_matches_the_flag_route():
 def test_rigid_fiber_members_are_where_the_centers_span_one_space():
     members = rigid = 0
     for n in (1, 2, 3):
-        for datum in descent_data(n):
-            eng = DescentEngine(datum)
-            for R in enumerate_product_parabolics(datum):
+        for eng in descent_data(n):
+            for R in enumerate_product_parabolics(eng):
                 _, fib, f0 = eng.families(R)
                 zR = ref_to_minus(eng, z_basis, R)
                 for P in fib:

@@ -200,7 +200,8 @@ def test_squarefree_part():
 def test_escalar_refuses_mixed_contexts():
     a, b = CTX3.embed(2) + CTX3.sqrt_eps(), CTX5.embed(3)
     for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a / b,
-               lambda: a == b):
+               lambda: a == b, lambda: b * a, lambda: b + a, lambda: b - a,
+               lambda: b == a):
         with pytest.raises(ValueError):
             op()
     # an equal context built separately is the same extension
@@ -214,3 +215,13 @@ def test_escalar_base_field_hashes_like_fraction(ctx):
     assert len({ctx.embed(3), 3}) == 1
     with pytest.raises(TypeError):
         ctx.embed(1) * 1.5
+    # an int or Fraction operand is embedded, anything else refused
+    a = ctx.embed(3) + 2 * ctx.sqrt_eps()
+    for got, want in ((a + 2, a + ctx.embed(2)), (a - 2, a - ctx.embed(2)),
+                      (a * F(1, 2), a * ctx.embed(F(1, 2))), (a / 3, a / ctx.embed(3))):
+        assert type(got) is EScalar and (got.x, got.y) == (want.x, want.y)
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad

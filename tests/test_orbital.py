@@ -14,12 +14,13 @@ from jrlab.gltilde import (InvariantPoint, Triple, act, basis_matrix, d_r,
 from jrlab.hermitian import (HermitianForm, HermitianPair, classify_form_local,
                              hankel_pair_for_point, random_unitary,
                              unitary_act)
-from jrlab.orbital import (Lattice, _admissible_bases, admissible_lattices_gl, fl_check,
+from jrlab.orbital import (Lattice, _admissible_bases, admissible_lattices_gl,
                            gl_representative_of_point, hermite_normalize,
                            intermediate_lattices, intermediate_lattices_ext,
                            is_instable, orbital_gl,
                            orbital_u, selfdual_admissible_lattices,
                            toy_gl_orbital, toy_transfer_check, toy_u_orbital)
+from jrlab.suites import fl_check
 
 CTX = PLocalContext(3)
 

@@ -25,9 +25,9 @@ from jrlab.hermitian import (HermitianForm, HermitianPair, cayley_gl, cayley_u,
                              omega_factor, orbit_inventory, random_unitary,
                              standard_cayley_params, u_d_r, u_jordan, u_stratum,
                              unitary_act)
-from jrlab.orbital import (admissible_lattices_gl, fl_check,
-                           gl_representative_of_point,
+from jrlab.orbital import (admissible_lattices_gl, gl_representative_of_point,
                            selfdual_admissible_lattices)
+from jrlab.suites import fl_check
 from jrlab.poly import Polynomial
 
 CTX = PLocalContext(3)
